@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -59,6 +58,8 @@ class Scenario:
 
     @staticmethod
     def from_dict(raw: dict, fallback_name: str = "scenario") -> "Scenario":
+        if not isinstance(raw, dict):
+            raise ScenarioError(f"bad scenario: expected a mapping, got {type(raw).__name__}")
         try:
             return Scenario(
                 name=str(raw.get("name", fallback_name)),
@@ -91,11 +92,13 @@ class Scenario:
 
 @dataclass
 class RunArtifact:
-    """Where a run landed on disk plus its metric summary."""
+    """Where a run landed on disk, its metric summary and the integrated
+    (x, z) trajectory."""
 
     directory: Path
     scenario_hash: str
     metrics: dict
+    trajectory: Trajectory
     trajectory_csv: Optional[Path] = None
 
 
@@ -218,11 +221,11 @@ def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
     return u
 
 
-def tail_amplitude(bundle: IandIBundle, xpart: Trajectory, fraction: float = 0.2) -> float:
+def tail_amplitude(bundle: IandIBundle, traj: Trajectory, fraction: float = 0.2) -> float:
     """Max |first target-projected coordinate| over the run tail, wrapped to
     the principal value when that coordinate is an angle."""
     col = bundle.xi_projection[0]
-    vals = xpart.tail(fraction).states[:, col]
+    vals = traj.tail(fraction).states[:, col]
     if col in bundle.angle_indices:
         vals = analysis.wrap_angle(vals)
     return float(np.max(np.abs(vals)))
@@ -269,32 +272,39 @@ def compute_metrics(
         except (ValueError, FieldEvaluationError):
             pass
 
-    if bundle.name == "cartpend-linear":
-        ka2 = bundle.info["k"] * bundle.info["a2"]
-        margins = np.abs(1.0 + ka2 * np.cos(xpart.states[:, 0]))
-        metrics["sing_margin_min"] = float(margins.min())
-    elif bundle.name == "cartpend-nonlinear":
-        margins = math.pi / 2 - np.abs(xpart.states[:, 0])
-        metrics["sing_margin_min"] = float(margins.min())
+    if bundle.singularity_margin is not None:
+        metrics["sing_margin_min"] = float(bundle.singularity_margin(xpart.states).min())
     return metrics
 
 
-def _integrate_scenario(bundle: IandIBundle, scn: Scenario):
-    x0 = np.asarray(scn.x0, dtype=float)
+def _check_x0(bundle: IandIBundle, x0) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (bundle.plant.n,):
         raise ScenarioError(
             f"x0 has {x0.size} entries, bundle {bundle.name} needs {bundle.plant.n}"
         )
+    return x0
+
+
+def _integrator_method(scn: Scenario) -> str:
+    method = scn.integrator.get("method", "fixed")
+    if method not in ("fixed", "adaptive"):
+        raise ScenarioError(f"unknown integrator method {method!r}")
+    return method
+
+
+def _integrate_scenario(bundle: IandIBundle, scn: Scenario):
+    x0 = _check_x0(bundle, scn.x0)
     z0 = bundle.manifold.phi(x0)
     y0 = np.concatenate([x0, np.atleast_1d(z0)])
     fld = augmented_field(bundle)
     t0, t1 = scn.t_span
-    method = scn.integrator.get("method", "fixed")
+    method = _integrator_method(scn)
     aborted, abort_time = False, None
     try:
         if method == "fixed":
             traj = integrate_fixed(fld, y0, t0, t1, float(scn.integrator.get("dt", 1e-3)))
-        elif method == "adaptive":
+        else:
             traj = integrate_adaptive(
                 fld,
                 y0,
@@ -303,8 +313,6 @@ def _integrate_scenario(bundle: IandIBundle, scn: Scenario):
                 rtol=float(scn.integrator.get("rtol", 1e-8)),
                 atol=float(scn.integrator.get("atol", 1e-10)),
             )
-        else:
-            raise ScenarioError(f"unknown integrator method {method!r}")
     except IntegrationAbort as exc:
         traj = exc.trajectory
         aborted, abort_time = True, exc.abort_time
@@ -369,7 +377,9 @@ def run_scenario(
     digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
     (outdir / "scenario.yaml").write_text(f"# sha256: {digest}\n{doc}", encoding="utf-8")
 
-    artifact = RunArtifact(directory=outdir, scenario_hash=digest, metrics=metrics)
+    artifact = RunArtifact(
+        directory=outdir, scenario_hash=digest, metrics=metrics, trajectory=traj
+    )
     if "trajectory_csv" in scn.outputs:
         artifact.trajectory_csv = outdir / "trajectory.csv"
         _write_trajectory_csv(
@@ -391,16 +401,19 @@ def run_scenario(
 
 
 def _sweep_overrides(scn: Scenario, value):
-    """Translate one sweep value into overrides or an x0 substitution."""
-    param = scn.sweep["parameter"]
-    if param == "pole":
-        return {"gamma1": 2.0 * float(value), "gamma2": float(value) ** 2}, None
-    if param.startswith("x0[") and param.endswith("]"):
-        idx = int(param[3:-1])
-        x0 = list(scn.x0)
-        x0[idx] = float(value)
-        return {}, x0
-    return {param: float(value)}, None
+    """Translate one sweep value into parameter overrides and the run's x0."""
+    param = str(scn.sweep["parameter"])
+    try:
+        value = float(value)
+        if param == "pole":
+            return {"gamma1": 2.0 * value, "gamma2": value**2}, scn.x0
+        if param.startswith("x0[") and param.endswith("]"):
+            x0 = list(scn.x0)
+            x0[int(param[3:-1])] = value
+            return {}, x0
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"sweep parameter {param!r}, value {value!r}: {exc}") from None
+    return {param: value}, scn.x0
 
 
 def cmd_validate(args) -> int:
@@ -429,7 +442,10 @@ def _parse_sets(pairs) -> dict:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ScenarioError(f"--set expects key=value, got {item!r}")
-        out[key] = float(raw)
+        try:
+            out[key] = float(raw)
+        except ValueError:
+            raise ScenarioError(f"--set {key} expects a number, got {raw!r}") from None
     return out
 
 
@@ -457,17 +473,16 @@ def cmd_sweep(args) -> int:
         scn = load_scenario(args.target)
         if not scn.sweep:
             raise ScenarioError(f"scenario {scn.name!r} has no sweep block")
-        values = list(scn.sweep["values"])
+        _integrator_method(scn)
         prepared = []
-        for value in values:
+        for value in scn.sweep["values"]:
             overrides, x0 = _sweep_overrides(scn, value)
             bundle = build_bundle(scn.bundle, overrides)
-            if x0 is not None and bundle.plant.admissible is not None:
-                if not bundle.plant.admissible(np.asarray(x0, dtype=float)):
-                    raise ParameterError(
-                        f"sweep value {value!r} puts x0 outside the admissible set"
-                    )
-            prepared.append((value, overrides, x0))
+            if not bundle.plant.admissible(_check_x0(bundle, x0)):
+                raise ParameterError(
+                    f"sweep value {value!r} puts x0 outside the admissible set"
+                )
+            prepared.append((value, overrides, x0, bundle))
     except ParameterError as exc:
         print(f"constraint violated: {exc}", file=sys.stderr)
         return 1
@@ -478,11 +493,11 @@ def cmd_sweep(args) -> int:
     out_root = _out_root(args.out)
     rows = []
     failed = False
-    for i, (value, overrides, x0) in enumerate(prepared):
+    for i, (value, overrides, x0, bundle) in enumerate(prepared):
         sub = Scenario(
             name=scn.name,
             bundle=scn.bundle,
-            x0=x0 if x0 is not None else scn.x0,
+            x0=x0,
             t_span=scn.t_span,
             integrator=scn.integrator,
             outputs=scn.outputs,
@@ -491,21 +506,11 @@ def cmd_sweep(args) -> int:
         artifact = run_scenario(
             sub, out_root / scn.name, extra_overrides=overrides, subdir=f"value-{i}"
         )
-        bundle = build_bundle(sub.bundle, overrides)
-        amp = None
-        if artifact.trajectory_csv is not None:
-            try:
-                n = bundle.plant.n
-                data = np.loadtxt(artifact.trajectory_csv, delimiter=",", skiprows=1)
-                xtraj = Trajectory(data[:, 0], data[:, 1 : 1 + n])
-                amp = tail_amplitude(bundle, xtraj)
-            except (OSError, ValueError):
-                pass
         rows.append(
             (
                 value,
                 artifact.metrics.get("period_est"),
-                amp,
+                tail_amplitude(bundle, artifact.trajectory),
                 artifact.metrics.get("decay_rate"),
             )
         )
@@ -569,9 +574,15 @@ def cmd_report(args) -> int:
         if not scn_path.is_file():
             rows.append((str(mpath.parent), "-", "skipped", "scenario.yaml missing"))
             continue
-        raw = yaml.safe_load(scn_path.read_text(encoding="utf-8"))
-        checks = raw.get("checks", [])
-        metrics = read_metrics_csv(mpath)
+        try:
+            raw = yaml.safe_load(scn_path.read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise ValueError("scenario.yaml does not hold a mapping")
+            checks = raw.get("checks", [])
+            metrics = read_metrics_csv(mpath)
+        except (OSError, ValueError, yaml.YAMLError) as exc:
+            rows.append((str(mpath.parent), "-", "error", " ".join(str(exc).split())))
+            continue
         if not checks:
             rows.append((str(mpath.parent), "-", "skipped", "no checks declared"))
             continue
@@ -590,7 +601,7 @@ def cmd_report(args) -> int:
         lines.append(",".join([artifact_dir, metric, status, detail.replace(",", ";")]))
         if status != "skipped":
             evaluated += 1
-        if status == "fail":
+        if status in ("fail", "error"):
             failed += 1
     if root.is_dir():
         (root / "report.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -634,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="integrate one scenario and emit artifacts")
     p.add_argument("target", help="scenario name or scenario file")
     p.add_argument("--out", help="output root (default $IIORBIT_OUT or ./artifacts)")
-    p.add_argument("--seed", type=int, default=42,
-                   help="accepted for interface symmetry; runs are deterministic")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="run a scenario across its sweep values")

@@ -82,10 +82,9 @@ class ImplicitManifold:
 
 @dataclass(frozen=True)
 class Controller:
-    """Feedback v(x, z); admissible marks where it is defined."""
+    """Feedback v(x, z)."""
 
     v: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    admissible: Callable[[np.ndarray, np.ndarray], bool] = lambda x, z: True
 
 
 @dataclass(frozen=True)
@@ -106,6 +105,10 @@ class IandIBundle:
                       them, integration never does
       section_index   plant coordinate whose zero crossings define the
                       default period-measurement section
+      singularity_margin
+                      for designs whose feedback is defined on part of the
+                      state space only: maps an (N, n) array of plant states
+                      to N margins from where it breaks down
       info            derived scalars worth reporting (e.g. the effective
                       restoring coefficient, the analytic z decay rate)
     """
@@ -123,6 +126,7 @@ class IandIBundle:
     xi_projection: tuple[int, ...] = ()
     angle_indices: tuple[int, ...] = ()
     section_index: int = 0
+    singularity_margin: Optional[Callable[[np.ndarray], np.ndarray]] = None
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .core import (
     Controller,
@@ -263,11 +260,6 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     return bundle
 
 
-def iwp_energy(params: IwpParams, xi1: float, xi2: float) -> float:
-    """Pendulum energy 0.5 xi2^2 - a cos(xi1) of the wheel pendulum's target."""
-    return 0.5 * xi2**2 - params.a * math.cos(xi1)
-
-
 def _cartpend_plant(a1: float, a2: float, admissible) -> ControlAffineSystem:
     def f(x):
         return np.array([x[2], x[3], a1 * math.sin(x[0]), 0.0])
@@ -311,21 +303,9 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
     def alpha2(s: float) -> float:
         return a1 * math.sin(s) / (1.0 + ka2 * math.cos(s))
 
-    # Potential of the on-manifold dynamics, -integral of alpha2, tabulated by
-    # adaptive quadrature and interpolated with a cubic spline. Only used for
-    # energy diagnostics.
-    s_max = beta_star - 1e-3
-    nodes = np.linspace(-s_max, s_max, 4097)
-    vals = np.empty_like(nodes)
-    i0 = len(nodes) // 2
-    vals[i0] = 0.0
-    for i in range(i0 + 1, len(nodes)):
-        seg, _ = quad(alpha2, nodes[i - 1], nodes[i], epsabs=1e-12, epsrel=1e-10)
-        vals[i] = vals[i - 1] - seg
-    for i in range(i0 - 1, -1, -1):
-        seg, _ = quad(alpha2, nodes[i], nodes[i + 1], epsabs=1e-12, epsrel=1e-10)
-        vals[i] = vals[i + 1] + seg
-    potential = CubicSpline(nodes, vals)
+    def potential(s: float) -> float:
+        """-integral of alpha2 from 0 to s, in closed form."""
+        return (a1 / ka2) * math.log(abs((1.0 + ka2 * math.cos(s)) / (1.0 + ka2)))
 
     bundle = IandIBundle(
         name="cartpend-linear",
@@ -333,7 +313,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         target=TargetDynamics(
             p=2,
             alpha=lambda xi: np.array([xi[1], alpha2(xi[0])]),
-            first_integral=lambda xi: 0.5 * xi[1] ** 2 + float(potential(xi[0])),
+            first_integral=lambda xi: 0.5 * xi[1] ** 2 + potential(xi[0]),
             orbit_kind=FAMILY_OF_ORBITS,
         ),
         immersion=ImmersionMap(
@@ -341,7 +321,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
             jacobian=lambda xi: Jpi,
         ),
         manifold=ImplicitManifold(phi=lambda x: Jphi @ x, jacobian=lambda x: Jphi),
-        controller=Controller(v=v, admissible=lambda x, z: admissible(x)),
+        controller=Controller(v=v),
         xi_sample_box=_box([[-(beta_star - 0.05), beta_star - 0.05], [-1.5, 1.5]]),
         x_sample_box=_box(
             [[-(beta_star - 0.05), beta_star - 0.05], [-3, 3], [-2, 2], [-3, 3]]
@@ -353,6 +333,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
+        singularity_margin=lambda X: np.abs(1.0 + ka2 * np.cos(X[:, 0])),
         info={
             "beta_star": beta_star,
             "k": k,
@@ -362,15 +343,6 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         },
     )
     return bundle
-
-
-def cartpend_singularity_margin(bundle: IandIBundle, x) -> float:
-    """|1 + k a2 cos(x1)|: distance of design 1's control denominator from
-    zero. Only defined for the linear cart-pendulum design."""
-    if bundle.name != "cartpend-linear":
-        raise ValueError(f"singularity margin is undefined for bundle {bundle.name}")
-    ka2 = bundle.info["k"] * bundle.info["a2"]
-    return abs(1.0 + ka2 * math.cos(np.asarray(x)[0]))
 
 
 def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
@@ -462,9 +434,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         ),
         immersion=ImmersionMap(pi=pi_map, jacobian=pi_jac),
         manifold=ImplicitManifold(phi=phi, jacobian=phi_jac),
-        controller=Controller(
-            v=v, admissible=lambda x, z: -math.pi / 2 < x[0] < math.pi / 2
-        ),
+        controller=Controller(v=v),
         xi_sample_box=_box([[-s_lim, s_lim], [-1.0, 1.0]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-1.5, 1.5], [-3, 3]]),
         closed_form_c=lambda xi: np.array(
@@ -480,6 +450,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
+        singularity_margin=lambda X: math.pi / 2 - np.abs(X[:, 0]),
         info={
             "kfun": kfun,
             "kprime": kprime,
@@ -590,38 +561,21 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
     return bundle
 
 
-_PRESET_FACTORIES: dict[str, Callable[[], IandIBundle]] = {}
-_PRESET_PARAMS: dict[str, object] = {}
+_PRESET_PARAMS = {
+    "cartpend-lin-default": CartPendLinearParams(
+        a1=9.8, a2=1.0, k=-4.0, gamma1=2.0, gamma2=2.0
+    ),
+    "cartpend-nl-default": CartPendNonlinearParams(
+        a1=9.8, a2=1.0, a=2.0, a0=0.0, gamma1=1.0, gamma2=1.0
+    ),
+    "dcac-default": DcAcParams(
+        R=10.0, C=1e-3, L=1e-3, E=24.0, A=12.0, omega=100.0 * math.pi, gamma=0.01
+    ),
+    "iwp-default": IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0),
+    "lti-identity": LtiParams(P=np.eye(2), R=np.eye(2)),
+}
 
-
-def _register(name: str, params, make) -> None:
-    _PRESET_PARAMS[name] = params
-    _PRESET_FACTORIES[name] = lambda: make(params)
-
-
-_register("lti-identity", LtiParams(P=np.eye(2), R=np.eye(2)), make_lti)
-_register(
-    "iwp-default",
-    IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0),
-    make_iwp,
-)
-_register(
-    "cartpend-lin-default",
-    CartPendLinearParams(a1=9.8, a2=1.0, k=-4.0, gamma1=2.0, gamma2=2.0),
-    make_cartpend_linear,
-)
-_register(
-    "cartpend-nl-default",
-    CartPendNonlinearParams(a1=9.8, a2=1.0, a=2.0, a0=0.0, gamma1=1.0, gamma2=1.0),
-    make_cartpend_nonlinear,
-)
-_register(
-    "dcac-default",
-    DcAcParams(R=10.0, C=1e-3, L=1e-3, E=24.0, A=12.0, omega=100.0 * math.pi, gamma=0.01),
-    make_dcac,
-)
-
-PRESETS = tuple(sorted(_PRESET_FACTORIES))
+PRESETS = tuple(sorted(_PRESET_PARAMS))
 
 _KIND_MAKERS = {
     "lti": (LtiParams, make_lti),
@@ -649,17 +603,8 @@ def make_preset(name: str, **overrides) -> IandIBundle:
     params = preset_params(name)
     if overrides:
         params = _apply_overrides(params, overrides)
-    return _maker_for(params)(params)
-
-
-def _maker_for(params) -> Callable:
-    for cls, make in ((LtiParams, make_lti), (IwpParams, make_iwp),
-                      (CartPendLinearParams, make_cartpend_linear),
-                      (CartPendNonlinearParams, make_cartpend_nonlinear),
-                      (DcAcParams, make_dcac)):
-        if isinstance(params, cls):
-            return make
-    raise TypeError(f"no constructor for parameter record {type(params).__name__}")
+    make = next(make for cls, make in _KIND_MAKERS.values() if type(params) is cls)
+    return make(params)
 
 
 def _apply_overrides(params, overrides: dict):

@@ -1,6 +1,9 @@
 """Command line verbs: scenario loading, artifacts, sweeps, and reports."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,33 @@ def write_scenario(tmp_path: Path, doc: dict, filename: str = "scn.yaml") -> Pat
     path = tmp_path / filename
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize(
+    "verb,content",
+    [
+        ("validate", None),
+        ("run", ""),
+        ("run", "- 1.0\n- 2.0\n"),
+    ],
+    ids=["validate-non-numeric-set", "run-empty-file", "run-non-mapping"],
+)
+def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
+    if verb == "validate":
+        argv = ["validate", "iwp-default", "--set", "k=abc"]
+    else:
+        path = tmp_path / "bad.yaml"
+        path.write_text(content, encoding="utf-8")
+        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+    # a fresh interpreter, so an uncaught exception shows up as a traceback
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "iiorbit.cli", *argv], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 class TestLoadScenario:
@@ -196,6 +226,34 @@ class TestSweepCommand:
         assert "outside the admissible set" in capsys.readouterr().err
         assert not (tmp_path / "out" / "cone-sweep").exists()
 
+    def test_amplitude_does_not_depend_on_outputs(self, tmp_path):
+        doc = dict(self.SWEEP_DOC, t_span=[0.0, 5.0])
+        amplitudes = []
+        for outputs in (["metrics_csv"], ["trajectory_csv", "metrics_csv"]):
+            out = tmp_path / "-".join(outputs)
+            path = write_scenario(tmp_path, dict(doc, outputs=outputs))
+            assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+            lines = (out / "tiny-sweep" / "comparison.csv").read_text().splitlines()
+            amplitudes.append([line.split(",")[2] for line in lines[1:]])
+        assert all(amplitudes[0]), amplitudes
+        assert amplitudes[0] == amplitudes[1]
+
+    def test_unknown_integrator_stops_before_any_run(self, tmp_path, capsys):
+        doc = dict(self.SWEEP_DOC, integrator={"method": "euler", "dt": 0.001})
+        path = write_scenario(tmp_path, doc)
+        rc = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown integrator method 'euler'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_x0_index_out_of_range_stops_before_any_run(self, tmp_path, capsys):
+        doc = dict(self.SWEEP_DOC, sweep={"parameter": "x0[9]", "values": [0.1, 0.2]})
+        path = write_scenario(tmp_path, doc)
+        rc = cli.main(["sweep", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "x0[9]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_scenario_without_sweep_exits_2(self, tmp_path):
         path = write_scenario(tmp_path, TINY_LTI)
         assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -238,6 +296,21 @@ class TestReportCommand:
         rc = cli.main(["report", str(tmp_path)])
         assert rc == 1
         assert "nothing to evaluate" in capsys.readouterr().out
+
+
+    def test_unreadable_artifact_is_an_error_row(self, tmp_path, capsys):
+        self.run_tiny(tmp_path, [{"metric": "aborted", "equals": False}])
+        broken = tmp_path / "tree" / "broken"
+        broken.mkdir()
+        (broken / "metrics.csv").write_text("key,value\naborted,false\n")
+        (broken / "scenario.yaml").write_text("checks: [unclosed\nname: x\n")
+        rc = cli.main(["report", str(tmp_path / "tree")])
+        assert rc == 1
+        rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
+        assert any(
+            row.startswith(f"{broken},-,error,while parsing a flow sequence") for row in rows
+        ), rows
+        assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
 
 
 class TestEvalCheck:

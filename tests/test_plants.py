@@ -1,6 +1,10 @@
 """Parameter records, preset registry, and per-plant closed-form oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +17,6 @@ from iiorbit.plants import (
     CartPendNonlinearParams,
     DcAcParams,
     IwpParams,
-    cartpend_singularity_margin,
-    iwp_energy,
     make_inline,
     make_preset,
     preset_params,
@@ -120,14 +122,14 @@ class TestPresetRegistry:
 
 
 class TestIwpBundle:
-    def test_energy_helper(self):
+    def test_first_integral_values(self):
+        # pendulum energy 0.5 xi2^2 - a cos(xi1)
         p = IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
-        assert iwp_energy(p, 0.0, 0.0) == -p.a
-        assert abs(iwp_energy(p, math.pi / 2, 1.0) - 0.5) < 1e-15
-        # energy helper agrees with the bundle's recorded first integral
-        bundle = plants.make_iwp(p)
-        xi = np.array([0.7, -0.4])
-        assert abs(iwp_energy(p, *xi) - bundle.target.first_integral(xi)) < 1e-15
+        H = plants.make_iwp(p).target.first_integral
+        assert H(np.array([0.0, 0.0])) == -p.a
+        assert abs(H(np.array([math.pi / 2, 1.0])) - 0.5) < 1e-15
+        expected = 0.5 * 0.4**2 - p.a * math.cos(0.7)
+        assert abs(H(np.array([0.7, -0.4])) - expected) < 1e-15
 
     def test_target_is_pendulum(self):
         bundle = make_preset("iwp-default")
@@ -138,23 +140,18 @@ class TestIwpBundle:
 
 
 class TestCartPendLinearBundle:
-    def test_potential_matches_log_closed_form(self):
-        # the bundle tabulates the on-manifold potential by quadrature; the
-        # integral also has an elementary antiderivative to compare against
+    def test_potential_is_antiderivative_of_alpha(self):
+        # the first integral at zero velocity is the on-manifold potential V,
+        # which must vanish at the upright and satisfy -V'(s) = alpha2(s)
         bundle = make_preset("cartpend-lin-default")
-        a1, a2, k = bundle.info["a1"], bundle.info["a2"], bundle.info["k"]
-        ka2 = k * a2
-
-        def exact(s):
-            return (a1 / ka2) * math.log(
-                abs((1.0 + ka2 * math.cos(s)) / (1.0 + ka2))
-            )
-
+        H, alpha = bundle.target.first_integral, bundle.target.alpha
+        assert H(np.array([0.0, 0.0])) == 0.0
+        h = 1e-6
         s_max = bundle.info["beta_star"] - 0.1
         for s in np.linspace(-s_max, s_max, 61):
-            got = bundle.target.first_integral(np.array([s, 0.0]))
-            assert abs(got - exact(s)) < 1e-6, f"s={s}: {got} vs {exact(s)}"
-        assert abs(bundle.target.first_integral(np.array([0.0, 0.0]))) < 1e-12
+            dV = (H(np.array([s + h, 0.0])) - H(np.array([s - h, 0.0]))) / (2 * h)
+            want = alpha(np.array([s, 0.0]))[1]
+            assert abs(-dV - want) < 1e-6, f"s={s}: {-dV} vs {want}"
 
     def test_target_linearization_at_origin(self):
         bundle = make_preset("cartpend-lin-default")
@@ -178,17 +175,17 @@ class TestCartPendLinearBundle:
         assert np.all(np.isfinite(bundle.controller.v(x_in, np.zeros(2))))
 
     def test_singularity_margin(self):
+        # |1 + k a2 cos(x1)|, evaluated over an (N, n) array of states
         bundle = make_preset("cartpend-lin-default")
-        assert abs(cartpend_singularity_margin(bundle, np.zeros(4)) - 3.0) < 1e-15
-        at_edge = cartpend_singularity_margin(
-            bundle, np.array([bundle.info["beta_star"], 0, 0, 0])
-        )
-        assert at_edge < 1e-12
+        X = np.array([[0.0, 0.0, 0.0, 0.0], [bundle.info["beta_star"], 0.0, 0.0, 0.0]])
+        margins = bundle.singularity_margin(X)
+        assert margins.shape == (2,)
+        assert abs(margins[0] - 3.0) < 1e-15
+        assert margins[1] < 1e-12
 
-    def test_singularity_margin_rejects_other_bundles(self):
-        for name in ("iwp-default", "cartpend-nl-default", "dcac-default"):
-            with pytest.raises(ValueError, match="undefined"):
-                cartpend_singularity_margin(make_preset(name), np.zeros(4))
+    def test_singularity_margin_absent_on_other_bundles(self):
+        for name in ("lti-identity", "iwp-default", "dcac-default"):
+            assert make_preset(name).singularity_margin is None
 
 
 class TestCartPendNonlinearBundle:
@@ -220,6 +217,12 @@ class TestCartPendNonlinearBundle:
             fd2 = (kprime(s + h) - kprime(s - h)) / (2 * h)
             assert abs(fd1 - kprime(s)) < 1e-7 * max(1.0, abs(kprime(s)))
             assert abs(fd2 - ksecond(s)) < 1e-5 * max(1.0, abs(ksecond(s)))
+
+    def test_singularity_margin(self):
+        # distance of the link angle from the domain edge pi/2
+        bundle = make_preset("cartpend-nl-default")
+        X = np.array([[0.0, 0.0, 0.0, 0.0], [-1.0, 2.0, 0.5, 0.0]])
+        assert np.array_equal(bundle.singularity_margin(X), [math.pi / 2, math.pi / 2 - 1.0])
 
     def test_angle_domain_enforced(self):
         bundle = make_preset("cartpend-nl-default")
@@ -263,3 +266,14 @@ class TestDcAcBundle:
     def test_no_first_integral_recorded(self):
         bundle = make_preset("dcac-default")
         assert bundle.target.first_integral is None
+
+
+def test_import_does_not_load_scipy():
+    src = Path(plants.__file__).resolve().parents[1]
+    code = "import sys, iiorbit; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
