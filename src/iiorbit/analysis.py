@@ -14,15 +14,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import IandIBundle, ParameterError, UNIQUE_ATTRACTIVE_ORBIT
+from .core import IandIBundle, ParameterError, UNIQUE_ATTRACTIVE_ORBIT, evaluate
 from .odesim import (
     IntegrationAbort,
     Trajectory,
-    VectorFieldHandle,
     estimate_period,
     detect_crossings,
     integrate_adaptive,
     integrate_fixed,
+    rk4_step,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -74,26 +74,16 @@ class Lemma2Report:
     min_margin: float
 
 
-def _rk4_probe(field: VectorFieldHandle, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step; used to localize section crossings."""
-    f = field.eval
-    k1 = f(y)
-    k2 = f(y + (0.5 * h) * k1)
-    k3 = f(y + (0.5 * h) * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _refine_crossing(field, y_knot, gap, section):
     """Zero of section(flow(y_knot, dt)) for dt in [0, gap], located by
-    bisection on single RK4 probe steps. Returns (dt, state at dt)."""
+    bisection on single RK4 steps. Returns (dt, state at dt)."""
     s_lo = section(y_knot)
     if s_lo == 0.0:
         return 0.0, np.asarray(y_knot, dtype=float).copy()
     lo, hi = 0.0, gap
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        s_mid = section(_rk4_probe(field, y_knot, mid))
+        s_mid = section(rk4_step(field, y_knot, mid))
         if s_mid == 0.0:
             lo = hi = mid
             break
@@ -104,7 +94,7 @@ def _refine_crossing(field, y_knot, gap, section):
         if hi - lo <= 1e-14 * gap:
             break
     dt = 0.5 * (lo + hi)
-    return dt, _rk4_probe(field, y_knot, dt) if dt > 0 else y_knot.copy()
+    return dt, np.asarray(rk4_step(field, y_knot, dt)) if dt > 0 else y_knot.copy()
 
 
 def orbit_samples(
@@ -124,8 +114,8 @@ def orbit_samples(
     the first to integrator accuracy.
     """
     xi0 = np.asarray(xi0, dtype=float)
-    field = VectorFieldHandle(bundle.target.p, bundle.target.alpha)
-    speed0 = float(np.max(np.abs(field.eval(xi0))))
+    field = bundle.target.alpha
+    speed0 = float(np.max(np.abs(field(xi0))))
     if speed0 <= 1e-12 * max(1.0, float(np.max(np.abs(xi0)))):
         # an equilibrium never crosses the section transversally; without
         # this guard the identically-zero section signal reads as a chain
@@ -150,7 +140,7 @@ def orbit_samples(
                 events = detect_crossings(traj, section)
                 direction = events[-1].direction
             # anchor on the stored knot just before the last crossing, then
-            # localize the crossing itself with probe steps
+            # localize the crossing itself with single RK4 steps
             i = int(np.searchsorted(traj.times, events[-1].time, side="right")) - 1
             i = min(i, len(traj) - 2)
             gap = float(traj.times[i + 1] - traj.times[i])
@@ -180,8 +170,7 @@ def orbit_samples(
         )
 
     fine = integrate_fixed(field, anchor, 0.0, period, period / samples_per_period)
-    pi = bundle.immersion.pi
-    samples = np.array([pi(xi) for xi in fine.states])
+    samples = evaluate(bundle.immersion.pi, fine.states)
     return OrbitSet(
         samples=samples, period=float(period), angle_indices=bundle.angle_indices
     )
@@ -258,8 +247,7 @@ def energy_drift(bundle: IandIBundle, traj: Trajectory, tail_fraction: float = 0
     if H is None:
         raise ValueError(f"bundle {bundle.name} has no first integral")
     tail = traj.tail(tail_fraction)
-    xi = bundle.project_xi(tail.states)
-    vals = np.array([H(row) for row in xi])
+    vals = evaluate(H, bundle.project_xi(tail.states))
     return float((vals.max() - vals.min()) / max(abs(float(vals.mean())), 1e-9))
 
 
@@ -286,11 +274,9 @@ def lemma1_check(
     eps = perturbation if perturbation is not None else (lambda tau: l1 * math.exp(-l2 * tau))
 
     def rhs(y):
-        return np.array([y[1], -a * math.sin(y[0]) + eps(y[2]), 1.0])
+        return (y[1], -a * math.sin(y[0]) + eps(y[2]), 1.0)
 
-    traj = integrate_fixed(
-        VectorFieldHandle(3, rhs), [x1_0, x3_0, 0.0], 0.0, horizon, dt
-    )
+    traj = integrate_fixed(rhs, [x1_0, x3_0, 0.0], 0.0, horizon, dt)
     r = 0.5 * traj.states[:, 1] ** 2 - a * np.cos(traj.states[:, 0])
     r0 = 0.5 * x3_0**2 - a * math.cos(x1_0)
     l3 = l1 * abs(x3_0)
@@ -438,20 +424,16 @@ def lemma2_check(
     ka2 = k * a2
 
     def rhs(y):
-        return np.array(
-            [
-                y[1],
-                (a1 * math.sin(y[0]) + l1 * math.exp(-l2 * y[2]))
-                / (1.0 + ka2 * math.cos(y[0])),
-                1.0,
-            ]
+        return (
+            y[1],
+            (a1 * math.sin(y[0]) + l1 * math.exp(-l2 * y[2]))
+            / (1.0 + ka2 * math.cos(y[0])),
+            1.0,
         )
 
     aborted = False
     try:
-        traj = integrate_fixed(
-            VectorFieldHandle(3, rhs), [setup.w0[0], setup.w0[1], 0.0], 0.0, horizon, dt
-        )
+        traj = integrate_fixed(rhs, [setup.w0[0], setup.w0[1], 0.0], 0.0, horizon, dt)
     except IntegrationAbort as exc:
         traj = exc.trajectory
         aborted = True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +26,9 @@ from .core import (
     FieldEvaluationError,
     IandIBundle,
     ParameterError,
+    admissible_mask,
     augmented_field,
+    evaluate,
     validate_bundle,
 )
 from .odesim import IntegrationAbort, Trajectory, integrate_adaptive, integrate_fixed
@@ -207,17 +210,11 @@ def read_metrics_csv(path: Path) -> dict:
 
 
 def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
+    """The feedback along the stored states, NaN where it is not defined."""
     n = bundle.plant.n
-    m = bundle.plant.m
-    u = np.full((len(traj), m), np.nan)
-    v = bundle.controller.v
-    for i in range(len(traj)):
-        x = traj.states[i, :n]
-        z = traj.states[i, n:]
-        try:
-            u[i] = np.asarray(v(x, z), dtype=float).reshape(m)
-        except FieldEvaluationError:
-            pass
+    ok = admissible_mask(bundle.plant, traj.states[:, :n])
+    u = np.full((len(traj), bundle.plant.m), np.nan)
+    u[ok] = evaluate(bundle.controller.v, traj.states[ok, :n], traj.states[ok, n:])
     return u
 
 
@@ -273,7 +270,7 @@ def compute_metrics(
             pass
 
     if bundle.singularity_margin is not None:
-        metrics["sing_margin_min"] = float(bundle.singularity_margin(xpart.states).min())
+        metrics["sing_margin_min"] = float(evaluate(bundle.singularity_margin, xpart.states).min())
     return metrics
 
 
@@ -286,33 +283,43 @@ def _check_x0(bundle: IandIBundle, x0) -> np.ndarray:
     return x0
 
 
-def _integrator_method(scn: Scenario) -> str:
+def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
+    """The integrator method and its step settings, with the time span
+    checked too, so a malformed number stops the scenario before any run."""
     method = scn.integrator.get("method", "fixed")
-    if method not in ("fixed", "adaptive"):
+    defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}.get(method)
+    if defaults is None:
         raise ScenarioError(f"unknown integrator method {method!r}")
-    return method
+    t0, t1 = scn.t_span
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise ScenarioError(f"t_span [{t0!r}, {t1!r}] must be finite and end after it starts")
+    settings = {}
+    for key, default in defaults.items():
+        raw = scn.integrator.get(key, default)
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"integrator.{key} must be a positive number, got {raw!r}")
+        settings[key] = value
+    if settings.get("dt", 0.0) > t1 - t0:
+        raise ScenarioError(f"integrator.dt {settings['dt']!r} exceeds the time span")
+    return method, settings
 
 
 def _integrate_scenario(bundle: IandIBundle, scn: Scenario):
+    method, settings = _integrator_settings(scn)
     x0 = _check_x0(bundle, scn.x0)
-    z0 = bundle.manifold.phi(x0)
-    y0 = np.concatenate([x0, np.atleast_1d(z0)])
+    y0 = np.concatenate([x0, evaluate(bundle.manifold.phi, x0)])
     fld = augmented_field(bundle)
     t0, t1 = scn.t_span
-    method = _integrator_method(scn)
     aborted, abort_time = False, None
     try:
         if method == "fixed":
-            traj = integrate_fixed(fld, y0, t0, t1, float(scn.integrator.get("dt", 1e-3)))
+            traj = integrate_fixed(fld, y0, t0, t1, settings["dt"])
         else:
-            traj = integrate_adaptive(
-                fld,
-                y0,
-                t0,
-                t1,
-                rtol=float(scn.integrator.get("rtol", 1e-8)),
-                atol=float(scn.integrator.get("atol", 1e-10)),
-            )
+            traj = integrate_adaptive(fld, y0, t0, t1, **settings)
     except IntegrationAbort as exc:
         traj = exc.trajectory
         aborted, abort_time = True, exc.abort_time
@@ -418,6 +425,8 @@ def _sweep_overrides(scn: Scenario, value):
 
 def cmd_validate(args) -> int:
     try:
+        if args.grid_size < 1:
+            raise ScenarioError(f"--grid-size must be at least 1, got {args.grid_size}")
         overrides = _parse_sets(args.set or [])
         target = args.target
         if target in plants.PRESETS:
@@ -473,9 +482,12 @@ def cmd_sweep(args) -> int:
         scn = load_scenario(args.target)
         if not scn.sweep:
             raise ScenarioError(f"scenario {scn.name!r} has no sweep block")
-        _integrator_method(scn)
+        values = scn.sweep.get("values")
+        if not (isinstance(values, list) and values):
+            raise ScenarioError(f"sweep values must be a non-empty list, got {values!r}")
+        _integrator_settings(scn)
         prepared = []
-        for value in scn.sweep["values"]:
+        for value in values:
             overrides, x0 = _sweep_overrides(scn, value)
             bundle = build_bundle(scn.bundle, overrides)
             if not bundle.plant.admissible(_check_x0(bundle, x0)):

@@ -8,7 +8,8 @@ embedded Dormand-Prince 5(4) pair with adaptive step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,12 +32,9 @@ class IntegrationAbort(RuntimeError):
         self.abort_time = abort_time
 
 
-@dataclass(frozen=True)
-class VectorFieldHandle:
-    """An autonomous vector field x' = F(x) of fixed dimension."""
-
-    dimension: int
-    eval: Callable[[np.ndarray], np.ndarray]
+# An autonomous vector field x' = F(x): state components in, one component
+# per coordinate out.
+Field = Callable[[Sequence[float]], Sequence[float]]
 
 
 class Trajectory:
@@ -111,13 +109,34 @@ class SectionEvent:
     direction: int  # +1 if the section function increases through zero
 
 
-def _check_state(y: np.ndarray, dim: int) -> None:
+def _initial_state(x0: Sequence[float], field: Field) -> np.ndarray:
+    """x0 as a float vector, checked against the field's output length; a
+    field that fails at x0 is left for the first step to report."""
+    y = np.asarray(x0, dtype=float)
+    try:
+        dim = len(field(y))
+    except (FieldEvaluationError, OverflowError):
+        dim = len(y)
     if y.shape != (dim,):
-        raise ValueError(f"state has shape {y.shape}, expected ({dim},)")
+        raise ValueError(f"state has shape {y.shape}, the field returns {dim} components")
+    return y
+
+
+def rk4_step(field: Field, y: tuple, h: float) -> tuple:
+    """One classical RK4 step of size h from the state y, a tuple of floats
+    (any sequence of floats works); returns the new state as a tuple."""
+    k1 = field(y)
+    k2 = field(tuple([a + (0.5 * h) * b for a, b in zip(y, k1)]))
+    k3 = field(tuple([a + (0.5 * h) * b for a, b in zip(y, k2)]))
+    k4 = field(tuple([a + h * b for a, b in zip(y, k3)]))
+    return tuple([
+        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ])
 
 
 def integrate_fixed(
-    field: VectorFieldHandle,
+    field: Field,
     x0: Sequence[float],
     t0: float,
     t1: float,
@@ -127,15 +146,14 @@ def integrate_fixed(
     shortened to land exactly on t1.
 
     Raises IntegrationAbort (with the partial trajectory attached) if the
-    field raises FieldEvaluationError or produces a non-finite value.
+    field raises FieldEvaluationError or produces a non-finite value (a
+    Python float overflow counts as one).
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if dt <= 0 or dt > t1 - t0:
         raise ValueError("dt must be positive and at most t1 - t0")
-    y = np.asarray(x0, dtype=float).copy()
-    _check_state(y, field.dimension)
-    f = field.eval
+    x0 = _initial_state(x0, field)
 
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     # grid times; append t1 when the last full step falls short of it
@@ -145,34 +163,32 @@ def integrate_fixed(
     else:
         times[-1] = t1
 
-    out = np.empty((len(times), field.dimension))
-    out[0] = y
+    out = np.empty((len(times), len(x0)))
+    out[0] = x0
+    y = tuple(x0.tolist())
     for i in range(1, len(times)):
-        h = times[i] - times[i - 1]
         try:
-            k1 = f(y)
-            k2 = f(y + (0.5 * h) * k1)
-            k3 = f(y + (0.5 * h) * k2)
-            k4 = f(y + h * k3)
+            y = rk4_step(field, y, times[i] - times[i - 1])
+            finite = all(map(math.isfinite, y))
+        except OverflowError:
+            finite = False
         except FieldEvaluationError as exc:
-            partial = Trajectory(times[:i], out[:i])
             raise IntegrationAbort(
                 f"field evaluation failed at t={times[i - 1]!r}: {exc}",
-                partial,
+                Trajectory(times[:i], out[:i]),
                 times[i - 1],
             ) from exc
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            partial = Trajectory(times[:i], out[:i])
+        if not finite:
             raise IntegrationAbort(
-                f"non-finite state at t={times[i]!r}", partial, times[i]
+                f"non-finite state at t={times[i]!r}",
+                Trajectory(times[:i], out[:i]),
+                times[i],
             )
         out[i] = y
     return Trajectory(np.asarray(times), out)
 
 
 # Dormand-Prince 5(4) tableau. b5 propagates; err = (b5 - b4) . k.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -190,7 +206,7 @@ _DP_E = _DP_B5 - _DP_B4
 
 
 def integrate_adaptive(
-    field: VectorFieldHandle,
+    field: Field,
     x0: Sequence[float],
     t0: float,
     t1: float,
@@ -209,12 +225,10 @@ def integrate_adaptive(
         raise ValueError("t1 must not precede t0")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    y = np.asarray(x0, dtype=float).copy()
-    _check_state(y, field.dimension)
+    y = _initial_state(x0, field)
     if t1 == t0:
         return Trajectory([t0], [y])
 
-    f = field.eval
     span = t1 - t0
     h_min = min_step_factor * span
     times = [t0]
@@ -225,7 +239,7 @@ def integrate_adaptive(
         return IntegrationAbort(msg, Trajectory(times, np.array(states)), at)
 
     try:
-        f0 = np.asarray(f(y), dtype=float)
+        f0 = np.asarray(field(y), dtype=float)
     except FieldEvaluationError as exc:
         raise abort(f"field evaluation failed at t={t0!r}: {exc}", t0) from exc
     # first trial step sized from the state's own timescale, so stiff fields
@@ -233,7 +247,7 @@ def integrate_adaptive(
     y_scale = max(float(np.max(np.abs(y))), 1e-3)
     f_scale = max(float(np.max(np.abs(f0))), 1e-9)
     h = max(min(span / 10.0, 0.01 * y_scale / f_scale), h_min)
-    k = np.empty((7, field.dimension))
+    k = np.empty((7, len(y)))
 
     for _ in range(max_steps):
         if t >= t1:
@@ -243,9 +257,9 @@ def integrate_adaptive(
             raise abort(f"step size underflow at t={t!r}", t)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                k[0] = f(y)
+                k[0] = field(y)
                 for s in range(1, 7):
-                    k[s] = f(y + h * (_DP_A[s] @ k[:s]))
+                    k[s] = field(y + h * (_DP_A[s] @ k[:s]))
                 y_new = y + h * (_DP_B5 @ k)
         except (FieldEvaluationError, OverflowError) as exc:
             # a trial stage left the admissible region; retry with a shorter

@@ -3,7 +3,9 @@
 Each make_* constructor validates its parameter inequalities, derives the
 closed forms (immersion, implicit map, feedback, on-manifold control,
 off-manifold dynamics), and returns an immutable bundle ready for residual
-checks and simulation.
+checks and simulation. Every closed form is a kernel in the sense of
+iiorbit.core: components in by index, a tuple out, numpy ufuncs only, so
+one definition serves single points and whole stacks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,22 @@ def _slow_pole_rate(gamma1: float, gamma2: float) -> float:
 
 def _box(rows) -> np.ndarray:
     return np.array(rows, dtype=float)
+
+
+def _rows(M) -> tuple:
+    """A constant matrix as a tuple of row tuples, the kernel form."""
+    return tuple(map(tuple, np.asarray(M, dtype=float).tolist()))
+
+
+def _matvec2(M, v) -> tuple:
+    """M v for a 2x2 matrix in kernel form and two components."""
+    return (M[0][0] * v[0] + M[0][1] * v[1], M[1][0] * v[0] + M[1][1] * v[1])
+
+
+def _require(ok, message: str) -> None:
+    """Raise FieldEvaluationError unless ok holds at every point."""
+    if not ok.all():
+        raise FieldEvaluationError(message)
 
 
 @dataclass(frozen=True)
@@ -171,37 +189,39 @@ def make_lti(params: LtiParams) -> IandIBundle:
     if P.shape != (2, 2) or R.shape != (2, 2):
         raise ParameterError("P and R must be 2x2")
     T = np.vstack([np.eye(2), _J])  # pi(xi) = T xi
-    RJ = R + _J
-    K = np.hstack([P, RJ])
-    G = np.vstack([np.zeros((2, 2)), np.eye(2)])
-    Jphi = np.hstack([-_J, np.eye(2)])
+    KT = _rows(np.hstack([P, R + _J]) @ T)  # on-manifold control c(xi) = K T xi
+    Pk, Rk, RJk, Tk = _rows(P), _rows(R), _rows(R + _J), _rows(T)
+    G = _rows(np.vstack([np.zeros((2, 2)), np.eye(2)]))
+    Jphi = _rows(np.hstack([-_J, np.eye(2)]))
 
     def f(x):
-        out = np.empty(4)
-        out[0] = x[2]
-        out[1] = x[3]
-        out[2:] = -P @ x[:2] - R @ x[2:]
-        return out
+        px, rx = _matvec2(Pk, x[:2]), _matvec2(Rk, x[2:])
+        return (x[2], x[3], -px[0] - rx[0], -px[1] - rx[1])
 
     def v(x, z):
-        return P @ x[:2] + RJ @ x[2:] - z
+        px, rx = _matvec2(Pk, x[:2]), _matvec2(RJk, x[2:])
+        return (px[0] + rx[0] - z[0], px[1] + rx[1] - z[1])
 
     bundle = IandIBundle(
         name="lti",
         plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
         target=TargetDynamics(
             p=2,
-            alpha=lambda xi: _J @ xi,
-            first_integral=lambda xi: 0.5 * float(xi @ xi),
+            alpha=lambda xi: (xi[1], -xi[0]),
+            first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
             orbit_kind=FAMILY_OF_ORBITS,
         ),
-        immersion=ImmersionMap(pi=lambda xi: T @ xi, jacobian=lambda xi: T),
-        manifold=ImplicitManifold(phi=lambda x: Jphi @ x, jacobian=lambda x: Jphi),
+        immersion=ImmersionMap(
+            pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0]), jacobian=lambda xi: Tk
+        ),
+        manifold=ImplicitManifold(
+            phi=lambda x: (x[2] - x[1], x[0] + x[3]), jacobian=lambda x: Jphi
+        ),
         controller=Controller(v=v),
         xi_sample_box=_box([[-2, 2], [-2, 2]]),
         x_sample_box=_box([[-2, 2]] * 4),
-        closed_form_c=lambda xi: K @ (T @ xi),
-        z_dynamics=lambda x, z: -z,
+        closed_form_c=lambda xi: _matvec2(KT, xi),
+        z_dynamics=lambda x, z: (-z[0], -z[1]),
         xi_projection=(0, 1),
         section_index=1,
         info={"z_rate": 1.0},
@@ -218,40 +238,32 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     m, b, k = params.m, params.b, params.k
     g1, g2 = params.gamma1, params.gamma2
     a = params.a
-    Jpi = np.array([[1.0, 0.0], [k, 0.0], [0.0, 1.0], [0.0, k]])
-    Jphi = np.array([[-k, 1.0, 0.0, 0.0], [0.0, 0.0, -k, 1.0]])
-    G = np.array([[0.0], [0.0], [-b], [1.0]])
+    immersion, manifold = _straight_manifold(k)
+    G = ((0.0,), (0.0,), (-b,), (1.0,))
     inv_den = 1.0 / (1.0 + k * b)
     km = k * m
 
-    def f(x):
-        return np.array([x[2], x[3], m * math.sin(x[0]), 0.0])
-
     def v(x, z):
-        return np.array([inv_den * (-g1 * z[1] - g2 * z[0] + km * math.sin(x[0]))])
-
-    def alpha(xi):
-        return np.array([xi[1], -a * math.sin(xi[0])])
+        return (inv_den * (-g1 * z[1] - g2 * z[0] + km * np.sin(x[0])),)
 
     bundle = IandIBundle(
         name="iwp",
-        plant=ControlAffineSystem(n=4, m=1, f=f, g=lambda x: G),
+        plant=ControlAffineSystem(
+            n=4, m=1, f=lambda x: (x[2], x[3], m * np.sin(x[0]), 0.0), g=lambda x: G
+        ),
         target=TargetDynamics(
             p=2,
-            alpha=alpha,
-            first_integral=lambda xi: 0.5 * xi[1] ** 2 - a * math.cos(xi[0]),
+            alpha=lambda xi: (xi[1], -a * np.sin(xi[0])),
+            first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * np.cos(xi[0]),
             orbit_kind=FAMILY_OF_ORBITS,
         ),
-        immersion=ImmersionMap(
-            pi=lambda xi: np.array([xi[0], k * xi[0], xi[1], k * xi[1]]),
-            jacobian=lambda xi: Jpi,
-        ),
-        manifold=ImplicitManifold(phi=lambda x: Jphi @ x, jacobian=lambda x: Jphi),
+        immersion=immersion,
+        manifold=manifold,
         controller=Controller(v=v),
         xi_sample_box=_box([[-3, 3], [-3, 3]]),
         x_sample_box=_box([[-3, 3]] * 4),
-        closed_form_c=lambda xi: np.array([-a * k * math.sin(xi[0])]),
-        z_dynamics=lambda x, z: np.array([z[1], -g2 * z[0] - g1 * z[1]]),
+        closed_form_c=lambda xi: (-a * k * np.sin(xi[0]),),
+        z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0, 1),
         section_index=2,
@@ -260,14 +272,30 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     return bundle
 
 
+def _straight_manifold(k: float) -> tuple[ImmersionMap, ImplicitManifold]:
+    """pi(xi) = (xi1, k xi1, xi2, k xi2) and the phi whose zero set is its
+    image, x2 = k x1 and x4 = k x3."""
+    Jpi = ((1.0, 0.0), (k, 0.0), (0.0, 1.0), (0.0, k))
+    Jphi = ((-k, 1.0, 0.0, 0.0), (0.0, 0.0, -k, 1.0))
+    return (
+        ImmersionMap(pi=lambda xi: (xi[0], k * xi[0], xi[1], k * xi[1]), jacobian=lambda xi: Jpi),
+        ImplicitManifold(phi=lambda x: (x[1] - k * x[0], x[3] - k * x[2]), jacobian=lambda x: Jphi),
+    )
+
+
+def _pole_pair(g1: float, g2: float):
+    """Off-manifold dynamics z1' = z2, z2' = -g2 z1 - g1 z2."""
+    return lambda x, z: (z[1], -g2 * z[0] - g1 * z[1])
+
+
 def _cartpend_plant(a1: float, a2: float, admissible) -> ControlAffineSystem:
-    def f(x):
-        return np.array([x[2], x[3], a1 * math.sin(x[0]), 0.0])
-
-    def g(x):
-        return np.array([[0.0], [0.0], [-a2 * math.cos(x[0])], [1.0]])
-
-    return ControlAffineSystem(n=4, m=1, f=f, g=g, admissible=admissible)
+    return ControlAffineSystem(
+        n=4,
+        m=1,
+        f=lambda x: (x[2], x[3], a1 * np.sin(x[0]), 0.0),
+        g=lambda x: ((0.0,), (0.0,), (-a2 * np.cos(x[0]),), (1.0,)),
+        admissible=admissible,
+    )
 
 
 def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
@@ -280,60 +308,47 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
     a1, a2, k = params.a1, params.a2, params.k
     g1, g2 = params.gamma1, params.gamma2
     beta_star = params.beta_star
-    Jpi = np.array([[1.0, 0.0], [k, 0.0], [0.0, 1.0], [0.0, k]])
-    Jphi = np.array([[-k, 1.0, 0.0, 0.0], [0.0, 0.0, -k, 1.0]])
+    immersion, manifold = _straight_manifold(k)
     ka1, ka2 = k * a1, k * a2
+    outside = f"x1 leaves the admissible cone (|x1| < {beta_star:.6f})"
 
-    def admissible(x) -> bool:
-        return 1.0 + ka2 * math.cos(x[0]) < 0.0
-
-    def denom(x1: float) -> float:
-        d = 1.0 + ka2 * math.cos(x1)
-        if d >= 0.0:
-            raise FieldEvaluationError(
-                f"x1={x1!r} leaves the admissible cone (|x1| < {beta_star:.6f})"
-            )
-        return d
+    def denom(s):
+        return 1.0 + ka2 * np.cos(s)
 
     def v(x, z):
-        return np.array(
-            [(-g1 * z[1] - g2 * z[0] + ka1 * math.sin(x[0])) / denom(x[0])]
-        )
+        d = denom(x[0])
+        _require(d < 0.0, outside)
+        return ((-g1 * z[1] - g2 * z[0] + ka1 * np.sin(x[0])) / d,)
 
-    def alpha2(s: float) -> float:
-        return a1 * math.sin(s) / (1.0 + ka2 * math.cos(s))
+    def alpha2(s):
+        return a1 * np.sin(s) / denom(s)
 
-    def potential(s: float) -> float:
+    def potential(s):
         """-integral of alpha2 from 0 to s, in closed form."""
-        return (a1 / ka2) * math.log(abs((1.0 + ka2 * math.cos(s)) / (1.0 + ka2)))
+        return (a1 / ka2) * np.log(np.abs(denom(s) / (1.0 + ka2)))
 
     bundle = IandIBundle(
         name="cartpend-linear",
-        plant=_cartpend_plant(a1, a2, admissible),
+        plant=_cartpend_plant(a1, a2, lambda x: denom(x[0]) < 0.0),
         target=TargetDynamics(
             p=2,
-            alpha=lambda xi: np.array([xi[1], alpha2(xi[0])]),
-            first_integral=lambda xi: 0.5 * xi[1] ** 2 + potential(xi[0]),
+            alpha=lambda xi: (xi[1], alpha2(xi[0])),
+            first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) + potential(xi[0]),
             orbit_kind=FAMILY_OF_ORBITS,
         ),
-        immersion=ImmersionMap(
-            pi=lambda xi: np.array([xi[0], k * xi[0], xi[1], k * xi[1]]),
-            jacobian=lambda xi: Jpi,
-        ),
-        manifold=ImplicitManifold(phi=lambda x: Jphi @ x, jacobian=lambda x: Jphi),
+        immersion=immersion,
+        manifold=manifold,
         controller=Controller(v=v),
         xi_sample_box=_box([[-(beta_star - 0.05), beta_star - 0.05], [-1.5, 1.5]]),
         x_sample_box=_box(
             [[-(beta_star - 0.05), beta_star - 0.05], [-3, 3], [-2, 2], [-3, 3]]
         ),
-        closed_form_c=lambda xi: np.array(
-            [ka1 * math.sin(xi[0]) / (1.0 + ka2 * math.cos(xi[0]))]
-        ),
-        z_dynamics=lambda x, z: np.array([z[1], -g2 * z[0] - g1 * z[1]]),
+        closed_form_c=lambda xi: (ka1 * np.sin(xi[0]) / denom(xi[0]),),
+        z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
-        singularity_margin=lambda X: np.abs(1.0 + ka2 * np.cos(X[:, 0])),
+        singularity_margin=lambda x: np.abs(denom(x[0])),
         info={
             "beta_star": beta_star,
             "k": k,
@@ -356,79 +371,55 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
     a1, a2, a, a0 = params.a1, params.a2, params.a, params.a0
     g1, g2 = params.gamma1, params.gamma2
     c1 = (1.0 + a) / a2
+    half_pi = math.pi / 2
 
-    def check_angle(s: float) -> None:
-        if not -math.pi / 2 < s < math.pi / 2:
-            raise FieldEvaluationError(f"link angle {s!r} outside (-pi/2, pi/2)")
-
-    def kfun(s: float) -> float:
-        check_angle(s)
-        return -c1 * math.log((1.0 + math.sin(s)) / math.cos(s)) + a0
-
-    def kprime(s: float) -> float:
-        check_angle(s)
-        return -c1 / math.cos(s)
-
-    def ksecond(s: float) -> float:
-        check_angle(s)
-        return -c1 * math.sin(s) / math.cos(s) ** 2
+    def slaving(s):
+        """kfun(s), kfun'(s), kfun''(s); raises off (-pi/2, pi/2)."""
+        _require(np.abs(s) < half_pi, "link angle outside (-pi/2, pi/2)")
+        sin, cos = np.sin(s), np.cos(s)
+        return -c1 * np.log((1.0 + sin) / cos) + a0, -c1 / cos, -c1 * sin / (cos * cos)
 
     def pi_map(xi):
-        return np.array([xi[0], kfun(xi[0]), xi[1], kprime(xi[0]) * xi[1]])
+        k, kp, _ = slaving(xi[0])
+        return (xi[0], k, xi[1], kp * xi[1])
 
     def pi_jac(xi):
-        return np.array(
-            [
-                [1.0, 0.0],
-                [kprime(xi[0]), 0.0],
-                [0.0, 1.0],
-                [ksecond(xi[0]) * xi[1], kprime(xi[0])],
-            ]
-        )
+        _, kp, kpp = slaving(xi[0])
+        return ((1.0, 0.0), (kp, 0.0), (0.0, 1.0), (kpp * xi[1], kp))
 
     def phi(x):
-        return np.array([x[1] - kfun(x[0]), x[3] - kprime(x[0]) * x[2]])
+        k, kp, _ = slaving(x[0])
+        return (x[1] - k, x[3] - kp * x[2])
 
     def phi_jac(x):
-        return np.array(
-            [
-                [-kprime(x[0]), 1.0, 0.0, 0.0],
-                [-ksecond(x[0]) * x[2], 0.0, -kprime(x[0]), 1.0],
-            ]
-        )
+        _, kp, kpp = slaving(x[0])
+        return ((-kp, 1.0, 0.0, 0.0), (-kpp * x[2], 0.0, -kp, 1.0))
+
+    def on_manifold(s, ds):
+        """-a times the feedback's z-free part at link angle s and rate ds."""
+        _, kp, kpp = slaving(s)
+        return kpp * (ds * ds) + a1 * kp * np.sin(s)
 
     def v(x, z):
-        return np.array(
-            [
-                -(
-                    ksecond(x[0]) * x[2] ** 2
-                    + a1 * kprime(x[0]) * math.sin(x[0])
-                    - g2 * z[0]
-                    - g1 * z[1]
-                )
-                / a
-            ]
-        )
+        return (-(on_manifold(x[0], x[2]) - g2 * z[0] - g1 * z[1]) / a,)
 
     def alpha(xi):
-        rho = -(a1 / a) * math.sin(xi[0])
-        beta = -((1.0 + a) / a) * math.tan(xi[0])
-        return np.array([xi[1], rho + beta * xi[1] ** 2])
+        rho = -(a1 / a) * np.sin(xi[0])
+        beta = -((1.0 + a) / a) * np.tan(xi[0])
+        return (xi[1], rho + beta * (xi[1] * xi[1]))
 
     exp_m = -2.0 * (1.0 + 1.0 / a)
     exp_u = -(1.0 + 2.0 / a)
     u_scale = a1 / (a + 2.0)
 
     def first_integral(xi):
-        c = math.cos(xi[0])
-        return 0.5 * abs(c) ** exp_m * xi[1] ** 2 + u_scale * c**exp_u
+        c = np.cos(xi[0])
+        return 0.5 * np.power(np.abs(c), exp_m) * (xi[1] * xi[1]) + u_scale * np.power(c, exp_u)
 
-    s_lim = math.pi / 2 - 0.05
+    s_lim = half_pi - 0.05
     bundle = IandIBundle(
         name="cartpend-nonlinear",
-        plant=_cartpend_plant(
-            a1, a2, lambda x: -math.pi / 2 < x[0] < math.pi / 2
-        ),
+        plant=_cartpend_plant(a1, a2, lambda x: np.abs(x[0]) < half_pi),
         target=TargetDynamics(
             p=2, alpha=alpha, first_integral=first_integral, orbit_kind=FAMILY_OF_ORBITS
         ),
@@ -437,24 +428,16 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         controller=Controller(v=v),
         xi_sample_box=_box([[-s_lim, s_lim], [-1.0, 1.0]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-1.5, 1.5], [-3, 3]]),
-        closed_form_c=lambda xi: np.array(
-            [
-                -(
-                    ksecond(xi[0]) * xi[1] ** 2
-                    + a1 * kprime(xi[0]) * math.sin(xi[0])
-                )
-                / a
-            ]
-        ),
-        z_dynamics=lambda x, z: np.array([z[1], -g2 * z[0] - g1 * z[1]]),
+        closed_form_c=lambda xi: (-on_manifold(xi[0], xi[1]) / a,),
+        z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
-        singularity_margin=lambda X: math.pi / 2 - np.abs(X[:, 0]),
+        singularity_margin=lambda x: half_pi - np.abs(x[0]),
         info={
-            "kfun": kfun,
-            "kprime": kprime,
-            "ksecond": ksecond,
+            "kfun": lambda s: slaving(s)[0],
+            "kprime": lambda s: slaving(s)[1],
+            "ksecond": lambda s: slaving(s)[2],
             "z_rate": _slow_pole_rate(g1, g2),
         },
     )
@@ -471,89 +454,74 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
     R, C, L, E = params.R, params.C, params.L, params.E
     A, omega, gamma = params.A, params.omega, params.gamma
     A2 = A * A
-    G = np.vstack([np.zeros((2, 2)), (E / L) * np.eye(2)])
+    G = _rows(np.vstack([np.zeros((2, 2)), (E / L) * np.eye(2)]))
+
+    def f0(x):
+        return (-x[0] / (R * C) + x[2] / C, -x[1] / (R * C) + x[3] / C)
 
     def f(x):
-        return np.array(
-            [
-                -x[0] / (R * C) + x[2] / C,
-                -x[1] / (R * C) + x[3] / C,
-                -x[0] / L,
-                -x[1] / L,
-            ]
-        )
+        return f0(x) + (-x[0] / L, -x[1] / L)
 
-    def beta(x1: float, x2: float) -> np.ndarray:
+    def beta(x1, x2):
         r2 = x1 * x1 + x2 * x2 - A2
-        return np.array(
-            [
-                x1 / R - C * r2 * x1 + C * omega * x2,
-                x2 / R - C * omega * x1 - C * r2 * x2,
-            ]
+        return (
+            x1 / R - C * r2 * x1 + C * omega * x2,
+            x2 / R - C * omega * x1 - C * r2 * x2,
         )
 
-    def beta_jac(x1: float, x2: float) -> np.ndarray:
-        return np.array(
-            [
-                [
-                    1.0 / R - C * (3.0 * x1 * x1 + x2 * x2 - A2),
-                    C * omega - 2.0 * C * x1 * x2,
-                ],
-                [
-                    -C * omega - 2.0 * C * x1 * x2,
-                    1.0 / R - C * (x1 * x1 + 3.0 * x2 * x2 - A2),
-                ],
-            ]
+    def beta_jac(x1, x2):
+        return (
+            (
+                1.0 / R - C * (3.0 * x1 * x1 + x2 * x2 - A2),
+                C * omega - 2.0 * C * x1 * x2,
+            ),
+            (
+                -C * omega - 2.0 * C * x1 * x2,
+                1.0 / R - C * (x1 * x1 + 3.0 * x2 * x2 - A2),
+            ),
         )
 
-    def f0(x) -> np.ndarray:
-        return np.array(
-            [-x[0] / (R * C) + x[2] / C, -x[1] / (R * C) + x[3] / C]
-        )
+    def on_manifold(x):
+        """The feedback's z-free part: x/E + (L/E) Dbeta(x) f0(x)."""
+        Jf = _matvec2(beta_jac(x[0], x[1]), f0(x))
+        return (x[0] / E + (L / E) * Jf[0], x[1] / E + (L / E) * Jf[1])
 
     def v(x, z):
-        return (
-            np.array([x[0], x[1]]) / E
-            + (L / E) * (beta_jac(x[0], x[1]) @ f0(x))
-            - gamma * z
-        )
+        c = on_manifold(x)
+        return (c[0] - gamma * z[0], c[1] - gamma * z[1])
 
     def alpha(xi):
         r2 = xi[0] * xi[0] + xi[1] * xi[1] - A2
-        return np.array([-r2 * xi[0] + omega * xi[1], -omega * xi[0] - r2 * xi[1]])
+        return (-r2 * xi[0] + omega * xi[1], -omega * xi[0] - r2 * xi[1])
 
     def pi_map(xi):
-        b = beta(xi[0], xi[1])
-        return np.array([xi[0], xi[1], b[0], b[1]])
-
-    def pi_jac(xi):
-        return np.vstack([np.eye(2), beta_jac(xi[0], xi[1])])
+        return (xi[0], xi[1]) + beta(xi[0], xi[1])
 
     def phi(x):
-        return np.array([x[2], x[3]]) - beta(x[0], x[1])
+        b = beta(x[0], x[1])
+        return (x[2] - b[0], x[3] - b[1])
 
     def phi_jac(x):
-        Jb = beta_jac(x[0], x[1])
-        return np.hstack([-Jb, np.eye(2)])
-
-    def closed_form_c(xi):
-        x = pi_map(xi)
-        return np.array([x[0], x[1]]) / E + (L / E) * (beta_jac(x[0], x[1]) @ f0(x))
+        (j00, j01), (j10, j11) = beta_jac(x[0], x[1])
+        return ((-j00, -j01, 1.0, 0.0), (-j10, -j11, 0.0, 1.0))
 
     z_rate = gamma * E / L
     bundle = IandIBundle(
         name="dcac",
         plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
         target=TargetDynamics(p=2, alpha=alpha, orbit_kind=UNIQUE_ATTRACTIVE_ORBIT),
-        immersion=ImmersionMap(pi=pi_map, jacobian=pi_jac),
+        immersion=ImmersionMap(
+            pi=pi_map,
+            jacobian=lambda xi: ((1.0, 0.0), (0.0, 1.0)) + beta_jac(xi[0], xi[1]),
+        ),
         manifold=ImplicitManifold(phi=phi, jacobian=phi_jac),
         controller=Controller(v=v),
         xi_sample_box=_box([[-1.25 * A, 1.25 * A]] * 2),
         x_sample_box=_box(
             [[-1.25 * A, 1.25 * A]] * 2 + [[-5.0 * A * C * omega, 5.0 * A * C * omega]] * 2
         ),
-        closed_form_c=closed_form_c,
-        z_dynamics=lambda x, z: -z_rate * z,
+        closed_form_c=lambda xi: on_manifold(pi_map(xi)),
+        z_dynamics=lambda x, z: (-z_rate * z[0], -z_rate * z[1]),
         xi_projection=(0, 1),
         section_index=0,
         info={"A": A, "omega": omega, "z_rate": z_rate, "u_limit": 1.0},

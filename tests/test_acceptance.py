@@ -29,9 +29,9 @@ from iiorbit.core import (
     manifold_residual,
     on_manifold_control,
 )
-from iiorbit.odesim import VectorFieldHandle, integrate_fixed
+from iiorbit.odesim import integrate_fixed
 
-ROTATION = VectorFieldHandle(2, lambda y: np.array([y[1], -y[0]]))
+ROTATION = lambda y: np.array([y[1], -y[0]])
 
 
 def sample_xi(bundle, count, seed):
@@ -71,7 +71,7 @@ def test_criterion_01_defining_identities_on_seeded_grids(bundles):
 def test_criterion_02_lti_spectrum_and_analytic_trajectory(bundles):
     bundle = bundles["lti-identity"]
     field = closed_loop_field(bundle)
-    A = np.column_stack([field.eval(e) for e in np.eye(4)])
+    A = np.column_stack([field(e) for e in np.eye(4)])
     eigs = np.sort_complex(np.linalg.eigvals(A))
     expected = np.sort_complex(np.array([1j, -1j, -1.0, -1.0]))
     assert np.max(np.abs(eigs - expected)) <= 1e-10
@@ -210,7 +210,7 @@ def test_criterion_11_integrator_oracles():
     traj = integrate_fixed(ROTATION, [1.0, 0.0], 0.0, 2 * math.pi, 1e-3)
     assert np.max(np.abs(traj.final_state - [1.0, 0.0])) < 1e-8
 
-    decay = VectorFieldHandle(1, lambda y: -y)
+    decay = lambda y: (-y[0],)
     traj = integrate_fixed(decay, [1.0], 0.0, 5.0, 1e-3)
     assert abs(traj.final_state[0] - math.exp(-5.0)) < 1e-10
 

@@ -24,7 +24,7 @@ from iiorbit.analysis import (
     wrap_angle,
 )
 from iiorbit.core import ParameterError
-from iiorbit.odesim import Trajectory, VectorFieldHandle, integrate_adaptive, integrate_fixed
+from iiorbit.odesim import Trajectory, integrate_adaptive, integrate_fixed
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,7 +139,7 @@ class TestFitDecay:
     def test_two_pole_block_bias_is_bounded(self):
         # repeated pole at -1: |z| ~ t e^-t, so the log-linear fit reads a
         # slightly slow rate; it must still land within 10% of the pole
-        field = VectorFieldHandle(2, lambda z: np.array([z[1], -z[0] - 2.0 * z[1]]))
+        field = lambda z: np.array([z[1], -z[0] - 2.0 * z[1]])
         traj = integrate_fixed(field, [1.0, 0.0], 0.0, 30.0, 1e-3)
         fit = fit_decay(traj)
         assert abs(fit.rate + 1.0) < 0.1
@@ -160,7 +160,7 @@ class TestFitDecay:
 class TestEnergyDrift:
     def test_target_trajectory_conserves(self, bundles):
         bundle = bundles["iwp-default"]
-        field = VectorFieldHandle(2, bundle.target.alpha)
+        field = bundle.target.alpha
         traj_xi = integrate_adaptive(field, [1.0, 0.0], 0.0, 40.0, rtol=1e-11, atol=1e-13)
         states = np.array([bundle.immersion.pi(xi) for xi in traj_xi.states])
         drift = energy_drift(bundle, Trajectory(traj_xi.times, states))

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from iiorbit import cli
+from iiorbit import cli, plants
 from iiorbit.cli import METRIC_KEYS, ScenarioError, _eval_check, load_scenario
+from iiorbit.odesim import Trajectory
 
 TINY_LTI = {
     "name": "tiny-lti",
@@ -37,22 +39,52 @@ def write_scenario(tmp_path: Path, doc: dict, filename: str = "scn.yaml") -> Pat
     return path
 
 
+def scenario_text(**changes) -> str:
+    """TINY_LTI with some keys replaced, as YAML."""
+    return yaml.safe_dump(dict(TINY_LTI, **changes))
+
+
+SWEEP_X0 = {"parameter": "x0[0]", "values": [1.0, 2.0]}
+
+
 @pytest.mark.parametrize(
     "verb,content",
     [
-        ("validate", None),
+        ("validate", ["--set", "k=abc"]),
+        ("validate", ["--grid-size", "0"]),
         ("run", ""),
         ("run", "- 1.0\n- 2.0\n"),
+        ("run", scenario_text(integrator={"method": "fixed", "dt": "abc"})),
+        ("run", scenario_text(integrator={"method": "fixed", "dt": -1})),
+        ("run", scenario_text(integrator={"method": "adaptive", "rtol": 0.0})),
+        ("run", scenario_text(t_span=[1.0, 0.0])),
+        ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=3))),
+        ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=[]))),
+        ("sweep", scenario_text(sweep=SWEEP_X0, integrator={"method": "fixed", "dt": "abc"})),
+        ("sweep", scenario_text(sweep=SWEEP_X0, t_span=[1.0, 0.0])),
     ],
-    ids=["validate-non-numeric-set", "run-empty-file", "run-non-mapping"],
+    ids=[
+        "validate-non-numeric-set",
+        "validate-zero-grid-size",
+        "run-empty-file",
+        "run-non-mapping",
+        "run-non-numeric-dt",
+        "run-negative-dt",
+        "run-non-positive-rtol",
+        "run-reversed-t-span",
+        "sweep-scalar-values",
+        "sweep-empty-values",
+        "sweep-non-numeric-dt",
+        "sweep-reversed-t-span",
+    ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
     if verb == "validate":
-        argv = ["validate", "iwp-default", "--set", "k=abc"]
+        argv = ["validate", "iwp-default", *content]
     else:
         path = tmp_path / "bad.yaml"
         path.write_text(content, encoding="utf-8")
-        argv = ["run", str(path), "--out", str(tmp_path / "out")]
+        argv = [verb, str(path), "--out", str(tmp_path / "out")]
     # a fresh interpreter, so an uncaught exception shows up as a traceback
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -62,6 +94,24 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_control_history_is_nan_outside_the_cone():
+    # the link angle sweeps across the cone edge; u holds v's exact value on
+    # the rows inside and NaN on the rows outside
+    bundle = plants.make_preset("cartpend-lin-default")
+    beta_star = bundle.info["beta_star"]
+    rng = np.random.default_rng(4)
+    states = rng.uniform(-1.0, 1.0, size=(200, 6))
+    states[:, 0] = np.linspace(beta_star - 0.2, beta_star + 0.2, 200)
+    u = cli._control_history(bundle, Trajectory(np.arange(200.0), states))
+    inside = states[:, 0] < beta_star
+    assert 0 < inside.sum() < 200
+    assert np.isnan(u[~inside]).all()
+    for row, value in zip(states[inside], u[inside, 0]):
+        x, z = tuple(row[:4].tolist()), tuple(row[4:].tolist())
+        assert value == bundle.controller.v(x, z)[0]
 
 
 class TestLoadScenario:

@@ -10,9 +10,12 @@ from iiorbit.core import (
     ImmersionMap,
     ImplicitManifold,
     TargetDynamics,
+    admissible_mask,
+    as_array,
     augmented_field,
     closed_loop_field,
     constraint_residual,
+    evaluate,
     fbi_residual,
     fd_jacobian,
     left_annihilator,
@@ -100,10 +103,12 @@ class TestValidateBundle:
 
     def test_broken_immersion_is_named(self, bundles):
         good = bundles["iwp-default"]
-        warped = ImmersionMap(
-            pi=lambda xi: good.immersion.pi(xi) + np.array([0.0, 0.01, 0.0, 0.0]),
-            jacobian=good.immersion.jacobian,
-        )
+
+        def warped_pi(xi):
+            x = good.immersion.pi(xi)
+            return (x[0], x[1] + 0.01, x[2], x[3])
+
+        warped = ImmersionMap(pi=warped_pi, jacobian=good.immersion.jacobian)
         bad = IandIBundle(
             name=good.name,
             plant=good.plant,
@@ -134,7 +139,7 @@ class TestClosedLoop:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.normal(size=4)
-            assert np.allclose(fld.eval(x), A_cl @ x, atol=1e-12)
+            assert np.allclose(fld(x), A_cl @ x, atol=1e-12)
 
     def test_manifold_invariance_along_closed_loop(self, bundles):
         # starting from z(0) = phi(x0), the augmented z must track phi(x(t))
@@ -172,15 +177,54 @@ class TestClosedLoop:
                 if tried >= 25:
                     break
                 x = rng.uniform(lo, hi)
-                if bundle.plant.admissible is not None and not bundle.plant.admissible(x):
+                if not bundle.plant.admissible(x):
                     continue
                 tried += 1
                 z = np.atleast_1d(bundle.manifold.phi(x))
                 y = np.concatenate([x, z])
-                ydot = fld.eval(y)
-                dphi = bundle.manifold.jacobian(x)
+                ydot = fld(y)
+                dphi = np.array(bundle.manifold.jacobian(x))
                 zdot_literal = dphi @ ydot[:n]
                 assert np.max(np.abs(ydot[n:] - zdot_literal)) < 1e-9
+
+
+class TestKernels:
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_stack_matches_row_by_row(self, bundles, name):
+        # one kernel serves single points and stacks, bit for bit
+        bundle = bundles[name]
+        rng = np.random.default_rng(21)
+
+        def grid(box):
+            return rng.uniform(box[:, 0], box[:, 1], size=(64, len(box)))
+
+        X = grid(bundle.x_sample_box)
+        X = X[admissible_mask(bundle.plant, X)]
+        Z = rng.normal(size=(len(X), bundle.z_dim))
+        Xi = grid(bundle.xi_sample_box)
+        kernels = {
+            "f": (bundle.plant.f, X),
+            "g": (bundle.plant.g, X),
+            "admissible": (bundle.plant.admissible, X),
+            "alpha": (bundle.target.alpha, Xi),
+            "first_integral": (bundle.target.first_integral, Xi),
+            "pi": (bundle.immersion.pi, Xi),
+            "pi jacobian": (bundle.immersion.jacobian, Xi),
+            "phi": (bundle.manifold.phi, X),
+            "phi jacobian": (bundle.manifold.jacobian, X),
+            "v": (bundle.controller.v, X, Z),
+            "closed_form_c": (bundle.closed_form_c, Xi),
+            "z_dynamics": (bundle.z_dynamics, X, Z),
+            "singularity_margin": (bundle.singularity_margin, X),
+        }
+        for label, (kernel, *args) in kernels.items():
+            if kernel is None:
+                continue
+            rows = [
+                as_array(kernel(*(tuple(a[i].tolist()) for a in args)))
+                for i in range(len(args[0]))
+            ]
+            assert np.array_equal(evaluate(kernel, *args), np.array(rows)), f"{name}: {label}"
 
 
 class TestBundleShape:

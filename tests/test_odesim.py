@@ -10,7 +10,6 @@ from iiorbit.odesim import (
     FieldEvaluationError,
     IntegrationAbort,
     Trajectory,
-    VectorFieldHandle,
     detect_crossings,
     estimate_period,
     integrate_adaptive,
@@ -18,8 +17,8 @@ from iiorbit.odesim import (
 )
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-ROTATION = VectorFieldHandle(2, lambda y: J @ y)
-DECAY = VectorFieldHandle(1, lambda y: -y)
+ROTATION = lambda y: J @ y
+DECAY = lambda y: (-y[0],)
 
 
 def rotation_exact(t, y0=(1.0, 0.0)):
@@ -85,7 +84,7 @@ class TestFixedStep:
         assert len(traj) == 2
 
     def test_constant_field(self):
-        traj = integrate_fixed(VectorFieldHandle(1, lambda y: np.zeros(1)), [3.5], 0.0, 1.0, 0.1)
+        traj = integrate_fixed(lambda y: np.zeros(1), [3.5], 0.0, 1.0, 0.1)
         assert np.all(traj.states == 3.5)
 
     def test_final_time_landed_exactly(self):
@@ -97,7 +96,7 @@ class TestFixedStep:
     def test_blowup_aborts_with_partial_trajectory(self):
         # y' = y^2 from 1 blows up at t = 1; the overflow on the way out is
         # exactly what the abort path is for
-        field = VectorFieldHandle(1, lambda y: y**2)
+        field = lambda y: (y[0] ** 2,)
         with pytest.raises(IntegrationAbort) as info:
             integrate_fixed(field, [1.0], 0.0, 2.0, 1e-3)
         assert len(info.value.trajectory) > 100
@@ -110,8 +109,15 @@ class TestFixedStep:
             return np.ones(1)
 
         with pytest.raises(IntegrationAbort) as info:
-            integrate_fixed(VectorFieldHandle(1, guarded), [0.0], 0.0, 2.0, 1e-2)
+            integrate_fixed(guarded, [0.0], 0.0, 2.0, 1e-2)
         assert info.value.abort_time == pytest.approx(0.5, abs=0.02)
+
+    def test_state_dimension_checked(self):
+        # the field's output length must match the initial state
+        with pytest.raises(ValueError, match="state has shape"):
+            integrate_fixed(DECAY, [1.0, 2.0], 0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="state has shape"):
+            integrate_adaptive(DECAY, [1.0, 2.0], 0.0, 1.0)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -143,12 +149,12 @@ class TestAdaptive:
             r2 = y @ y - A2
             return np.array([-r2 * y[0] + 300.0 * y[1], -300.0 * y[0] - r2 * y[1]])
 
-        traj = integrate_adaptive(VectorFieldHandle(2, f), [24.0, 0.0], 0.0, 1.0,
+        traj = integrate_adaptive(f, [24.0, 0.0], 0.0, 1.0,
                                   rtol=1e-10, atol=1e-12)
         assert np.hypot(*traj.final_state) == pytest.approx(12.0, abs=1e-6)
 
     def test_blowup_aborts(self):
-        field = VectorFieldHandle(1, lambda y: y**2)
+        field = lambda y: (y[0] ** 2,)
         with pytest.raises(IntegrationAbort) as info:
             integrate_adaptive(field, [1.0], 0.0, 2.0)
         assert info.value.abort_time == pytest.approx(1.0, abs=1e-3)
@@ -226,9 +232,7 @@ class TestPeriod:
 
     def test_small_amplitude_pendulum(self):
         a = 0.1308
-        field = VectorFieldHandle(
-            2, lambda y: np.array([y[1], -a * math.sin(y[0])])
-        )
+        field = lambda y: np.array([y[1], -a * math.sin(y[0])])
         traj = integrate_fixed(field, [0.01, 0.0], 0.0, 140.0, 1e-3)
         period = estimate_period(traj, lambda s: s[1])
         expected = 2 * math.pi / math.sqrt(a)

@@ -175,10 +175,10 @@ class TestCartPendLinearBundle:
         assert np.all(np.isfinite(bundle.controller.v(x_in, np.zeros(2))))
 
     def test_singularity_margin(self):
-        # |1 + k a2 cos(x1)|, evaluated over an (N, n) array of states
+        # |1 + k a2 cos(x1)|, evaluated over a stack of states
         bundle = make_preset("cartpend-lin-default")
         X = np.array([[0.0, 0.0, 0.0, 0.0], [bundle.info["beta_star"], 0.0, 0.0, 0.0]])
-        margins = bundle.singularity_margin(X)
+        margins = bundle.singularity_margin(X.T)
         assert margins.shape == (2,)
         assert abs(margins[0] - 3.0) < 1e-15
         assert margins[1] < 1e-12
@@ -222,7 +222,7 @@ class TestCartPendNonlinearBundle:
         # distance of the link angle from the domain edge pi/2
         bundle = make_preset("cartpend-nl-default")
         X = np.array([[0.0, 0.0, 0.0, 0.0], [-1.0, 2.0, 0.5, 0.0]])
-        assert np.array_equal(bundle.singularity_margin(X), [math.pi / 2, math.pi / 2 - 1.0])
+        assert np.array_equal(bundle.singularity_margin(X.T), [math.pi / 2, math.pi / 2 - 1.0])
 
     def test_angle_domain_enforced(self):
         bundle = make_preset("cartpend-nl-default")
