@@ -22,6 +22,7 @@ from .odesim import (
     detect_crossings,
     integrate_adaptive,
     integrate_fixed,
+    period_from_events,
     rk4_step,
 )
 
@@ -132,16 +133,14 @@ def orbit_samples(
     period = None
     while horizon <= max_horizon:
         traj = integrate_adaptive(field, xi0, 0.0, horizon, rtol=1e-11, atol=1e-13)
-        period0 = estimate_period(traj, section)
+        events = detect_crossings(traj, section)
+        period0 = period_from_events(events)
         if period0 is not None:
-            events = [e for e in detect_crossings(traj, section) if e.direction > 0]
-            direction = 1
-            if not events:
-                events = detect_crossings(traj, section)
-                direction = events[-1].direction
+            rising = [e for e in events if e.direction > 0]
+            last = rising[-1] if rising else events[-1]
             # anchor on the stored knot just before the last crossing, then
             # localize the crossing itself with single RK4 steps
-            i = int(np.searchsorted(traj.times, events[-1].time, side="right")) - 1
+            i = int(np.searchsorted(traj.times, last.time, side="right")) - 1
             i = min(i, len(traj) - 2)
             gap = float(traj.times[i + 1] - traj.times[i])
             _, y1 = _refine_crossing(field, traj.states[i], gap, section)
@@ -151,7 +150,7 @@ def orbit_samples(
             returns = [
                 e
                 for e in detect_crossings(probe, section, min_separation=0.2 * period0)
-                if e.direction == direction and e.time > 0.25 * period0
+                if e.direction == last.direction and e.time > 0.25 * period0
             ]
             if returns:
                 j = int(np.searchsorted(probe.times, returns[0].time, side="right")) - 1

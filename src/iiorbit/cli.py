@@ -70,7 +70,7 @@ class Scenario:
                 x0=[float(v) for v in raw["x0"]],
                 t_span=(float(raw["t_span"][0]), float(raw["t_span"][1])),
                 integrator=dict(raw.get("integrator", {"method": "fixed", "dt": 1e-3})),
-                outputs=list(raw.get("outputs", ["trajectory_csv", "metrics_csv"])),
+                outputs=raw.get("outputs", ["trajectory_csv", "metrics_csv"]),
                 sweep=dict(raw["sweep"]) if raw.get("sweep") else None,
                 checks=list(raw.get("checks", [])),
             )
@@ -140,15 +140,17 @@ def build_bundle(block: dict, extra_overrides: Optional[dict] = None) -> IandIBu
     The block holds either {preset: name} or {kind: ..., params: {...}},
     plus an optional overrides mapping merged with extra_overrides.
     """
-    overrides = dict(block.get("overrides", {}))
-    if extra_overrides:
-        overrides.update(extra_overrides)
-    if "preset" in block:
-        return plants.make_preset(block["preset"], **overrides)
-    if "kind" in block:
-        params = dict(block.get("params", {}))
-        params.update(overrides)
-        return plants.make_inline(block["kind"], **params)
+    try:
+        overrides = dict(block.get("overrides", {}))
+        overrides.update(extra_overrides or {})
+        if "preset" in block:
+            return plants.make_preset(block["preset"], **overrides)
+        if "kind" in block:
+            return plants.make_inline(block["kind"], **{**block.get("params", {}), **overrides})
+    except ParameterError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad bundle block: {exc}") from None
     raise ScenarioError("bundle block needs either 'preset' or 'kind'")
 
 
@@ -178,15 +180,12 @@ def _write_trajectory_csv(
         + [f"z{i + 1}" for i in range(z_dim)]
         + [f"u{i + 1}" for i in range(m)]
     )
-    lines = [",".join(cols)]
-    times = traj.times
-    states = traj.states
-    for i in range(len(times)):
-        row = [repr(float(times[i]))]
-        row += [repr(float(v)) for v in states[i]]
-        row += [repr(float(v)) for v in u[i]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack((traj.times, traj.states, u))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for lo in range(0, len(table), 4096):  # a slice at a time bounds the memory
+            rows = table[lo : lo + 4096].tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _write_metrics_csv(path: Path, metrics: dict) -> None:
@@ -308,8 +307,37 @@ def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
     return method, settings
 
 
+def _plots(scn: Scenario, bundle: IandIBundle) -> list[tuple[str, list]]:
+    """The scenario's plots as (kind, columns) pairs, with every entry of
+    outputs checked, so a malformed one stops the scenario before any run."""
+    if not isinstance(scn.outputs, list):
+        raise ScenarioError(f"outputs must be a list, got {scn.outputs!r}")
+    width = bundle.plant.n + bundle.z_dim
+    plots = []
+    for item in scn.outputs:
+        if item in ("trajectory_csv", "metrics_csv"):
+            continue
+        pairs = item.items() if isinstance(item, dict) else [(item, None)]
+        kind, cols = next(iter(pairs), (None, None))
+        phase = kind == "phase_plot"
+        if not (
+            kind in ("phase_plot", "timeseries_plot")
+            and len(item) == 1
+            and isinstance(cols, list)
+            and (len(cols) == 2 if phase else len(cols) > 0)
+            and all((c == "z" and not phase) or (type(c) is int and 0 <= c < width) for c in cols)
+        ):
+            raise ScenarioError(
+                f"bad output {item!r}: expected trajectory_csv, metrics_csv, phase_plot: "
+                f"[i, j] or timeseries_plot: [i, ...] with columns in 0..{width - 1} or 'z'"
+            )
+        plots.append((kind, cols))
+    return plots
+
+
 def _integrate_scenario(bundle: IandIBundle, scn: Scenario):
     method, settings = _integrator_settings(scn)
+    _plots(scn, bundle)
     x0 = _check_x0(bundle, scn.x0)
     y0 = np.concatenate([x0, evaluate(bundle.manifold.phi, x0)])
     fld = augmented_field(bundle)
@@ -330,16 +358,16 @@ def _plot_outputs(bundle: IandIBundle, scn: Scenario, traj: Trajectory, outdir: 
     n = bundle.plant.n
 
     def col(i):
+        if i == "z":
+            return np.linalg.norm(traj.states[:, n:], axis=1)
         vals = traj.states[:, i]
         if i in bundle.angle_indices:
             vals = analysis.wrap_angle(vals)
         return vals
 
-    for spec_item in scn.outputs:
-        if not isinstance(spec_item, dict):
-            continue
-        if "phase_plot" in spec_item:
-            i, j = (int(v) for v in spec_item["phase_plot"])
+    for kind, cols in _plots(scn, bundle):
+        if kind == "phase_plot":
+            i, j = cols
             svgplot.phase_plot(
                 str(outdir / f"phase_x{i + 1}_x{j + 1}.svg"),
                 col(i),
@@ -348,18 +376,9 @@ def _plot_outputs(bundle: IandIBundle, scn: Scenario, traj: Trajectory, outdir: 
                 xlabel=f"x{i + 1}",
                 ylabel=f"x{j + 1}",
             )
-        elif "timeseries_plot" in spec_item:
-            series = []
-            tokens = []
-            for c in spec_item["timeseries_plot"]:
-                if c == "z":
-                    znorm = np.linalg.norm(traj.states[:, n:], axis=1)
-                    series.append(("|z|", traj.times, znorm))
-                    tokens.append("z")
-                else:
-                    i = int(c)
-                    series.append((f"x{i + 1}", traj.times, col(i)))
-                    tokens.append(f"x{i + 1}")
+        else:
+            tokens = ["z" if c == "z" else f"x{c + 1}" for c in cols]
+            series = [("|z|" if c == "z" else t, traj.times, col(c)) for c, t in zip(cols, tokens)]
             svgplot.line_plot(
                 str(outdir / ("timeseries_" + "-".join(tokens) + ".svg")),
                 series,
@@ -437,7 +456,7 @@ def cmd_validate(args) -> int:
     except ParameterError as exc:
         print(f"constraint violated: {exc}", file=sys.stderr)
         return 1
-    except (ScenarioError, KeyError, yaml.YAMLError) as exc:
+    except (ScenarioError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = validate_bundle(bundle, grid_size=args.grid_size, seed=args.seed)
@@ -490,6 +509,7 @@ def cmd_sweep(args) -> int:
         for value in values:
             overrides, x0 = _sweep_overrides(scn, value)
             bundle = build_bundle(scn.bundle, overrides)
+            _plots(scn, bundle)
             if not bundle.plant.admissible(_check_x0(bundle, x0)):
                 raise ParameterError(
                     f"sweep value {value!r} puts x0 outside the admissible set"
@@ -520,7 +540,7 @@ def cmd_sweep(args) -> int:
         )
         rows.append(
             (
-                value,
+                float(value),
                 artifact.metrics.get("period_est"),
                 tail_amplitude(bundle, artifact.trajectory),
                 artifact.metrics.get("decay_rate"),
@@ -531,50 +551,46 @@ def cmd_sweep(args) -> int:
 
     cmp_path = out_root / scn.name / "comparison.csv"
     lines = ["value,period_est,amplitude,decay_rate"]
-    for value, period, amp, rate in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_value(float(value)),
-                    _fmt_value(period),
-                    _fmt_value(amp),
-                    _fmt_value(rate),
-                ]
-            )
-        )
+    lines += [",".join(map(_fmt_value, row)) for row in rows]
     cmp_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"comparison table: {cmp_path}")
     return 1 if failed else 0
 
 
-def _eval_check(check: dict, metrics: dict):
+def _eval_check(check, metrics: dict):
     """Evaluate one check block against a metrics mapping.
 
-    Returns (status, detail) with status in {pass, fail, skipped}.
+    Returns (status, detail) with status in {pass, fail, skipped, error};
+    a check that is not a mapping or has a malformed bound is an error.
     """
+    if not isinstance(check, dict):
+        return "error", f"check must be a mapping, got {check!r}"
     metric = check.get("metric")
     if metric not in METRIC_KEYS:
         return "skipped", f"unknown metric {metric!r}"
     value = metrics.get(metric)
     if value is None:
         return "skipped", "metric not available"
-    if "equals" in check:
-        ok = value == check["equals"]
-        return ("pass" if ok else "fail"), f"value={_fmt_value(value)}"
-    if "max" in check:
-        ok = float(value) <= float(check["max"])
-        return ("pass" if ok else "fail"), f"value={_fmt_value(value)} max={check['max']}"
-    if "min" in check:
-        ok = float(value) >= float(check["min"])
-        return ("pass" if ok else "fail"), f"value={_fmt_value(value)} min={check['min']}"
-    if "abs_max" in check:
-        ok = abs(float(value)) <= float(check["abs_max"])
-        return ("pass" if ok else "fail"), f"|value|={abs(float(value))!r} abs_max={check['abs_max']}"
-    if "within" in check:
-        target, tol = (float(v) for v in check["within"])
-        ok = abs(float(value) - target) <= tol
-        return ("pass" if ok else "fail"), f"value={_fmt_value(value)} target={target} tol={tol}"
-    return "skipped", "no recognized comparison in check"
+    shown = _fmt_value(value)
+    try:
+        if "equals" in check:
+            ok, detail = value == check["equals"], f"value={shown}"
+        elif "max" in check:
+            ok, detail = float(value) <= float(check["max"]), f"value={shown} max={check['max']}"
+        elif "min" in check:
+            ok, detail = float(value) >= float(check["min"]), f"value={shown} min={check['min']}"
+        elif "abs_max" in check:
+            ok = abs(float(value)) <= float(check["abs_max"])
+            detail = f"|value|={abs(float(value))!r} abs_max={check['abs_max']}"
+        elif "within" in check:
+            target, tol = (float(v) for v in check["within"])
+            ok = abs(float(value) - target) <= tol
+            detail = f"value={shown} target={target} tol={tol}"
+        else:
+            return "skipped", "no recognized comparison in check"
+    except (TypeError, ValueError) as exc:
+        return "error", f"malformed check {check!r}: {exc}"
+    return ("pass" if ok else "fail"), detail
 
 
 def cmd_report(args) -> int:
@@ -590,7 +606,9 @@ def cmd_report(args) -> int:
             raw = yaml.safe_load(scn_path.read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ValueError("scenario.yaml does not hold a mapping")
-            checks = raw.get("checks", [])
+            checks = raw.get("checks") or []
+            if not isinstance(checks, list):
+                raise ValueError(f"checks must be a list, got {checks!r}")
             metrics = read_metrics_csv(mpath)
         except (OSError, ValueError, yaml.YAMLError) as exc:
             rows.append((str(mpath.parent), "-", "error", " ".join(str(exc).split())))
@@ -600,7 +618,8 @@ def cmd_report(args) -> int:
             continue
         for check in checks:
             status, detail = _eval_check(check, metrics)
-            rows.append((str(mpath.parent), str(check.get("metric")), status, detail))
+            metric = check.get("metric") if isinstance(check, dict) else "-"
+            rows.append((str(mpath.parent), str(metric), status, detail))
     if not rows:
         print("no artifacts found; nothing to evaluate")
         return 1

@@ -289,77 +289,48 @@ def integrate_adaptive(
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
-def _bisect_crossing(
-    traj: Trajectory,
-    section: Callable[[np.ndarray], float],
-    tl: float,
-    tr: float,
-    sl: float,
-    tol: float,
-) -> float:
-    """Bisection for section(state(t)) = 0 on the linear interpolant."""
-    while tr - tl > tol:
-        tm = 0.5 * (tl + tr)
-        sm = section(traj.interpolate(tm))
-        if sm == 0.0:
-            return tm
-        if (sm > 0) == (sl > 0):
-            tl, sl = tm, sm
-        else:
-            tr = tm
-    return 0.5 * (tl + tr)
-
-
 def detect_crossings(
     traj: Trajectory,
-    section: Callable[[np.ndarray], float],
+    section: Callable[[np.ndarray], np.ndarray],
     min_separation: Optional[float] = None,
 ) -> list[SectionEvent]:
-    """All sign changes of section(state) along the trajectory.
-
-    Events are refined by bisection on the linear interpolant to a time
-    tolerance of 1e-10 times the span, and events closer than min_separation
-    to the previously accepted one are discarded (default separation:
+    """All sign changes of a section kernel, called once on the (n, N)
+    state stack, at the exact roots of its linear interpolant; a knot where
+    the section is zero is an event at that knot. Events closer than
+    min_separation to the previously accepted one are discarded (default
     1e-3 of the span, which suppresses chatter near tangential crossings).
     """
     if len(traj) < 2:
         return []
-    span = traj.t1 - traj.t0
     if min_separation is None:
-        min_separation = 1e-3 * span
-    tol = 1e-10 * span
-    values = np.array([section(s) for s in traj.states])
+        min_separation = 1e-3 * (traj.t1 - traj.t0)
+    values = np.broadcast_to(
+        np.asarray(section(traj.states.T), dtype=float), traj.times.shape
+    )
+    sl, sr = values[:-1], values[1:]
+    i = np.flatnonzero((sl == 0.0) | (sl * sr < 0.0))
+    sl, sr = sl[i], sr[i]
+    w = np.divide(sl, sl - sr, out=np.zeros_like(sl), where=sl != 0.0)
+    tl, tr = traj.times[i], traj.times[i + 1]
+    times = tl + w * (tr - tl)
+    states = (1.0 - w)[:, None] * traj.states[i] + w[:, None] * traj.states[i + 1]
+    # sl is zero or has the opposite sign, so sr's sign is the direction
+    directions = np.where(sr > 0.0, 1, -1)
     events: list[SectionEvent] = []
-    for i in range(len(values) - 1):
-        sl, sr = values[i], values[i + 1]
-        if sl == 0.0:
-            t_ev = float(traj.times[i])
-            direction = 1 if sr > 0 else -1
-        elif sl * sr < 0.0:
-            t_ev = _bisect_crossing(
-                traj, section, float(traj.times[i]), float(traj.times[i + 1]), sl, tol
-            )
-            direction = 1 if sr > sl else -1
-        else:
-            continue
+    for t_ev, state, direction in zip(times.tolist(), states, directions.tolist()):
         if events and t_ev - events[-1].time < min_separation:
             continue
-        events.append(SectionEvent(t_ev, traj.interpolate(t_ev), direction))
+        events.append(SectionEvent(t_ev, state, direction))
     return events
 
 
-def estimate_period(
-    traj: Trajectory,
-    section: Callable[[np.ndarray], float],
-    min_separation: Optional[float] = None,
-) -> Optional[float]:
+def period_from_events(events: Sequence[SectionEvent]) -> Optional[float]:
     """Mean gap between same-direction section crossings.
 
     Uses the direction with the most events (ties go to the positive-going
     set) and averages the gaps over the final half of those events. Returns
     None when fewer than two same-direction crossings exist.
     """
-    events = detect_crossings(traj, section, min_separation)
     pos = [e.time for e in events if e.direction > 0]
     neg = [e.time for e in events if e.direction < 0]
     times = pos if len(pos) >= len(neg) else neg
@@ -368,3 +339,13 @@ def estimate_period(
     start = min(len(times) // 2, len(times) - 2)
     tail = times[start:]
     return float((tail[-1] - tail[0]) / (len(tail) - 1))
+
+
+def estimate_period(
+    traj: Trajectory,
+    section: Callable[[np.ndarray], np.ndarray],
+    min_separation: Optional[float] = None,
+) -> Optional[float]:
+    """Period from the section crossings along the trajectory; see
+    period_from_events."""
+    return period_from_events(detect_crossings(traj, section, min_separation))

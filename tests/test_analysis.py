@@ -85,6 +85,32 @@ class TestOrbitSamples:
         assert abs(np.max(orb.samples[:, 0]) - 1.0) < 1e-6
         assert abs(np.min(orb.samples[:, 0]) + 1.0) < 1e-6
 
+    def test_one_crossing_search_per_integration(self, bundles, monkeypatch):
+        # every scouting pass and every probe is searched for crossings
+        # once; the final resampling pass is not searched
+        from iiorbit import analysis, odesim
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in [
+            (analysis, "integrate_adaptive"),
+            (analysis, "integrate_fixed"),
+            (analysis, "detect_crossings"),
+            (odesim, "detect_crossings"),
+        ]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        orbit_samples(bundles["iwp-default"], [1.0, 0.0])
+        integrations = [c for c in calls if c != "detect_crossings"]
+        searched = [c for name in integrations[:-1] for c in (name, "detect_crossings")]
+        assert calls == searched + ["integrate_fixed"]
+
 
 class TestOrbitalDistance:
     def _unit_circle_orbit(self, n=512, roll=0):

@@ -45,6 +45,8 @@ def scenario_text(**changes) -> str:
 
 
 SWEEP_X0 = {"parameter": "x0[0]", "values": [1.0, 2.0]}
+IWP_PARAMS = {"m": 1.962, "b": 10.0, "k": -1.6, "gamma1": 2.0, "gamma2": 1.0}
+INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
 
 
 @pytest.mark.parametrize(
@@ -62,6 +64,17 @@ SWEEP_X0 = {"parameter": "x0[0]", "values": [1.0, 2.0]}
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=[]))),
         ("sweep", scenario_text(sweep=SWEEP_X0, integrator={"method": "fixed", "dt": "abc"})),
         ("sweep", scenario_text(sweep=SWEEP_X0, t_span=[1.0, 0.0])),
+        ("run", scenario_text(bundle={"preset": "nope"})),
+        ("run", scenario_text(bundle={"kind": "foo"})),
+        ("run", scenario_text(bundle=dict(INLINE_IWP, params=dict(IWP_PARAMS, q=1.0)))),
+        ("run", scenario_text(bundle=dict(INLINE_IWP, params=dict(IWP_PARAMS, k="abc")))),
+        ("sweep", scenario_text(sweep=SWEEP_X0, bundle={"preset": "nope"})),
+        ("run", scenario_text(outputs=["metrics_csv", {"phase_plot": [0, 9]}])),
+        ("run", scenario_text(outputs=["metrics_csv", {"phase_plot": [0]}])),
+        ("run", scenario_text(outputs=["metrics_csv", {"timeseries_plot": ["q"]}])),
+        ("run", scenario_text(outputs="trajectory_csv")),
+        ("sweep", scenario_text(sweep=SWEEP_X0, outputs=[{"phase_plot": [0, 9]}])),
+        ("sweep", scenario_text(sweep=SWEEP_X0, outputs="trajectory_csv")),
     ],
     ids=[
         "validate-non-numeric-set",
@@ -76,6 +89,17 @@ SWEEP_X0 = {"parameter": "x0[0]", "values": [1.0, 2.0]}
         "sweep-empty-values",
         "sweep-non-numeric-dt",
         "sweep-reversed-t-span",
+        "run-unknown-preset",
+        "run-unknown-kind",
+        "run-unknown-inline-param",
+        "run-non-numeric-inline-param",
+        "sweep-unknown-preset",
+        "run-phase-plot-column-out-of-range",
+        "run-phase-plot-one-column",
+        "run-timeseries-plot-unknown-column",
+        "run-outputs-string",
+        "sweep-phase-plot-column-out-of-range",
+        "sweep-outputs-string",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
@@ -360,6 +384,30 @@ class TestReportCommand:
         assert any(
             row.startswith(f"{broken},-,error,while parsing a flow sequence") for row in rows
         ), rows
+        assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
+
+    @pytest.mark.parametrize(
+        "checks",
+        [
+            5,
+            [5],
+            [{"metric": "u_abs_max", "max": "abc"}],
+            [{"metric": "u_abs_max", "within": [1]}],
+        ],
+        ids=["checks-scalar", "check-not-a-mapping", "max-not-a-number", "within-one-entry"],
+    )
+    def test_malformed_check_is_one_error_row(self, tmp_path, capsys, checks):
+        self.run_tiny(tmp_path, [{"metric": "aborted", "equals": False}])
+        broken = tmp_path / "tree" / "broken"
+        broken.mkdir()
+        (broken / "metrics.csv").write_text("key,value\nu_abs_max,0.5\n")
+        (broken / "scenario.yaml").write_text(yaml.safe_dump({"checks": checks}))
+        rc = cli.main(["report", str(tmp_path / "tree")])
+        assert rc == 1
+        rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
+        broken_rows = [row for row in rows if row.startswith(f"{broken},")]
+        assert len(broken_rows) == 1, rows
+        assert broken_rows[0].split(",")[2] == "error", rows
         assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
 
 

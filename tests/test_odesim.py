@@ -220,6 +220,73 @@ class TestSections:
             assert abs(a.time - b.time) < 2e-2
 
 
+    def test_root_of_linear_interpolant_is_exact(self):
+        (event,) = detect_crossings(Trajectory([0.0, 1.0], [[-1.0], [2.0]]), lambda s: s[0])
+        assert abs(event.time - 1.0 / 3.0) <= 1e-15
+        assert abs(event.state[0]) <= 1e-15
+        assert event.direction == 1
+
+    def test_zero_knot_is_an_event_at_that_knot(self):
+        traj = Trajectory([0.0, 1.0, 2.0], [[1.0, 5.0], [0.0, 6.0], [-1.0, 7.0]])
+        (event,) = detect_crossings(traj, lambda s: s[0])
+        assert event.time == 1.0
+        assert np.array_equal(event.state, traj.states[1])
+        assert event.direction == -1
+
+    def test_section_is_called_once_on_the_stack(self):
+        traj = integrate_fixed(ROTATION, [1.0, 0.0], 0.0, 4 * math.pi, 1e-2)
+        calls = []
+
+        def section(s):
+            calls.append(np.shape(s))
+            return s[1]
+
+        assert len(detect_crossings(traj, section)) == 4
+        assert calls == [(2, len(traj))]
+
+    def test_constant_section_is_broadcast(self):
+        traj = Trajectory([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]])
+        assert detect_crossings(traj, lambda s: 1.0) == []
+        assert [e.time for e in detect_crossings(traj, lambda s: 0.0)] == [0.0, 1.0]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.01, 1.0),
+                st.one_of(st.just(0.0), st.floats(-10.0, 10.0, allow_nan=False)),
+            ),
+            min_size=2,
+            max_size=40,
+        ),
+        st.floats(0.0, 2.0),
+    )
+    def test_matches_per_interval_reference(self, samples, min_separation):
+        times = np.cumsum([gap for gap, _ in samples])
+        values = [value for _, value in samples]
+        # the second coordinate is the time itself, so an event's state
+        # carries its own time
+        traj = Trajectory(times, np.column_stack((values, times)))
+        expected = []
+        for i in range(len(values) - 1):
+            sl, sr = values[i], values[i + 1]
+            if sl == 0.0:
+                t, direction = float(times[i]), 1 if sr > 0 else -1
+            elif sl * sr < 0.0:
+                w = sl / (sl - sr)
+                t = float(times[i] + w * (times[i + 1] - times[i]))
+                direction = 1 if sr > sl else -1
+            else:
+                continue
+            if expected and t - expected[-1][0] < min_separation:
+                continue
+            expected.append((t, direction))
+        events = detect_crossings(traj, lambda s: s[0], min_separation)
+        assert [(e.time, e.direction) for e in events] == expected
+        for e in events:
+            assert abs(e.state[0]) <= 1e-14 * max(1.0, max(map(abs, values)))
+            assert e.state[1] == pytest.approx(e.time, rel=1e-14, abs=1e-14)
+
+
 class TestPeriod:
     def test_rotation_period(self):
         traj = integrate_fixed(ROTATION, [1.0, 0.0], 0.0, 20 * math.pi, 1e-3)
