@@ -12,8 +12,9 @@ import argparse
 import hashlib
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -61,18 +62,30 @@ class Scenario:
 
     @staticmethod
     def from_dict(raw: dict, fallback_name: str = "scenario") -> "Scenario":
+        """Read a scenario mapping, checking each field's shape as it is
+        read; the bundle, integrator and outputs are checked before a run."""
         if not isinstance(raw, dict):
             raise ScenarioError(f"bad scenario: expected a mapping, got {type(raw).__name__}")
         try:
+            name, x0, t_span = raw.get("name", fallback_name), raw["x0"], raw["t_span"]
+            checks = raw.get("checks", [])
+            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+                raise ScenarioError(f"name must be a single path component, got {name!r}")
+            if not isinstance(x0, list):
+                raise ScenarioError(f"x0 must be a list of numbers, got {x0!r}")
+            if not (isinstance(t_span, list) and len(t_span) == 2):
+                raise ScenarioError(f"t_span must be two numbers [t0, t1], got {t_span!r}")
+            if not isinstance(checks, list):
+                raise ScenarioError(f"checks must be a list, got {checks!r}")
             return Scenario(
-                name=str(raw.get("name", fallback_name)),
+                name=name,
                 bundle=dict(raw["bundle"]),
-                x0=[float(v) for v in raw["x0"]],
-                t_span=(float(raw["t_span"][0]), float(raw["t_span"][1])),
+                x0=[_finite(v, "x0 entry") for v in x0],
+                t_span=(_finite(t_span[0], "t_span[0]"), _finite(t_span[1], "t_span[1]")),
                 integrator=dict(raw.get("integrator", {"method": "fixed", "dt": 1e-3})),
                 outputs=raw.get("outputs", ["trajectory_csv", "metrics_csv"]),
                 sweep=dict(raw["sweep"]) if raw.get("sweep") else None,
-                checks=list(raw.get("checks", [])),
+                checks=checks,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad scenario: {exc}") from exc
@@ -134,24 +147,42 @@ def load_scenario(target: str) -> Scenario:
     )
 
 
-def build_bundle(block: dict, extra_overrides: Optional[dict] = None) -> IandIBundle:
+def build_bundle(block: dict) -> IandIBundle:
     """Materialize a bundle from a scenario's bundle block.
 
-    The block holds either {preset: name} or {kind: ..., params: {...}},
-    plus an optional overrides mapping merged with extra_overrides.
+    The block holds exactly one of {preset: name} and {kind: ..., params:
+    {...}}, plus an optional overrides mapping.
     """
+    if ("preset" in block) == ("kind" in block):
+        raise ScenarioError("bundle block needs exactly one of 'preset' and 'kind'")
     try:
         overrides = dict(block.get("overrides", {}))
-        overrides.update(extra_overrides or {})
         if "preset" in block:
             return plants.make_preset(block["preset"], **overrides)
-        if "kind" in block:
-            return plants.make_inline(block["kind"], **{**block.get("params", {}), **overrides})
+        return plants.make_inline(block["kind"], **{**block.get("params", {}), **overrides})
     except ParameterError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad bundle block: {exc}") from None
-    raise ScenarioError("bundle block needs either 'preset' or 'kind'")
+
+
+def _with_overrides(block: dict, overrides: dict) -> dict:
+    """A copy of a bundle block with overrides merged over its own."""
+    own = block.get("overrides", {})
+    if not isinstance(own, dict):
+        raise ScenarioError(f"bad bundle block: overrides must be a mapping, got {own!r}")
+    return {**block, "overrides": {**own, **overrides}}
+
+
+def _finite(raw, what: str) -> float:
+    """raw as a finite float; a bool, a non-number, NaN or inf is malformed."""
+    try:
+        value = math.nan if isinstance(raw, bool) else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what} must be a finite number, got {raw!r}")
+    return value
 
 
 def _out_root(flag: Optional[str]) -> Path:
@@ -273,35 +304,22 @@ def compute_metrics(
     return metrics
 
 
-def _check_x0(bundle: IandIBundle, x0) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (bundle.plant.n,):
-        raise ScenarioError(
-            f"x0 has {x0.size} entries, bundle {bundle.name} needs {bundle.plant.n}"
-        )
-    return x0
-
-
 def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
     """The integrator method and its step settings, with the time span
-    checked too, so a malformed number stops the scenario before any run."""
+    checked too."""
     method = scn.integrator.get("method", "fixed")
-    defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}.get(method)
-    if defaults is None:
+    defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}
+    if not (isinstance(method, str) and method in defaults):
         raise ScenarioError(f"unknown integrator method {method!r}")
     t0, t1 = scn.t_span
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ScenarioError(f"t_span [{t0!r}, {t1!r}] must be finite and end after it starts")
     settings = {}
-    for key, default in defaults.items():
+    for key, default in defaults[method].items():
         raw = scn.integrator.get(key, default)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            value = math.nan
-        if not (math.isfinite(value) and value > 0):
-            raise ScenarioError(f"integrator.{key} must be a positive number, got {raw!r}")
-        settings[key] = value
+        settings[key] = _finite(raw, f"integrator.{key}")
+        if settings[key] <= 0:
+            raise ScenarioError(f"integrator.{key} must be positive, got {raw!r}")
     if settings.get("dt", 0.0) > t1 - t0:
         raise ScenarioError(f"integrator.dt {settings['dt']!r} exceeds the time span")
     return method, settings
@@ -309,7 +327,7 @@ def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
 
 def _plots(scn: Scenario, bundle: IandIBundle) -> list[tuple[str, list]]:
     """The scenario's plots as (kind, columns) pairs, with every entry of
-    outputs checked, so a malformed one stops the scenario before any run."""
+    outputs checked."""
     if not isinstance(scn.outputs, list):
         raise ScenarioError(f"outputs must be a list, got {scn.outputs!r}")
     width = bundle.plant.n + bundle.z_dim
@@ -335,26 +353,48 @@ def _plots(scn: Scenario, bundle: IandIBundle) -> list[tuple[str, list]]:
     return plots
 
 
-def _integrate_scenario(bundle: IandIBundle, scn: Scenario):
+@dataclass
+class RunPlan:
+    """What a checked scenario needs to run: its bundle, the initial (x, z),
+    the integrator method and settings, and the checked plots."""
+
+    bundle: IandIBundle
+    y0: np.ndarray
+    method: str
+    settings: dict
+    plots: list
+
+
+def check_scenario(scn: Scenario) -> RunPlan:
+    """Check the whole scenario before any run: a malformed field raises
+    ScenarioError (exit 2), a parameter or an x0 outside its admissible
+    set ParameterError (exit 1)."""
     method, settings = _integrator_settings(scn)
-    _plots(scn, bundle)
-    x0 = _check_x0(bundle, scn.x0)
+    bundle = build_bundle(scn.bundle)
+    plots = _plots(scn, bundle)
+    x0 = np.asarray(scn.x0, dtype=float)
+    if x0.shape != (bundle.plant.n,):
+        raise ScenarioError(
+            f"x0 has {x0.size} entries, bundle {bundle.name} needs {bundle.plant.n}"
+        )
+    if not bundle.plant.admissible(x0):
+        raise ParameterError(f"x0 {scn.x0} is outside the admissible set of bundle {bundle.name}")
     y0 = np.concatenate([x0, evaluate(bundle.manifold.phi, x0)])
-    fld = augmented_field(bundle)
-    t0, t1 = scn.t_span
-    aborted, abort_time = False, None
+    return RunPlan(bundle, y0, method, settings, plots)
+
+
+def _integrate(plan: RunPlan, t_span):
+    fld = augmented_field(plan.bundle)
+    t0, t1 = t_span
     try:
-        if method == "fixed":
-            traj = integrate_fixed(fld, y0, t0, t1, settings["dt"])
-        else:
-            traj = integrate_adaptive(fld, y0, t0, t1, **settings)
+        if plan.method == "fixed":
+            return integrate_fixed(fld, plan.y0, t0, t1, plan.settings["dt"]), False, None
+        return integrate_adaptive(fld, plan.y0, t0, t1, **plan.settings), False, None
     except IntegrationAbort as exc:
-        traj = exc.trajectory
-        aborted, abort_time = True, exc.abort_time
-    return traj, aborted, abort_time
+        return exc.trajectory, True, exc.abort_time
 
 
-def _plot_outputs(bundle: IandIBundle, scn: Scenario, traj: Trajectory, outdir: Path):
+def _plot_outputs(bundle: IandIBundle, name: str, plots: list, traj: Trajectory, outdir: Path):
     n = bundle.plant.n
 
     def col(i):
@@ -365,14 +405,14 @@ def _plot_outputs(bundle: IandIBundle, scn: Scenario, traj: Trajectory, outdir: 
             vals = analysis.wrap_angle(vals)
         return vals
 
-    for kind, cols in _plots(scn, bundle):
+    for kind, cols in plots:
         if kind == "phase_plot":
             i, j = cols
             svgplot.phase_plot(
                 str(outdir / f"phase_x{i + 1}_x{j + 1}.svg"),
                 col(i),
                 col(j),
-                title=f"{scn.name}: x{j + 1} vs x{i + 1}",
+                title=f"{name}: x{j + 1} vs x{i + 1}",
                 xlabel=f"x{i + 1}",
                 ylabel=f"x{j + 1}",
             )
@@ -382,18 +422,16 @@ def _plot_outputs(bundle: IandIBundle, scn: Scenario, traj: Trajectory, outdir: 
             svgplot.line_plot(
                 str(outdir / ("timeseries_" + "-".join(tokens) + ".svg")),
                 series,
-                title=scn.name,
+                title=name,
                 xlabel="t",
             )
 
 
-def run_scenario(
-    scn: Scenario, out_root: Path, extra_overrides: Optional[dict] = None,
-    subdir: Optional[str] = None,
-) -> RunArtifact:
-    """Integrate one scenario and write its artifact directory."""
-    bundle = build_bundle(scn.bundle, extra_overrides)
-    traj, aborted, abort_time = _integrate_scenario(bundle, scn)
+def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) -> RunArtifact:
+    """Check one scenario, integrate it and write its artifact directory."""
+    plan = check_scenario(scn)
+    bundle = plan.bundle
+    traj, aborted, abort_time = _integrate(plan, scn.t_span)
     u = _control_history(bundle, traj)
     metrics = compute_metrics(bundle, traj, u, aborted, abort_time)
 
@@ -414,7 +452,7 @@ def run_scenario(
         )
     if "metrics_csv" in scn.outputs:
         _write_metrics_csv(outdir / "metrics.csv", metrics)
-    _plot_outputs(bundle, scn, traj, outdir)
+    _plot_outputs(bundle, scn.name, plan.plots, traj, outdir)
 
     limit = bundle.info.get("u_limit")
     if limit is not None and metrics["u_abs_max"] is not None and metrics["u_abs_max"] > limit:
@@ -426,39 +464,43 @@ def run_scenario(
     return artifact
 
 
-def _sweep_overrides(scn: Scenario, value):
-    """Translate one sweep value into parameter overrides and the run's x0."""
-    param = str(scn.sweep["parameter"])
-    try:
-        value = float(value)
-        if param == "pole":
-            return {"gamma1": 2.0 * value, "gamma2": value**2}, scn.x0
-        if param.startswith("x0[") and param.endswith("]"):
-            x0 = list(scn.x0)
-            x0[int(param[3:-1])] = value
-            return {}, x0
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ScenarioError(f"sweep parameter {param!r}, value {value!r}: {exc}") from None
-    return {param: value}, scn.x0
+def expand_sweep(scn: Scenario) -> list[tuple[float, Scenario]]:
+    """One complete scenario per sweep value, paired with the value. A
+    parameter value goes into the bundle block's overrides ("pole" p sets
+    gamma1 = 2p and gamma2 = p^2); an "x0[i]" value replaces that entry."""
+    if not scn.sweep:
+        raise ScenarioError(f"scenario {scn.name!r} has no sweep block")
+    param, values = scn.sweep.get("parameter"), scn.sweep.get("values")
+    if not isinstance(param, str):
+        raise ScenarioError(f"sweep parameter must be a string, got {param!r}")
+    if not (isinstance(values, list) and values):
+        raise ScenarioError(f"sweep values must be a non-empty list, got {values!r}")
+    index = None
+    if param.startswith("x0["):
+        match = re.fullmatch(r"x0\[([0-9]+)\]", param)
+        index = int(match[1]) if match else -1
+        if not 0 <= index < len(scn.x0):
+            raise ScenarioError(f"sweep parameter {param!r} must index x0 in 0..{len(scn.x0) - 1}")
+    runs = []
+    for raw in values:
+        value = _finite(raw, f"sweep value of {param!r}")
+        if index is not None:
+            sub = replace(scn, x0=scn.x0[:index] + [value] + scn.x0[index + 1 :], sweep=None)
+        else:
+            overrides = {param: value}
+            if param == "pole":
+                overrides = {"gamma1": 2.0 * value, "gamma2": value**2}
+            sub = replace(scn, bundle=_with_overrides(scn.bundle, overrides), sweep=None)
+        runs.append((value, sub))
+    return runs
 
 
 def cmd_validate(args) -> int:
-    try:
-        if args.grid_size < 1:
-            raise ScenarioError(f"--grid-size must be at least 1, got {args.grid_size}")
-        overrides = _parse_sets(args.set or [])
-        target = args.target
-        if target in plants.PRESETS:
-            bundle = plants.make_preset(target, **overrides)
-        else:
-            scn = load_scenario(target)
-            bundle = build_bundle(scn.bundle, overrides)
-    except ParameterError as exc:
-        print(f"constraint violated: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.grid_size < 1:
+        raise ScenarioError(f"--grid-size must be at least 1, got {args.grid_size}")
+    target = args.target
+    block = {"preset": target} if target in plants.PRESETS else load_scenario(target).bundle
+    bundle = build_bundle(_with_overrides(block, _parse_sets(args.set or [])))
     report = validate_bundle(bundle, grid_size=args.grid_size, seed=args.seed)
     print(report.to_text())
     return 0 if report.passed else 1
@@ -478,18 +520,7 @@ def _parse_sets(pairs) -> dict:
 
 
 def cmd_run(args) -> int:
-    try:
-        scn = load_scenario(args.target)
-        artifact = run_scenario(scn, _out_root(args.out))
-    except ParameterError as exc:
-        print(f"constraint violated: {exc}", file=sys.stderr)
-        return 1
-    except FieldEvaluationError as exc:
-        print(f"inadmissible initial state: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    artifact = run_scenario(load_scenario(args.target), _out_root(args.out))
     print(f"artifact: {artifact.directory}")
     for key in METRIC_KEYS:
         print(f"  {key} = {_fmt_value(artifact.metrics.get(key))}")
@@ -497,50 +528,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        scn = load_scenario(args.target)
-        if not scn.sweep:
-            raise ScenarioError(f"scenario {scn.name!r} has no sweep block")
-        values = scn.sweep.get("values")
-        if not (isinstance(values, list) and values):
-            raise ScenarioError(f"sweep values must be a non-empty list, got {values!r}")
-        _integrator_settings(scn)
-        prepared = []
-        for value in values:
-            overrides, x0 = _sweep_overrides(scn, value)
-            bundle = build_bundle(scn.bundle, overrides)
-            _plots(scn, bundle)
-            if not bundle.plant.admissible(_check_x0(bundle, x0)):
-                raise ParameterError(
-                    f"sweep value {value!r} puts x0 outside the admissible set"
-                )
-            prepared.append((value, overrides, x0, bundle))
-    except ParameterError as exc:
-        print(f"constraint violated: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioError, KeyError, yaml.YAMLError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    scn = load_scenario(args.target)
+    # every value is checked before the first run
+    runs = [(value, sub, check_scenario(sub).bundle) for value, sub in expand_sweep(scn)]
     out_root = _out_root(args.out)
     rows = []
     failed = False
-    for i, (value, overrides, x0, bundle) in enumerate(prepared):
-        sub = Scenario(
-            name=scn.name,
-            bundle=scn.bundle,
-            x0=x0,
-            t_span=scn.t_span,
-            integrator=scn.integrator,
-            outputs=scn.outputs,
-            checks=scn.checks,
-        )
-        artifact = run_scenario(
-            sub, out_root / scn.name, extra_overrides=overrides, subdir=f"value-{i}"
-        )
+    for i, (value, sub, bundle) in enumerate(runs):
+        artifact = run_scenario(sub, out_root / scn.name, subdir=f"value-{i}")
         rows.append(
             (
-                float(value),
+                value,
                 artifact.metrics.get("period_est"),
                 tail_amplitude(bundle, artifact.trajectory),
                 artifact.metrics.get("decay_rate"),
@@ -693,9 +691,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one verb; the exceptions that end a verb become exit codes here."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ParameterError as exc:
+        print(f"constraint violated: {exc}", file=sys.stderr)
+        return 1
+    except (ScenarioError, yaml.YAMLError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

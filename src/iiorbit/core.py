@@ -347,37 +347,25 @@ class ValidationReport:
         return not self.failures()
 
     def failures(self) -> list[str]:
+        """Every maximum above its tolerance and a rank margin at or below
+        its floor; a NaN maximum or margin counts as a violation."""
         checks = [
             ("immersion residual", self.max_fbi, FBI_TOL),
             ("manifold residual", self.max_manifold, MANIFOLD_TOL),
             ("boundary-condition residual", self.max_constraint, CONSTRAINT_TOL),
             ("immersion Jacobian mismatch", self.max_pi_jacobian_err, JACOBIAN_TOL),
             ("manifold Jacobian mismatch", self.max_phi_jacobian_err, JACOBIAN_TOL),
+            ("closed-form control mismatch", self.max_closed_form_c_err, CLOSED_FORM_C_TOL),
+            ("off-manifold dynamics mismatch", self.max_z_consistency_err, Z_CONSISTENCY_TOL),
         ]
         out = [
             f"{name} {value:.3e} exceeds {tol:.1e}"
             for name, value, tol in checks
-            if value > tol
+            if value is not None and not value <= tol
         ]
-        if self.min_g_margin <= RANK_MARGIN:
+        if not self.min_g_margin > RANK_MARGIN:
             out.append(
                 f"input-matrix rank margin {self.min_g_margin:.3e} at or below {RANK_MARGIN:.1e}"
-            )
-        if (
-            self.max_closed_form_c_err is not None
-            and self.max_closed_form_c_err > CLOSED_FORM_C_TOL
-        ):
-            out.append(
-                f"closed-form control mismatch {self.max_closed_form_c_err:.3e} "
-                f"exceeds {CLOSED_FORM_C_TOL:.1e}"
-            )
-        if (
-            self.max_z_consistency_err is not None
-            and self.max_z_consistency_err > Z_CONSISTENCY_TOL
-        ):
-            out.append(
-                f"off-manifold dynamics mismatch {self.max_z_consistency_err:.3e} "
-                f"exceeds {Z_CONSISTENCY_TOL:.1e}"
             )
         return out
 

@@ -11,7 +11,7 @@ one definition serves single points and whole stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,6 +51,14 @@ def _matvec2(M, v) -> tuple:
     return (M[0][0] * v[0] + M[0][1] * v[1], M[1][0] * v[0] + M[1][1] * v[1])
 
 
+def _finite_fields(record) -> None:
+    """Raise ParameterError unless every field of a parameter record is
+    finite; each inequality below is false for NaN and would let it pass."""
+    for f in fields(record):
+        if not np.all(np.isfinite(getattr(record, f.name))):
+            raise ParameterError(f"{f.name} must be finite (got {getattr(record, f.name)!r})")
+
+
 def _require(ok, message: str) -> None:
     """Raise FieldEvaluationError unless ok holds at every point."""
     if not ok.all():
@@ -63,6 +71,9 @@ class LtiParams:
 
     P: np.ndarray
     R: np.ndarray
+
+    def __post_init__(self):
+        _finite_fields(self)
 
 
 @dataclass(frozen=True)
@@ -82,6 +93,7 @@ class IwpParams:
     gamma2: float
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.m <= 0 or self.b <= 0:
             raise ParameterError("m and b must be positive")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
@@ -113,6 +125,7 @@ class CartPendLinearParams:
     gamma2: float
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.a1 <= 0 or self.a2 <= 0:
             raise ParameterError("a1 and a2 must be positive")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
@@ -145,6 +158,7 @@ class CartPendNonlinearParams:
     gamma2: float
 
     def __post_init__(self):
+        _finite_fields(self)
         if self.a1 <= 0 or self.a2 <= 0:
             raise ParameterError("a1 and a2 must be positive")
         if self.a <= 0:
@@ -172,6 +186,7 @@ class DcAcParams:
     gamma: float
 
     def __post_init__(self):
+        _finite_fields(self)
         for name in ("R", "C", "L", "E", "A", "omega", "gamma"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
@@ -566,24 +581,12 @@ def make_preset(name: str, **overrides) -> IandIBundle:
     """Build a preset bundle, optionally overriding parameter fields.
 
     Overriding a field re-runs the parameter record's validation, so an
-    out-of-range value raises ParameterError before anything is simulated.
+    out-of-range value raises ParameterError before anything is simulated;
+    an unknown field name raises TypeError.
     """
-    params = preset_params(name)
-    if overrides:
-        params = _apply_overrides(params, overrides)
+    params = replace(preset_params(name), **overrides)
     make = next(make for cls, make in _KIND_MAKERS.values() if type(params) is cls)
     return make(params)
-
-
-def _apply_overrides(params, overrides: dict):
-    import dataclasses
-
-    unknown = set(overrides) - {f.name for f in dataclasses.fields(params)}
-    if unknown:
-        raise ParameterError(
-            f"unknown parameter(s) {sorted(unknown)} for {type(params).__name__}"
-        )
-    return dataclasses.replace(params, **overrides)
 
 
 def make_inline(kind: str, **kwargs) -> IandIBundle:

@@ -1,14 +1,19 @@
 """Command line verbs: scenario loading, artifacts, sweeps, and reports."""
 
+import copy
 import filecmp
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from iiorbit import cli, plants
 from iiorbit.cli import METRIC_KEYS, ScenarioError, _eval_check, load_scenario
@@ -75,6 +80,20 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("run", scenario_text(outputs="trajectory_csv")),
         ("sweep", scenario_text(sweep=SWEEP_X0, outputs=[{"phase_plot": [0, 9]}])),
         ("sweep", scenario_text(sweep=SWEEP_X0, outputs="trajectory_csv")),
+        ("run", scenario_text(x0="1234")),
+        ("run", scenario_text(x0=[1.0, 0.0, float("nan"), -1.0])),
+        ("run", scenario_text(t_span="12")),
+        ("run", scenario_text(t_span=[0.0, 2.0, 9.0])),
+        ("run", scenario_text(checks="abc")),
+        ("run", scenario_text(name="../escape")),
+        ("run", scenario_text(bundle={"preset": "lti-identity", "kind": "lti"})),
+        ("run", scenario_text(bundle={"preset": "lti-identity", "overrides": {"zz": 1.0}})),
+        ("validate", ["--set", "zz=1"]),
+        ("sweep", scenario_text(sweep=dict(SWEEP_X0, parameter="x0[-1]"))),
+        ("sweep", scenario_text(sweep={"values": [1.0, 2.0]})),
+        ("sweep", scenario_text(sweep=dict(SWEEP_X0, parameter=0))),
+        ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=[1.0, float("nan")]))),
+        ("sweep", scenario_text(sweep={"parameter": "zz", "values": [1.0]})),
     ],
     ids=[
         "validate-non-numeric-set",
@@ -100,6 +119,20 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "run-outputs-string",
         "sweep-phase-plot-column-out-of-range",
         "sweep-outputs-string",
+        "run-x0-string",
+        "run-x0-nan",
+        "run-t-span-string",
+        "run-t-span-three-entries",
+        "run-checks-string",
+        "run-name-escapes-out",
+        "run-preset-and-kind",
+        "run-unknown-override",
+        "validate-unknown-set",
+        "sweep-negative-x0-index",
+        "sweep-without-parameter",
+        "sweep-parameter-not-a-string",
+        "sweep-nan-value",
+        "sweep-unknown-parameter",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
@@ -118,7 +151,60 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
-    assert not (tmp_path / "out").exists()
+    # nothing written under out or beside it
+    assert [p.name for p in tmp_path.iterdir()] == ([] if verb == "validate" else ["bad.yaml"])
+
+
+FUZZ_BASE = {
+    "name": "fuzz",
+    "bundle": {"preset": "lti-identity"},
+    "x0": [1.0, 0.0, 0.1, -1.0],
+    "t_span": [0.0, 0.05],
+    "integrator": {"method": "fixed", "dt": 0.01},
+    "outputs": ["trajectory_csv", "metrics_csv", {"phase_plot": [0, 1]}],
+    "checks": [{"metric": "aborted", "equals": False}],
+}
+FUZZ_SWEEP = {"parameter": "x0[0]", "values": [1.0, 0.5]}
+# where junk goes: a top-level field or one entry inside it
+FUZZ_PATHS = [
+    ("name",), ("bundle",), ("bundle", "preset"), ("bundle", "overrides"), ("x0",),
+    ("x0", 0), ("t_span",), ("t_span", 1), ("integrator",), ("integrator", "method"),
+    ("integrator", "dt"), ("outputs",), ("outputs", 2), ("checks",), ("sweep",),
+    ("sweep", "parameter"), ("sweep", "values"),
+]
+# leaves stay small, so no junk asks for a long run
+JUNK_LEAF = st.sampled_from(
+    [None, True, False, math.nan, math.inf, -math.inf, 0, 1, -1, 0.5, "", "../x", "abc",
+     "z", "k", "x0[1]", "fixed", "lti-identity", "phase_plot"]
+)
+JUNK_KEY = st.sampled_from(["preset", "kind", "params", "overrides", "P", "k", "dt", "x"])
+JUNK = st.recursive(
+    JUNK_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JUNK_KEY, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_exit_code_contract_holds_for_junk(verb, data):
+    doc = copy.deepcopy(FUZZ_BASE)
+    if data.draw(st.booleans()):
+        doc["sweep"] = copy.deepcopy(FUZZ_SWEEP)
+    for *head, key in data.draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1, max_size=2)):
+        parent = doc
+        for k in head:
+            parent = parent.get(k) if isinstance(parent, dict) else None
+        if isinstance(parent, dict) or (isinstance(parent, list) and key in range(len(parent))):
+            parent[key] = data.draw(JUNK)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "fuzz.yaml", Path(tmp) / "out"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        rc = cli.main([verb, str(path), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["fuzz.yaml"]
 
 
 def test_control_history_is_nan_outside_the_cone():
@@ -185,6 +271,13 @@ class TestValidateCommand:
     def test_unknown_target_exits_2(self):
         assert cli.main(["validate", "no-such-bundle"]) == 2
 
+    @pytest.mark.parametrize(
+        "target,setting", [("iwp-default", "k=nan"), ("dcac-default", "R=nan")]
+    )
+    def test_nan_parameter_exits_1(self, capsys, target, setting):
+        assert cli.main(["validate", target, "--set", setting]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_scenario_target(self, tmp_path):
         path = write_scenario(tmp_path, TINY_LTI)
         assert cli.main(["validate", str(path), "--grid-size", "50"]) == 0
@@ -242,6 +335,18 @@ class TestRunCommand:
         assert rc == 2
         assert "x0 has 3 entries" in capsys.readouterr().err
 
+    def test_inadmissible_x0_stops_before_integrating(self, tmp_path, capsys):
+        # 1.5 rad sits outside the admissible cone (half width ~1.318)
+        doc = dict(
+            TINY_LTI, bundle={"preset": "cartpend-lin-default"}, x0=[1.5, 0.0, 0.0, 0.0],
+            outputs=["trajectory_csv", "metrics_csv"],
+        )
+        path = write_scenario(tmp_path, doc)
+        rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "outside the admissible set" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_constraint_violation_exits_1(self, tmp_path):
         doc = dict(TINY_LTI)
         doc["bundle"] = {
@@ -274,6 +379,22 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert lines[1].startswith("-1.4,")
         assert lines[2].startswith("-2.0,")
+
+    def test_value_scenario_reruns_that_value(self, tmp_path):
+        # each value's scenario.yaml holds its k, so running it reproduces the value
+        doc = dict(self.SWEEP_DOC, t_span=[0.0, 2.0], outputs=["trajectory_csv"])
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        value = tmp_path / "out" / "tiny-sweep" / "value-1"
+        assert load_scenario(str(value / "scenario.yaml")).bundle == {
+            "preset": "iwp-default", "overrides": {"k": -2.0}
+        }
+        rerun = ["run", str(value / "scenario.yaml"), "--out", str(tmp_path / "rerun")]
+        assert cli.main(rerun) == 0
+        assert filecmp.cmp(
+            value / "trajectory.csv", tmp_path / "rerun" / "tiny-sweep" / "trajectory.csv",
+            shallow=False,
+        )
 
     def test_invalid_value_stops_before_any_run(self, tmp_path, capsys):
         doc = dict(self.SWEEP_DOC)

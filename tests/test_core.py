@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from iiorbit.core import (
     ImmersionMap,
     ImplicitManifold,
     TargetDynamics,
+    ValidationReport,
     admissible_mask,
     as_array,
     augmented_field,
@@ -128,6 +130,24 @@ class TestValidateBundle:
         report = validate_bundle(bad, grid_size=50, seed=1)
         assert not report.passed
         assert any("manifold" in msg or "immersion" in msg for msg in report.failures())
+
+    @pytest.mark.parametrize(
+        "field,named",
+        [
+            ("max_fbi", "immersion residual"),
+            ("max_phi_jacobian_err", "manifold Jacobian mismatch"),
+            ("max_closed_form_c_err", "closed-form control mismatch"),
+            ("min_g_margin", "input-matrix rank margin"),
+        ],
+    )
+    def test_nan_is_a_failure(self, bundles, field, named):
+        # NaN compares false with every tolerance, so it must not read as a pass
+        good = validate_bundle(bundles["iwp-default"], grid_size=20, seed=1)
+        assert good.passed
+        report = dataclasses.replace(good, **{field: math.nan})
+        assert not report.passed
+        assert [msg for msg in report.failures() if msg.startswith(named)], report.failures()
+        assert "status: FAIL" in report.to_text()
 
 
 class TestClosedLoop:

@@ -1,5 +1,6 @@
 """Parameter records, preset registry, and per-plant closed-form oracles."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -110,8 +111,30 @@ class TestPresetRegistry:
             make_preset("iwp-default", k=-0.05)
 
     def test_unknown_override_field_raises(self):
-        with pytest.raises(ParameterError, match="unknown parameter"):
+        # the record's own constructor rejects the name, as on the inline path
+        with pytest.raises(TypeError, match="mass"):
             make_preset("iwp-default", mass=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name,field",
+        [
+            (name, f.name)
+            for name in plants.PRESETS
+            for f in dataclasses.fields(preset_params(name))
+            if isinstance(getattr(preset_params(name), f.name), float)
+        ],
+    )
+    def test_non_finite_field_raises(self, name, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            make_preset(name, **{field: value})
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+    def test_non_finite_lti_matrix_raises(self, entry):
+        P = np.eye(2)
+        P[entry] = math.nan
+        with pytest.raises(ParameterError, match="P must be finite"):
+            make_preset("lti-identity", P=P)
 
     def test_inline_matches_preset(self):
         inline = make_inline("iwp", m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
