@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import IandIBundle, ParameterError, UNIQUE_ATTRACTIVE_ORBIT, evaluate
+from .core import IandIBundle, ParameterError, evaluate
 from .odesim import (
     IntegrationAbort,
     Trajectory,
@@ -175,27 +175,55 @@ def orbit_samples(
     )
 
 
-def _min_distance(
-    points: np.ndarray, samples: np.ndarray, angle_indices: tuple[int, ...]
-) -> np.ndarray:
-    """Min Euclidean distance from each point to the sample cloud, with
-    circle-aware differences on angle coordinates. Chunked to bound memory."""
-    points = np.atleast_2d(points)
+def _sq_distances(points: np.ndarray, samples: np.ndarray, angle_indices) -> np.ndarray:
+    """Squared distance from each of the N points to each sample, with
+    circle-aware differences on angle coordinates; samples is one (S, n)
+    set shared by every point or an (N, S, n) set per point."""
+    diff = points[:, None, :] - samples
+    for ai in angle_indices:
+        diff[:, :, ai] = (diff[:, :, ai] + np.pi) % TWO_PI - np.pi
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+# Consecutive orbit samples per block of the pruned search, and the largest
+# point-sample pair count held in memory at once.
+DISTANCE_BLOCK = 32
+DISTANCE_CHUNK_PAIRS = 256 * 2048
+
+
+def _min_distance(points: np.ndarray, samples: np.ndarray, angle_indices) -> np.ndarray:
+    """Min distance from each point to the sample cloud, equal bit for bit
+    to the all-pairs minimum.
+
+    The samples are cut into blocks of DISTANCE_BLOCK consecutive samples
+    (the last one wraps), each with its first sample as centre and the
+    largest distance from there to its samples as radius. The nearest
+    centre bounds a point's answer from above by u, and a block whose
+    centre lies more than its radius plus u away holds no sample within u
+    (triangle inequality on the torus), so only the remaining blocks are
+    searched, with the all-pairs arithmetic, in chunks of points that hold
+    at most DISTANCE_CHUNK_PAIRS pairs even when every block stays. The
+    slack covers rounding in the bounds, which the angle wrap makes
+    absolute, on the scale of the coordinates; NaN bounds keep every block.
+    """
+    S = len(samples)
+    starts = np.arange(0, S, DISTANCE_BLOCK)
+    blocks = (starts[:, None] + np.arange(DISTANCE_BLOCK)) % S
+    centres = samples[starts]
+    radii = np.sqrt(_sq_distances(centres, samples[blocks], angle_indices).max(axis=1))
+    slack = 1e-12 * (np.abs(points).max() + np.abs(samples).max() + np.pi)
     out = np.empty(len(points))
-    for lo in range(0, len(points), 256):
-        chunk = points[lo : lo + 256]
-        diff = chunk[:, None, :] - samples[None, :, :]
-        for ai in angle_indices:
-            diff[:, :, ai] = (diff[:, :, ai] + np.pi) % TWO_PI - np.pi
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out[lo : lo + 256] = np.sqrt(d2.min(axis=1))
+    step = max(1, DISTANCE_CHUNK_PAIRS // blocks.size)
+    for lo in range(0, len(points), step):
+        chunk = points[lo : lo + step]
+        d_c = np.sqrt(_sq_distances(chunk, centres, angle_indices))
+        lower = d_c - radii
+        u = d_c.min(axis=1, keepdims=True)
+        k = int((~(lower > u * (1 + 1e-9) + slack)).sum(axis=1).max())
+        live = blocks[np.argpartition(lower, k - 1, axis=1)[:, :k]]
+        d2 = _sq_distances(chunk, samples[live.reshape(len(chunk), -1)], angle_indices)
+        out[lo : lo + step] = np.sqrt(d2.min(axis=1))
     return out
-
-
-def orbital_distance(traj: Trajectory, orbit: OrbitSet, t: float) -> float:
-    """Distance from the interpolated state at time t to the sampled orbit."""
-    state = traj.interpolate(t)
-    return float(_min_distance(state[None, :], orbit.samples, orbit.angle_indices)[0])
 
 
 def orbital_distance_tail(

@@ -36,10 +36,6 @@ RANK_MARGIN = 1e-10
 CLOSED_FORM_C_TOL = 1e-10
 Z_CONSISTENCY_TOL = 1e-9
 
-FAMILY_OF_ORBITS = "family_of_orbits"
-UNIQUE_ATTRACTIVE_ORBIT = "unique_attractive_orbit"
-
-
 class ParameterError(ValueError):
     """A design parameter violates its admissibility inequality."""
 
@@ -61,14 +57,12 @@ class TargetDynamics:
     should reproduce.
 
     first_integral, when present, is constant along target solutions and is
-    used for drift diagnostics. orbit_kind records whether orbits come as a
-    family selected by the initial condition or as a single attractive orbit.
+    used for drift diagnostics.
     """
 
     p: int
     alpha: Callable
     first_integral: Optional[Callable] = None
-    orbit_kind: str = FAMILY_OF_ORBITS
 
 
 @dataclass(frozen=True)
@@ -101,13 +95,11 @@ class IandIBundle:
     """One complete immersion-and-invariance design.
 
     Extra per-design knowledge used by simulation and metrics:
+      z_dynamics      hand-derived off-manifold dynamics z' = h(x, z), which
+                      the augmented field integrates (validate_bundle checks
+                      it against Dphi (f + g v))
       closed_form_c   hand-derived on-manifold control (cross-checked against
                       the pseudoinverse path)
-      z_dynamics      hand-derived off-manifold dynamics z' = h(x, z); when
-                      present the augmented field integrates it instead of
-                      the generic Jacobian product (same trajectories from
-                      z(0) = phi(x(0)), but exactly linear in z where the
-                      designs say so)
       xi_projection   indices of the plant coordinates that realize the
                       target state (used by energy/orbit metrics)
       angle_indices   plant coordinates living on the circle; metrics wrap
@@ -130,8 +122,8 @@ class IandIBundle:
     controller: Controller
     xi_sample_box: np.ndarray  # (p, 2) lower/upper
     x_sample_box: np.ndarray  # (n, 2)
+    z_dynamics: Callable
     closed_form_c: Optional[Callable] = None
-    z_dynamics: Optional[Callable] = None
     xi_projection: tuple[int, ...] = ()
     angle_indices: tuple[int, ...] = ()
     section_index: int = 0
@@ -269,12 +261,22 @@ def _dot(row, u):
 
 
 def _plant_rate(bundle: IandIBundle):
-    """The plant velocity x' = f(x) + g(x) v(x, z), component by component."""
+    """The plant velocity x' = f(x) + g(x) v(x, z), component by component.
+
+    The row product g_i(x) u is chosen once from the input count: the single
+    term g_i[0] u[0] for one input, a left-to-right sum otherwise."""
     f, g, v = bundle.plant.f, bundle.plant.g, bundle.controller.v
+    if bundle.plant.m > 1:
+
+        def rate(x, z) -> tuple:
+            u = v(x, z)
+            return tuple([fi + _dot(gi, u) for fi, gi in zip(f(x), g(x))])
+
+        return rate
 
     def rate(x, z) -> tuple:
-        u = v(x, z)
-        return tuple([fi + _dot(gi, u) for fi, gi in zip(f(x), g(x))])
+        (u,) = v(x, z)
+        return tuple([fi + gi * u for fi, (gi,) in zip(f(x), g(x))])
 
     return rate
 
@@ -286,23 +288,14 @@ def closed_loop_field(bundle: IandIBundle) -> Field:
 
 
 def augmented_field(bundle: IandIBundle) -> Field:
-    """The pair (x, z) with x' = f + g v(x, z) and the off-manifold dynamics
-    for z, meant to start from z(0) = phi(x(0)).
-
-    Uses the bundle's closed-form z dynamics when available, otherwise the
-    Jacobian product Dphi(x) (f + g v).
-    """
+    """The pair (x, z) with x' = f + g v(x, z) and the bundle's off-manifold
+    dynamics z' = h(x, z), meant to start from z(0) = phi(x(0))."""
     n = bundle.plant.n
-    rate = _plant_rate(bundle)
-    z_rhs = bundle.z_dynamics
-    dphi = bundle.manifold.jacobian
+    rate, h = _plant_rate(bundle), bundle.z_dynamics
 
     def field(y) -> tuple:
         x, z = y[:n], y[n:]
-        xdot = rate(x, z)
-        if z_rhs is not None:
-            return xdot + tuple(z_rhs(x, z))
-        return xdot + tuple(_dot(row, xdot) for row in dphi(x))
+        return rate(x, z) + h(x, z)
 
     return field
 
@@ -339,8 +332,8 @@ class ValidationReport:
     max_pi_jacobian_err: float
     max_phi_jacobian_err: float
     min_g_margin: float
+    max_z_consistency_err: float
     max_closed_form_c_err: Optional[float] = None
-    max_z_consistency_err: Optional[float] = None
 
     @property
     def passed(self) -> bool:
@@ -385,8 +378,7 @@ class ValidationReport:
         ]
         if self.max_closed_form_c_err is not None:
             lines.append(f"max_closed_form_c_mismatch: {self.max_closed_form_c_err:.6e}")
-        if self.max_z_consistency_err is not None:
-            lines.append(f"max_z_dynamics_mismatch: {self.max_z_consistency_err:.6e}")
+        lines.append(f"max_z_dynamics_mismatch: {self.max_z_consistency_err:.6e}")
         lines.append(f"status: {'pass' if self.passed else 'FAIL'}")
         for msg in self.failures():
             lines.append(f"violation: {msg}")
@@ -430,11 +422,9 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     x = x_grid[admissible_mask(bundle.plant, x_grid)]
     J, max_phi_jac = _jacobian_mismatch(bundle.manifold.jacobian, bundle.manifold.phi, x)
     g_margins = np.linalg.svd(evaluate(bundle.plant.g, x), compute_uv=False)[..., -1]
-    max_z_err = None
-    if bundle.z_dynamics is not None:
-        z = evaluate(bundle.manifold.phi, x)
-        xdot = evaluate(_plant_rate(bundle), x, z)
-        max_z_err = _max_abs(evaluate(bundle.z_dynamics, x, z) - _matvec(J, xdot))
+    z = evaluate(bundle.manifold.phi, x)
+    xdot = evaluate(_plant_rate(bundle), x, z)
+    max_z_err = _max_abs(evaluate(bundle.z_dynamics, x, z) - _matvec(J, xdot))
 
     return ValidationReport(
         bundle_name=bundle.name,

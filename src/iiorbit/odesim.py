@@ -38,10 +38,9 @@ Field = Callable[[Sequence[float]], Sequence[float]]
 
 
 class Trajectory:
-    """Time-stamped state samples with linear interpolation.
+    """Time-stamped state samples.
 
     times must be strictly increasing; states is an (N, dimension) array.
-    Interpolation at a stored sample time returns that sample exactly.
     """
 
     def __init__(self, times: Sequence[float], states: Sequence[Sequence[float]]):
@@ -69,19 +68,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def interpolate(self, t: float) -> np.ndarray:
-        """Linearly interpolated state at time t within the stored span."""
-        if t < self.times[0] or t > self.times[-1]:
-            raise ValueError(f"t={t} outside trajectory span [{self.t0}, {self.t1}]")
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        if i >= len(self.times) - 1:
-            return self.states[-1].copy()
-        tl, tr = self.times[i], self.times[i + 1]
-        if t == tl:
-            return self.states[i].copy()
-        w = (t - tl) / (tr - tl)
-        return (1.0 - w) * self.states[i] + w * self.states[i + 1]
 
     def component(self, index: int) -> np.ndarray:
         return self.states[:, index]

@@ -18,13 +18,11 @@ import numpy as np
 from .core import (
     Controller,
     ControlAffineSystem,
-    FAMILY_OF_ORBITS,
     IandIBundle,
     ImmersionMap,
     ImplicitManifold,
     ParameterError,
     TargetDynamics,
-    UNIQUE_ATTRACTIVE_ORBIT,
 )
 from .odesim import FieldEvaluationError
 
@@ -52,11 +50,15 @@ def _matvec2(M, v) -> tuple:
 
 
 def _finite_fields(record) -> None:
-    """Raise ParameterError unless every field of a parameter record is
-    finite; each inequality below is false for NaN and would let it pass."""
+    """Raise TypeError for a bool field and ParameterError for a non-finite
+    one; a bool passes every inequality below as 0 or 1, and NaN fails
+    every one of them, which would let both through."""
     for f in fields(record):
-        if not np.all(np.isfinite(getattr(record, f.name))):
-            raise ParameterError(f"{f.name} must be finite (got {getattr(record, f.name)!r})")
+        value = getattr(record, f.name)
+        if np.asarray(value).dtype == bool:
+            raise TypeError(f"{f.name} must be a number, not a bool (got {value!r})")
+        if not np.all(np.isfinite(value)):
+            raise ParameterError(f"{f.name} must be finite (got {value!r})")
 
 
 def _require(ok, message: str) -> None:
@@ -224,7 +226,6 @@ def make_lti(params: LtiParams) -> IandIBundle:
             p=2,
             alpha=lambda xi: (xi[1], -xi[0]),
             first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
-            orbit_kind=FAMILY_OF_ORBITS,
         ),
         immersion=ImmersionMap(
             pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0]), jacobian=lambda xi: Tk
@@ -270,7 +271,6 @@ def make_iwp(params: IwpParams) -> IandIBundle:
             p=2,
             alpha=lambda xi: (xi[1], -a * np.sin(xi[0])),
             first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * np.cos(xi[0]),
-            orbit_kind=FAMILY_OF_ORBITS,
         ),
         immersion=immersion,
         manifold=manifold,
@@ -349,7 +349,6 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
             p=2,
             alpha=lambda xi: (xi[1], alpha2(xi[0])),
             first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) + potential(xi[0]),
-            orbit_kind=FAMILY_OF_ORBITS,
         ),
         immersion=immersion,
         manifold=manifold,
@@ -435,9 +434,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
     bundle = IandIBundle(
         name="cartpend-nonlinear",
         plant=_cartpend_plant(a1, a2, lambda x: np.abs(x[0]) < half_pi),
-        target=TargetDynamics(
-            p=2, alpha=alpha, first_integral=first_integral, orbit_kind=FAMILY_OF_ORBITS
-        ),
+        target=TargetDynamics(p=2, alpha=alpha, first_integral=first_integral),
         immersion=ImmersionMap(pi=pi_map, jacobian=pi_jac),
         manifold=ImplicitManifold(phi=phi, jacobian=phi_jac),
         controller=Controller(v=v),
@@ -524,7 +521,7 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
     bundle = IandIBundle(
         name="dcac",
         plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
-        target=TargetDynamics(p=2, alpha=alpha, orbit_kind=UNIQUE_ATTRACTIVE_ORBIT),
+        target=TargetDynamics(p=2, alpha=alpha),
         immersion=ImmersionMap(
             pi=pi_map,
             jacobian=lambda xi: ((1.0, 0.0), (0.0, 1.0)) + beta_jac(xi[0], xi[1]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iiorbit import plants
+from iiorbit import analysis, plants
 from iiorbit.analysis import (
     Lemma2Setup,
     OrbitSet,
@@ -19,7 +19,6 @@ from iiorbit.analysis import (
     lemma2_l2min,
     lemma2_r0,
     orbit_samples,
-    orbital_distance,
     orbital_distance_tail,
     wrap_angle,
 )
@@ -112,6 +111,19 @@ class TestOrbitSamples:
         assert calls == searched + ["integrate_fixed"]
 
 
+def _brute_min_distance(points, samples, angle_indices):
+    """The all-pairs search, as the pruned one must reproduce it."""
+    diff = points[:, None, :] - samples[None, :, :]
+    for ai in angle_indices:
+        diff[:, :, ai] = (diff[:, :, ai] + np.pi) % TWO_PI - np.pi
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).min(axis=1))
+
+
+def _resting_at(state):
+    """A two-knot trajectory that stays at one state."""
+    return Trajectory(np.array([0.0, 1.0]), np.array([state, state], dtype=float))
+
+
 class TestOrbitalDistance:
     def _unit_circle_orbit(self, n=512, roll=0):
         th = np.linspace(0.0, TWO_PI, n, endpoint=False)
@@ -122,15 +134,14 @@ class TestOrbitalDistance:
 
     def test_distance_from_outside_point(self):
         orbit = self._unit_circle_orbit()
-        traj = Trajectory(np.array([0.0]), np.array([[1.5, 0.0]]))
-        d = orbital_distance(traj, orbit, 0.0)
+        d = orbital_distance_tail(_resting_at([1.5, 0.0]), orbit)
         # exact distance 0.5, quantized by the half chord of 512 samples
         assert abs(d - 0.5) < (math.pi / 512) ** 2
 
     def test_sample_order_is_irrelevant(self):
-        traj = Trajectory(np.array([0.0]), np.array([[0.3, -1.2]]))
-        d0 = orbital_distance(traj, self._unit_circle_orbit(), 0.0)
-        d7 = orbital_distance(traj, self._unit_circle_orbit(roll=7), 0.0)
+        traj = _resting_at([0.3, -1.2])
+        d0 = orbital_distance_tail(traj, self._unit_circle_orbit())
+        d7 = orbital_distance_tail(traj, self._unit_circle_orbit(roll=7))
         assert d0 == d7
 
     def test_angle_coordinates_wrap(self):
@@ -139,8 +150,42 @@ class TestOrbitalDistance:
             period=1.0,
             angle_indices=(0,),
         )
-        traj = Trajectory(np.array([0.0]), np.array([[-math.pi + 0.01, 0.0]]))
-        assert abs(orbital_distance(traj, orbit, 0.0) - 0.02) < 1e-12
+        traj = _resting_at([-math.pi + 0.01, 0.0])
+        assert abs(orbital_distance_tail(traj, orbit) - 0.02) < 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["near", "on", "far"]),
+    )
+    def test_pruned_search_equals_all_pairs(self, S, n, seed, where):
+        # S covers counts below and off multiples of the block size; angle
+        # columns carry whole turns, so their values go beyond +-pi
+        rng = np.random.default_rng(seed)
+        th = np.linspace(0.0, TWO_PI, S, endpoint=False)[:, None]
+        samples = rng.uniform(0.1, 3.0, n) * np.sin(rng.integers(1, 3, n) * th + rng.uniform(0, 6, n))
+        angles = tuple(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
+        for ai in angles:
+            samples[:, ai] += TWO_PI * rng.integers(-2, 3, size=S)
+        points = samples[rng.integers(0, S, size=40)]
+        if where != "on":
+            points = points + rng.normal(size=points.shape) * (1e-3 if where == "near" else 50.0)
+            for ai in angles:
+                points[:, ai] += TWO_PI * rng.integers(-2, 3, size=len(points))
+        got = analysis._min_distance(points, samples, angles)
+        assert np.array_equal(got, _brute_min_distance(points, samples, angles))
+
+    def test_pruned_search_equals_all_pairs_across_chunks(self):
+        # more points than one chunk holds, near and far from the orbit
+        rng = np.random.default_rng(3)
+        th = np.linspace(0.0, TWO_PI, 2048, endpoint=False)
+        samples = np.column_stack([np.sin(th), 2.0 * np.cos(th), np.sin(2.0 * th), th])
+        points = samples[rng.integers(0, 2048, size=1500)] + rng.normal(size=(1500, 4)) * 1e-2
+        points[::97] *= 30.0
+        got = analysis._min_distance(points, samples, (3,))
+        assert np.array_equal(got, _brute_min_distance(points, samples, (3,)))
 
     def test_tail_maximum(self):
         orbit = self._unit_circle_orbit()

@@ -94,6 +94,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, parameter=0))),
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=[1.0, float("nan")]))),
         ("sweep", scenario_text(sweep={"parameter": "zz", "values": [1.0]})),
+        ("run", scenario_text(bundle={"preset": "iwp-default", "overrides": {"m": True}})),
+        ("run", scenario_text(bundle=dict(INLINE_IWP, params=dict(IWP_PARAMS, b=True)))),
     ],
     ids=[
         "validate-non-numeric-set",
@@ -133,6 +135,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "sweep-parameter-not-a-string",
         "sweep-nan-value",
         "sweep-unknown-parameter",
+        "run-bool-override",
+        "run-bool-inline-param",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -207,6 +209,32 @@ class TestClosedLoop:
                 zdot_literal = dphi @ ydot[:n]
                 assert np.max(np.abs(ydot[n:] - zdot_literal)) < 1e-9
 
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_augmented_field_matches_reference_composition(self, bundles, name):
+        # f_i + g_i u summed left to right, then the declared z dynamics, bit
+        # for bit and with the sign of every zero
+        bundle = bundles[name]
+        n, f, g, v = bundle.plant.n, bundle.plant.f, bundle.plant.g, bundle.controller.v
+
+        def reference(y):
+            x, z = y[:n], y[n:]
+            u = v(x, z)
+            xdot = [fi + functools.reduce(operator.add, map(operator.mul, gi, u))
+                    for fi, gi in zip(f(x), g(x))]
+            return xdot + list(bundle.z_dynamics(x, z))
+
+        rng = np.random.default_rng(17)
+        X = rng.uniform(*bundle.x_sample_box.T, size=(300, n))
+        X = X[admissible_mask(bundle.plant, X)][:200]
+        Y = np.hstack([X, rng.normal(size=(len(X), bundle.z_dim))])
+        Y[:3, n:] = [[0.0] * bundle.z_dim, [-0.0] * bundle.z_dim, [1.0] + [-0.0] * (bundle.z_dim - 1)]
+        Y[3:5, :n] = [[-0.0] * n, [0.0] * n]
+        fld = augmented_field(bundle)
+        for y in map(tuple, Y.tolist()):
+            got, want = np.array(fld(y), dtype=float), np.array(reference(y), dtype=float)
+            assert np.array_equal(got, want), y
+            assert np.array_equal(np.signbit(got), np.signbit(want)), y
+
 
 class TestKernels:
     @pytest.mark.parametrize("name", plants.PRESETS)
@@ -277,4 +305,5 @@ class TestBundleShape:
                 controller=ctl,
                 xi_sample_box=np.zeros((3, 2)),
                 x_sample_box=np.zeros((2, 2)),
+                z_dynamics=lambda x, z: np.zeros(1),
             )

@@ -27,16 +27,6 @@ def rotation_exact(t, y0=(1.0, 0.0)):
 
 
 class TestTrajectory:
-    def test_knot_interpolation_is_exact(self):
-        traj = integrate_fixed(ROTATION, [1.0, 0.0], 0.0, 1.0, 0.01)
-        for i in (0, 3, len(traj) - 1):
-            assert np.array_equal(traj.interpolate(float(traj.times[i])), traj.states[i])
-
-    def test_interpolation_outside_span_raises(self):
-        traj = Trajectory([0.0, 1.0], [[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            traj.interpolate(1.5)
-
     def test_nonmonotone_times_rejected(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.0], [[1.0], [2.0]])
@@ -54,15 +44,6 @@ class TestTrajectory:
         tail = traj.tail(0.2)
         assert tail.t0 <= 8.0 + 1e-12
         assert tail.t1 == 10.0
-
-    @given(st.integers(min_value=2, max_value=30), st.floats(0.01, 100.0))
-    def test_interpolation_linear_between_knots(self, n, span):
-        times = np.linspace(0.0, span, n)
-        states = np.column_stack([2.0 * times - 1.0, times**0])
-        traj = Trajectory(times, states)
-        t = 0.37 * span
-        got = traj.interpolate(t)
-        assert got[0] == pytest.approx(2.0 * t - 1.0, abs=1e-9 * max(1.0, span))
 
 
 class TestFixedStep:

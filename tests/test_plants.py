@@ -129,6 +129,15 @@ class TestPresetRegistry:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             make_preset(name, **{field: value})
 
+    @pytest.mark.parametrize(
+        "name,field",
+        [(name, f.name) for name in plants.PRESETS for f in dataclasses.fields(preset_params(name))],
+    )
+    def test_bool_field_raises(self, name, field):
+        # True would pass every inequality as 1
+        with pytest.raises(TypeError, match=f"{field} must be a number, not a bool"):
+            make_preset(name, **{field: True})
+
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
     def test_non_finite_lti_matrix_raises(self, entry):
         P = np.eye(2)
