@@ -18,7 +18,6 @@ from .core import IandIBundle, ParameterError, evaluate
 from .odesim import (
     IntegrationAbort,
     Trajectory,
-    estimate_period,
     detect_crossings,
     integrate_adaptive,
     integrate_fixed,
@@ -75,35 +74,42 @@ class Lemma2Report:
     min_margin: float
 
 
-def _refine_crossing(field, y_knot, gap, section):
-    """Zero of section(flow(y_knot, dt)) for dt in [0, gap], located by
-    bisection on single RK4 steps. Returns (dt, state at dt)."""
-    s_lo = section(y_knot)
-    if s_lo == 0.0:
-        return 0.0, np.asarray(y_knot, dtype=float).copy()
-    lo, hi = 0.0, gap
-    for _ in range(80):
+def _bisect(fun, lo: float, hi: float, tol: float) -> float:
+    """A zero of fun in [lo, hi], where fun changes sign: lo itself when
+    fun(lo) is zero, the first midpoint where fun is exactly zero, or the
+    midpoint of the bracket once it is at most tol wide."""
+    f_lo = fun(lo)
+    if f_lo == 0.0:
+        return lo
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        s_mid = section(rk4_step(field, y_knot, mid))
-        if s_mid == 0.0:
-            lo = hi = mid
-            break
-        if (s_mid > 0) == (s_lo > 0):
+        f_mid = fun(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0) == (f_lo > 0):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * gap:
-            break
-    dt = 0.5 * (lo + hi)
-    return dt, np.asarray(rk4_step(field, y_knot, dt)) if dt > 0 else y_knot.copy()
+    return 0.5 * (lo + hi)
 
 
-def orbit_samples(
-    bundle: IandIBundle,
-    xi0: Sequence[float],
-    samples_per_period: int = 2048,
-    max_horizon: float = 1e4,
-) -> OrbitSet:
+def _refine_crossing(field, traj: Trajectory, event, section):
+    """The crossing of a section event located on the flow: bisection on
+    single RK4 steps from the event's knot. Returns (time, state)."""
+    y = traj.states[event.knot]
+    gap = float(traj.times[event.knot + 1] - traj.times[event.knot])
+    flow = lambda h: np.array(rk4_step(field, y, h) if h > 0 else y)
+    dt = _bisect(lambda h: section(flow(h)), 0.0, gap, 1e-14 * gap)
+    return float(traj.times[event.knot]) + dt, flow(dt)
+
+
+# Uniform samples on one period of the target orbit, and the longest
+# scouting horizon orbit_samples tries before it gives up.
+ORBIT_SAMPLES_PER_PERIOD = 2048
+ORBIT_MAX_HORIZON = 1e4
+
+
+def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
     """Sample one period of the target orbit through xi0, mapped into the
     plant's state space.
 
@@ -111,8 +117,8 @@ def orbit_samples(
     crossings (targets with a single attractive orbit relax onto it during
     this scouting pass). The orbit is then anchored on a refined crossing,
     its period measured crossing-to-crossing, and one fixed-step pass lays
-    down samples_per_period uniform samples whose last state closes onto
-    the first to integrator accuracy.
+    down ORBIT_SAMPLES_PER_PERIOD uniform samples whose last state closes
+    onto the first to integrator accuracy.
     """
     xi0 = np.asarray(xi0, dtype=float)
     field = bundle.target.alpha
@@ -129,23 +135,16 @@ def orbit_samples(
     section = lambda s: s[section_index]
 
     horizon = 1.0
-    anchor = None
-    period = None
-    while horizon <= max_horizon:
+    while horizon <= ORBIT_MAX_HORIZON:
         traj = integrate_adaptive(field, xi0, 0.0, horizon, rtol=1e-11, atol=1e-13)
         events = detect_crossings(traj, section)
         period0 = period_from_events(events)
         if period0 is not None:
             rising = [e for e in events if e.direction > 0]
             last = rising[-1] if rising else events[-1]
-            # anchor on the stored knot just before the last crossing, then
-            # localize the crossing itself with single RK4 steps
-            i = int(np.searchsorted(traj.times, last.time, side="right")) - 1
-            i = min(i, len(traj) - 2)
-            gap = float(traj.times[i + 1] - traj.times[i])
-            _, y1 = _refine_crossing(field, traj.states[i], gap, section)
+            _, anchor = _refine_crossing(field, traj, last, section)
             probe = integrate_fixed(
-                field, y1, 0.0, 1.3 * period0, period0 / samples_per_period
+                field, anchor, 0.0, 1.3 * period0, period0 / ORBIT_SAMPLES_PER_PERIOD
             )
             returns = [
                 e
@@ -153,26 +152,19 @@ def orbit_samples(
                 if e.direction == last.direction and e.time > 0.25 * period0
             ]
             if returns:
-                j = int(np.searchsorted(probe.times, returns[0].time, side="right")) - 1
-                j = min(j, len(probe) - 2)
-                pgap = float(probe.times[j + 1] - probe.times[j])
-                dt2, y2 = _refine_crossing(field, probe.states[j], pgap, section)
-                scale = max(1.0, float(np.max(np.abs(y1))))
-                if float(np.max(np.abs(y2 - y1))) <= 1e-6 * scale:
-                    anchor = y1
-                    period = float(probe.times[j]) + dt2
+                period, back = _refine_crossing(field, probe, returns[0], section)
+                scale = max(1.0, float(np.max(np.abs(anchor))))
+                if float(np.max(np.abs(back - anchor))) <= 1e-6 * scale:
                     break
         horizon *= 4.0
-    if anchor is None:
+    else:
         raise ValueError(
             f"no period detected for target of {bundle.name} from xi0={xi0.tolist()}"
         )
 
-    fine = integrate_fixed(field, anchor, 0.0, period, period / samples_per_period)
+    fine = integrate_fixed(field, anchor, 0.0, period, period / ORBIT_SAMPLES_PER_PERIOD)
     samples = evaluate(bundle.immersion.pi, fine.states)
-    return OrbitSet(
-        samples=samples, period=float(period), angle_indices=bundle.angle_indices
-    )
+    return OrbitSet(samples=samples, period=period, angle_indices=bundle.angle_indices)
 
 
 def _sq_distances(points: np.ndarray, samples: np.ndarray, angle_indices) -> np.ndarray:
@@ -267,13 +259,17 @@ def fit_decay(traj_z: Trajectory) -> DecayFit:
     )
 
 
-def energy_drift(bundle: IandIBundle, traj: Trajectory, tail_fraction: float = 0.2) -> float:
+# Share of the run whose first-integral spread energy_drift reports.
+ENERGY_TAIL_FRACTION = 0.2
+
+
+def energy_drift(bundle: IandIBundle, traj: Trajectory) -> float:
     """Relative spread of the target's first integral along the projected
     trajectory tail: (max - min) / max(|mean|, 1e-9)."""
     H = bundle.target.first_integral
     if H is None:
         raise ValueError(f"bundle {bundle.name} has no first integral")
-    tail = traj.tail(tail_fraction)
+    tail = traj.tail(ENERGY_TAIL_FRACTION)
     vals = evaluate(H, bundle.project_xi(tail.states))
     return float((vals.max() - vals.min()) / max(abs(float(vals.mean())), 1e-9))
 
@@ -409,19 +405,7 @@ def lemma2_r0(setup: Lemma2Setup, scan_limit: float = 1e9) -> float:
             f"{scan_limit:g} (F ranges over [{f_min:.3e}, {f_max:.3e}])"
         )
     rl, rr = bracket
-    if rl == rr:
-        return rl
-    fl = F(rl)
-    while rr - rl > 1e-12 * max(1.0, abs(rr)):
-        rm = 0.5 * (rl + rr)
-        fm = F(rm)
-        if fm == 0.0:
-            return rm
-        if (fm > 0) == (fl > 0):
-            rl, fl = rm, fm
-        else:
-            rr = rm
-    return 0.5 * (rl + rr)
+    return _bisect(F, rl, rr, 1e-12 * max(1.0, abs(rr)))
 
 
 def lemma2_l2min(setup: Lemma2Setup, r0: Optional[float] = None) -> float:

@@ -32,7 +32,9 @@ from .core import (
     evaluate,
     validate_bundle,
 )
-from .odesim import IntegrationAbort, Trajectory, integrate_adaptive, integrate_fixed
+from .odesim import (
+    IntegrationAbort, Trajectory, estimate_period, integrate_adaptive, integrate_fixed
+)
 
 METRIC_KEYS = (
     "period_est",
@@ -112,7 +114,6 @@ class RunArtifact:
     (x, z) trajectory."""
 
     directory: Path
-    scenario_hash: str
     metrics: dict
     trajectory: Trajectory
     trajectory_csv: Optional[Path] = None
@@ -133,18 +134,19 @@ def shipped_scenarios() -> list[str]:
 
 def load_scenario(target: str) -> Scenario:
     """Load a scenario from a file path or a shipped scenario name."""
-    path = Path(target)
-    if path.is_file():
+    path, name = Path(target), Path(target).stem
+    if not path.is_file():
+        path, name = _scenario_dir() / f"{target}.yaml", target
+    if not path.is_file():
+        raise ScenarioError(
+            f"no scenario file or shipped scenario named {target!r}; "
+            f"shipped: {', '.join(shipped_scenarios())}"
+        )
+    try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-        return Scenario.from_dict(raw, fallback_name=path.stem)
-    candidate = _scenario_dir() / f"{target}.yaml"
-    if candidate.is_file():
-        raw = yaml.safe_load(candidate.read_text(encoding="utf-8"))
-        return Scenario.from_dict(raw, fallback_name=target)
-    raise ScenarioError(
-        f"no scenario file or shipped scenario named {target!r}; "
-        f"shipped: {', '.join(shipped_scenarios())}"
-    )
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario {target!r} is not UTF-8 text: {exc}") from None
+    return Scenario.from_dict(raw, fallback_name=name)
 
 
 def build_bundle(block: dict) -> IandIBundle:
@@ -248,11 +250,15 @@ def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
     return u
 
 
-def tail_amplitude(bundle: IandIBundle, traj: Trajectory, fraction: float = 0.2) -> float:
+# Share of a sweep run whose amplitude goes into the comparison table.
+AMPLITUDE_TAIL_FRACTION = 0.2
+
+
+def tail_amplitude(bundle: IandIBundle, traj: Trajectory) -> float:
     """Max |first target-projected coordinate| over the run tail, wrapped to
     the principal value when that coordinate is an angle."""
     col = bundle.xi_projection[0]
-    vals = traj.tail(fraction).states[:, col]
+    vals = traj.tail(AMPLITUDE_TAIL_FRACTION).states[:, col]
     if col in bundle.angle_indices:
         vals = analysis.wrap_angle(vals)
     return float(np.max(np.abs(vals)))
@@ -274,7 +280,7 @@ def compute_metrics(
     metrics["u_abs_max"] = float(np.nanmax(np.abs(u))) if len(u) else None
 
     sec = bundle.section_index
-    metrics["period_est"] = analysis.estimate_period(xpart, lambda s: s[sec])
+    metrics["period_est"] = estimate_period(xpart, lambda s: s[sec])
 
     try:
         fit = analysis.fit_decay(zpart)
@@ -441,9 +447,7 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
     digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
     (outdir / "scenario.yaml").write_text(f"# sha256: {digest}\n{doc}", encoding="utf-8")
 
-    artifact = RunArtifact(
-        directory=outdir, scenario_hash=digest, metrics=metrics, trajectory=traj
-    )
+    artifact = RunArtifact(directory=outdir, metrics=metrics, trajectory=traj)
     if "trajectory_csv" in scn.outputs:
         artifact.trajectory_csv = outdir / "trajectory.csv"
         _write_trajectory_csv(
@@ -498,6 +502,8 @@ def expand_sweep(scn: Scenario) -> list[tuple[float, Scenario]]:
 def cmd_validate(args) -> int:
     if args.grid_size < 1:
         raise ScenarioError(f"--grid-size must be at least 1, got {args.grid_size}")
+    if args.seed < 0:
+        raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
     target = args.target
     block = {"preset": target} if target in plants.PRESETS else load_scenario(target).bundle
     bundle = build_bundle(_with_overrides(block, _parse_sets(args.set or [])))
@@ -627,7 +633,7 @@ def cmd_report(args) -> int:
     failed = 0
     for artifact_dir, metric, status, detail in rows:
         print(f"{status:7s} {artifact_dir} {metric} ({detail})")
-        lines.append(",".join([artifact_dir, metric, status, detail.replace(",", ";")]))
+        lines.append(",".join(f.replace(",", ";") for f in (artifact_dir, metric, status, detail)))
         if status != "skipped":
             evaluated += 1
         if status in ("fail", "error"):

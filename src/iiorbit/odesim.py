@@ -93,6 +93,7 @@ class SectionEvent:
     time: float
     state: np.ndarray
     direction: int  # +1 if the section function increases through zero
+    knot: int  # index of the stored state at or before the crossing
 
 
 def _initial_state(x0: Sequence[float], field: Field) -> np.ndarray:
@@ -190,6 +191,11 @@ _DP_B4 = np.array(
 )
 _DP_E = _DP_B5 - _DP_B4
 
+# Step attempts before integrate_adaptive gives up, and its smallest step
+# as a fraction of the time span.
+ADAPTIVE_MAX_STEPS = 10_000_000
+ADAPTIVE_MIN_STEP_FACTOR = 1e-12
+
 
 def integrate_adaptive(
     field: Field,
@@ -198,14 +204,12 @@ def integrate_adaptive(
     t1: float,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_steps: int = 10_000_000,
-    min_step_factor: float = 1e-12,
 ) -> Trajectory:
     """Dormand-Prince 5(4) with standard error-per-step control.
 
     Accepted states are stored; step size underflow (below
-    min_step_factor*(t1-t0)) raises IntegrationAbort, which usually signals
-    stiffness or an approach to a singularity.
+    ADAPTIVE_MIN_STEP_FACTOR*(t1-t0)) raises IntegrationAbort, which usually
+    signals stiffness or an approach to a singularity.
     """
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
@@ -216,7 +220,7 @@ def integrate_adaptive(
         return Trajectory([t0], [y])
 
     span = t1 - t0
-    h_min = min_step_factor * span
+    h_min = ADAPTIVE_MIN_STEP_FACTOR * span
     times = [t0]
     states = [y.copy()]
     t = t0
@@ -235,7 +239,7 @@ def integrate_adaptive(
     h = max(min(span / 10.0, 0.01 * y_scale / f_scale), h_min)
     k = np.empty((7, len(y)))
 
-    for _ in range(max_steps):
+    for _ in range(ADAPTIVE_MAX_STEPS):
         if t >= t1:
             break
         h = min(h, t1 - t)
@@ -271,7 +275,7 @@ def integrate_adaptive(
         factor = 0.9 * (err**-0.2) if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
     else:
-        raise abort(f"max_steps={max_steps} exhausted at t={t!r}", t)
+        raise abort(f"{ADAPTIVE_MAX_STEPS} step attempts exhausted at t={t!r}", t)
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
@@ -303,10 +307,10 @@ def detect_crossings(
     # sl is zero or has the opposite sign, so sr's sign is the direction
     directions = np.where(sr > 0.0, 1, -1)
     events: list[SectionEvent] = []
-    for t_ev, state, direction in zip(times.tolist(), states, directions.tolist()):
-        if events and t_ev - events[-1].time < min_separation:
+    for event in map(SectionEvent, times.tolist(), states, directions.tolist(), i.tolist()):
+        if events and event.time - events[-1].time < min_separation:
             continue
-        events.append(SectionEvent(t_ev, state, direction))
+        events.append(event)
     return events
 
 
@@ -328,10 +332,8 @@ def period_from_events(events: Sequence[SectionEvent]) -> Optional[float]:
 
 
 def estimate_period(
-    traj: Trajectory,
-    section: Callable[[np.ndarray], np.ndarray],
-    min_separation: Optional[float] = None,
+    traj: Trajectory, section: Callable[[np.ndarray], np.ndarray]
 ) -> Optional[float]:
     """Period from the section crossings along the trajectory; see
     period_from_events."""
-    return period_from_events(detect_crossings(traj, section, min_separation))
+    return period_from_events(detect_crossings(traj, section))

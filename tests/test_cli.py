@@ -50,6 +50,7 @@ def scenario_text(**changes) -> str:
 
 
 SWEEP_X0 = {"parameter": "x0[0]", "values": [1.0, 2.0]}
+NOT_UTF8 = b"\xff\xfe\x00bad"
 IWP_PARAMS = {"m": 1.962, "b": 10.0, "k": -1.6, "gamma1": 2.0, "gamma2": 1.0}
 INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
 
@@ -96,6 +97,10 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("sweep", scenario_text(sweep={"parameter": "zz", "values": [1.0]})),
         ("run", scenario_text(bundle={"preset": "iwp-default", "overrides": {"m": True}})),
         ("run", scenario_text(bundle=dict(INLINE_IWP, params=dict(IWP_PARAMS, b=True)))),
+        ("validate", ["--seed", "-1"]),
+        ("run", NOT_UTF8),
+        ("sweep", NOT_UTF8),
+        ("validate", NOT_UTF8),
     ],
     ids=[
         "validate-non-numeric-set",
@@ -137,15 +142,23 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "sweep-unknown-parameter",
         "run-bool-override",
         "run-bool-inline-param",
+        "validate-negative-seed",
+        "run-not-utf8",
+        "sweep-not-utf8",
+        "validate-not-utf8",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
-    if verb == "validate":
+    """content is a list of validate flags for the iwp-default preset, or
+    the text or bytes of a scenario file."""
+    if isinstance(content, list):
         argv = ["validate", "iwp-default", *content]
     else:
         path = tmp_path / "bad.yaml"
-        path.write_text(content, encoding="utf-8")
-        argv = [verb, str(path), "--out", str(tmp_path / "out")]
+        path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+        argv = [verb, str(path)]
+        if verb != "validate":
+            argv += ["--out", str(tmp_path / "out")]
     # a fresh interpreter, so an uncaught exception shows up as a traceback
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -156,7 +169,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     # nothing written under out or beside it
-    assert [p.name for p in tmp_path.iterdir()] == ([] if verb == "validate" else ["bad.yaml"])
+    assert [p.name for p in tmp_path.iterdir()] == ([] if isinstance(content, list) else ["bad.yaml"])
 
 
 FUZZ_BASE = {
@@ -510,6 +523,13 @@ class TestReportCommand:
             row.startswith(f"{broken},-,error,while parsing a flow sequence") for row in rows
         ), rows
         assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
+
+    def test_every_row_has_four_fields(self, tmp_path, capsys):
+        self.run_tiny(tmp_path, [{"metric": "a,b", "max": 1}, {"metric": "aborted", "equals": False}])
+        assert cli.main(["report", str(tmp_path / "tree")]) == 0
+        rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
+        assert all(len(row.split(",")) == 4 for row in rows), rows
+        assert f"{tmp_path / 'tree' / 'tiny-lti'},a;b,skipped,unknown metric 'a;b'" in rows
 
     @pytest.mark.parametrize(
         "checks",

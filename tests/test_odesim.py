@@ -260,9 +260,10 @@ class TestSections:
                 continue
             if expected and t - expected[-1][0] < min_separation:
                 continue
-            expected.append((t, direction))
+            expected.append((t, direction, i))
         events = detect_crossings(traj, lambda s: s[0], min_separation)
-        assert [(e.time, e.direction) for e in events] == expected
+        # knot: the interval's left end, the stored state at or before the event
+        assert [(e.time, e.direction, e.knot) for e in events] == expected
         for e in events:
             assert abs(e.state[0]) <= 1e-14 * max(1.0, max(map(abs, values)))
             assert e.state[1] == pytest.approx(e.time, rel=1e-14, abs=1e-14)

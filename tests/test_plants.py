@@ -309,3 +309,10 @@ def test_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    import iiorbit
+
+    missing = [name for name in iiorbit.__all__ if not hasattr(iiorbit, name)]
+    assert missing == []
