@@ -113,14 +113,18 @@ def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
     """Sample one period of the target orbit through xi0, mapped into the
     plant's state space.
 
-    The target is integrated until a period shows up in its section
-    crossings (targets with a single attractive orbit relax onto it during
-    this scouting pass). The orbit is then anchored on a refined crossing,
-    its period measured crossing-to-crossing, and one fixed-step pass lays
-    down ORBIT_SAMPLES_PER_PERIOD uniform samples whose last state closes
-    onto the first to integrator accuracy.
+    The angle coordinates of xi0 are wrapped to their principal values, and
+    the section is the bundle's own section_index, read in target
+    coordinates. The target is integrated until a period shows up in its
+    section crossings (targets with a single attractive orbit relax onto it
+    during this scouting pass). The orbit is then anchored on a refined
+    crossing, its period measured crossing-to-crossing, and one fixed-step
+    pass lays down ORBIT_SAMPLES_PER_PERIOD uniform samples whose last
+    state closes onto the first to integrator accuracy.
     """
-    xi0 = np.asarray(xi0, dtype=float)
+    xi0 = np.array(xi0, dtype=float)
+    angles = [j for j, col in enumerate(bundle.xi_projection) if col in bundle.angle_indices]
+    xi0[angles] = wrap_angle(xi0[angles])
     field = bundle.target.alpha
     speed0 = float(np.max(np.abs(field(xi0))))
     if speed0 <= 1e-12 * max(1.0, float(np.max(np.abs(xi0)))):
@@ -131,7 +135,7 @@ def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
             f"xi0={xi0.tolist()} is an equilibrium of the target of "
             f"{bundle.name}; no periodic orbit passes through it"
         )
-    section_index = min(1, bundle.target.p - 1)
+    section_index = bundle.xi_projection.index(bundle.section_index)
     section = lambda s: s[section_index]
 
     horizon = 1.0
@@ -259,8 +263,8 @@ def fit_decay(traj_z: Trajectory) -> DecayFit:
     )
 
 
-# Share of the run whose first-integral spread energy_drift reports.
-ENERGY_TAIL_FRACTION = 0.2
+# Share of the run that energy_drift and tail_amplitude read.
+TAIL_FRACTION = 0.2
 
 
 def energy_drift(bundle: IandIBundle, traj: Trajectory) -> float:
@@ -269,9 +273,19 @@ def energy_drift(bundle: IandIBundle, traj: Trajectory) -> float:
     H = bundle.target.first_integral
     if H is None:
         raise ValueError(f"bundle {bundle.name} has no first integral")
-    tail = traj.tail(ENERGY_TAIL_FRACTION)
+    tail = traj.tail(TAIL_FRACTION)
     vals = evaluate(H, bundle.project_xi(tail.states))
     return float((vals.max() - vals.min()) / max(abs(float(vals.mean())), 1e-9))
+
+
+def tail_amplitude(bundle: IandIBundle, traj: Trajectory) -> float:
+    """Max |first target-projected coordinate| over the run tail, wrapped to
+    the principal value when that coordinate is an angle."""
+    col = bundle.xi_projection[0]
+    vals = traj.tail(TAIL_FRACTION).states[:, col]
+    if col in bundle.angle_indices:
+        vals = wrap_angle(vals)
+    return float(np.max(np.abs(vals)))
 
 
 def lemma1_check(

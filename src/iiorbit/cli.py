@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -69,16 +69,26 @@ class Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError(f"bad scenario: expected a mapping, got {type(raw).__name__}")
         try:
+            _known_keys(raw, [f.name for f in fields(Scenario)], "the scenario")
             name, x0, t_span = raw.get("name", fallback_name), raw["x0"], raw["t_span"]
             checks = raw.get("checks", [])
-            if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-                raise ScenarioError(f"name must be a single path component, got {name!r}")
+            if not (
+                isinstance(name, str)
+                and name not in ("", ".", "..")
+                and not any(c in name for c in "/\\\0")
+                and len(name.encode("utf-8")) <= 255
+            ):
+                raise ScenarioError(
+                    f"name must be a single path component of at most 255 bytes, got {name!r}"
+                )
             if not isinstance(x0, list):
                 raise ScenarioError(f"x0 must be a list of numbers, got {x0!r}")
             if not (isinstance(t_span, list) and len(t_span) == 2):
                 raise ScenarioError(f"t_span must be two numbers [t0, t1], got {t_span!r}")
             if not isinstance(checks, list):
                 raise ScenarioError(f"checks must be a list, got {checks!r}")
+            sweep = dict(raw["sweep"]) if raw.get("sweep") else None
+            _known_keys(sweep or {}, ["parameter", "values"], "the sweep block")
             return Scenario(
                 name=name,
                 bundle=dict(raw["bundle"]),
@@ -86,7 +96,7 @@ class Scenario:
                 t_span=(_finite(t_span[0], "t_span[0]"), _finite(t_span[1], "t_span[1]")),
                 integrator=dict(raw.get("integrator", {"method": "fixed", "dt": 1e-3})),
                 outputs=raw.get("outputs", ["trajectory_csv", "metrics_csv"]),
-                sweep=dict(raw["sweep"]) if raw.get("sweep") else None,
+                sweep=sweep,
                 checks=checks,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -157,6 +167,8 @@ def build_bundle(block: dict) -> IandIBundle:
     """
     if ("preset" in block) == ("kind" in block):
         raise ScenarioError("bundle block needs exactly one of 'preset' and 'kind'")
+    allowed = ["preset", "overrides"] if "preset" in block else ["kind", "params", "overrides"]
+    _known_keys(block, allowed, "the bundle block")
     try:
         overrides = dict(block.get("overrides", {}))
         if "preset" in block:
@@ -174,6 +186,15 @@ def _with_overrides(block: dict, overrides: dict) -> dict:
     if not isinstance(own, dict):
         raise ScenarioError(f"bad bundle block: overrides must be a mapping, got {own!r}")
     return {**block, "overrides": {**own, **overrides}}
+
+
+def _known_keys(block: dict, allowed: list, where: str) -> None:
+    """Raise ScenarioError naming the first key of block outside allowed."""
+    unknown = [key for key in block if key not in allowed]
+    if unknown:
+        raise ScenarioError(
+            f"unknown key {unknown[0]!r} in {where}; allowed keys: {', '.join(allowed)}"
+        )
 
 
 def _finite(raw, what: str) -> float:
@@ -250,20 +271,6 @@ def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
     return u
 
 
-# Share of a sweep run whose amplitude goes into the comparison table.
-AMPLITUDE_TAIL_FRACTION = 0.2
-
-
-def tail_amplitude(bundle: IandIBundle, traj: Trajectory) -> float:
-    """Max |first target-projected coordinate| over the run tail, wrapped to
-    the principal value when that coordinate is an angle."""
-    col = bundle.xi_projection[0]
-    vals = traj.tail(AMPLITUDE_TAIL_FRACTION).states[:, col]
-    if col in bundle.angle_indices:
-        vals = analysis.wrap_angle(vals)
-    return float(np.max(np.abs(vals)))
-
-
 def compute_metrics(
     bundle: IandIBundle,
     traj: Trajectory,
@@ -290,20 +297,15 @@ def compute_metrics(
         pass
 
     try:
-        xi0 = bundle.project_xi(xpart.final_state).astype(float)
-        for j, col in enumerate(bundle.xi_projection):
-            if col in bundle.angle_indices:
-                xi0[j] = float(analysis.wrap_angle(xi0[j]))
-        orbit = analysis.orbit_samples(bundle, xi0)
+        orbit = analysis.orbit_samples(bundle, bundle.project_xi(xpart.final_state))
         metrics["orbital_dist_tail_max"] = analysis.orbital_distance_tail(xpart, orbit)
     except (ValueError, IntegrationAbort, FieldEvaluationError):
         pass
 
-    if bundle.target.first_integral is not None:
-        try:
-            metrics["energy_drift_tail"] = analysis.energy_drift(bundle, xpart)
-        except (ValueError, FieldEvaluationError):
-            pass
+    try:
+        metrics["energy_drift_tail"] = analysis.energy_drift(bundle, xpart)
+    except (ValueError, FieldEvaluationError):
+        pass
 
     if bundle.singularity_margin is not None:
         metrics["sing_margin_min"] = float(evaluate(bundle.singularity_margin, xpart.states).min())
@@ -317,6 +319,7 @@ def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
     defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}
     if not (isinstance(method, str) and method in defaults):
         raise ScenarioError(f"unknown integrator method {method!r}")
+    _known_keys(scn.integrator, ["method", *defaults[method]], f"the {method} integrator block")
     t0, t1 = scn.t_span
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise ScenarioError(f"t_span [{t0!r}, {t1!r}] must be finite and end after it starts")
@@ -434,18 +437,23 @@ def _plot_outputs(bundle: IandIBundle, name: str, plots: list, traj: Trajectory,
 
 
 def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) -> RunArtifact:
-    """Check one scenario, integrate it and write its artifact directory."""
+    """Check one scenario, write its copy into the artifact directory, then
+    integrate it and write the rest; an unwritable directory is malformed
+    (ScenarioError) and stops before the integration."""
     plan = check_scenario(scn)
     bundle = plan.bundle
+    outdir = out_root / (subdir or scn.name)
+    doc = yaml.safe_dump(scn.to_dict(), sort_keys=True)
+    digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "scenario.yaml").write_text(f"# sha256: {digest}\n{doc}", encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write artifacts under {outdir}: {exc}") from None
+
     traj, aborted, abort_time = _integrate(plan, scn.t_span)
     u = _control_history(bundle, traj)
     metrics = compute_metrics(bundle, traj, u, aborted, abort_time)
-
-    outdir = out_root / (subdir or scn.name)
-    outdir.mkdir(parents=True, exist_ok=True)
-    doc = yaml.safe_dump(scn.to_dict(), sort_keys=True)
-    digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
-    (outdir / "scenario.yaml").write_text(f"# sha256: {digest}\n{doc}", encoding="utf-8")
 
     artifact = RunArtifact(directory=outdir, metrics=metrics, trajectory=traj)
     if "trajectory_csv" in scn.outputs:
@@ -546,7 +554,7 @@ def cmd_sweep(args) -> int:
             (
                 value,
                 artifact.metrics.get("period_est"),
-                tail_amplitude(bundle, artifact.trajectory),
+                analysis.tail_amplitude(bundle, artifact.trajectory),
                 artifact.metrics.get("decay_rate"),
             )
         )

@@ -100,12 +100,13 @@ class IandIBundle:
                       it against Dphi (f + g v))
       closed_form_c   hand-derived on-manifold control (cross-checked against
                       the pseudoinverse path)
-      xi_projection   indices of the plant coordinates that realize the
+      xi_projection   indices of the p plant coordinates that realize the
                       target state (used by energy/orbit metrics)
+      section_index   plant coordinate, one of xi_projection, whose zero
+                      crossings define the period-measurement section of
+                      the run and of the target orbit
       angle_indices   plant coordinates living on the circle; metrics wrap
                       them, integration never does
-      section_index   plant coordinate whose zero crossings define the
-                      default period-measurement section
       singularity_margin
                       for designs whose feedback is defined on part of the
                       state space only: the margin from where it breaks
@@ -123,10 +124,10 @@ class IandIBundle:
     xi_sample_box: np.ndarray  # (p, 2) lower/upper
     x_sample_box: np.ndarray  # (n, 2)
     z_dynamics: Callable
-    closed_form_c: Optional[Callable] = None
-    xi_projection: tuple[int, ...] = ()
+    closed_form_c: Callable
+    xi_projection: tuple[int, ...]
+    section_index: int
     angle_indices: tuple[int, ...] = ()
-    section_index: int = 0
     singularity_margin: Optional[Callable] = None
     info: dict = field(default_factory=dict)
 
@@ -138,6 +139,8 @@ class IandIBundle:
             raise ValueError("xi_sample_box must be (p, 2)")
         if self.x_sample_box.shape != (n, 2):
             raise ValueError("x_sample_box must be (n, 2)")
+        if len(self.xi_projection) != p or self.section_index not in self.xi_projection:
+            raise ValueError("xi_projection must hold p indices, section_index among them")
 
     @property
     def z_dim(self) -> int:
@@ -145,8 +148,6 @@ class IandIBundle:
 
     def project_xi(self, x: np.ndarray) -> np.ndarray:
         """Target coordinates read off a plant state."""
-        if not self.xi_projection:
-            raise ValueError(f"bundle {self.name} declares no target projection")
         return np.asarray(x)[..., list(self.xi_projection)]
 
 
@@ -333,7 +334,7 @@ class ValidationReport:
     max_phi_jacobian_err: float
     min_g_margin: float
     max_z_consistency_err: float
-    max_closed_form_c_err: Optional[float] = None
+    max_closed_form_c_err: float
 
     @property
     def passed(self) -> bool:
@@ -354,7 +355,7 @@ class ValidationReport:
         out = [
             f"{name} {value:.3e} exceeds {tol:.1e}"
             for name, value, tol in checks
-            if value is not None and not value <= tol
+            if not value <= tol
         ]
         if not self.min_g_margin > RANK_MARGIN:
             out.append(
@@ -375,13 +376,11 @@ class ValidationReport:
             f"max_pi_jacobian_mismatch: {self.max_pi_jacobian_err:.6e}",
             f"max_phi_jacobian_mismatch: {self.max_phi_jacobian_err:.6e}",
             f"min_g_rank_margin: {self.min_g_margin:.6e}",
+            f"max_closed_form_c_mismatch: {self.max_closed_form_c_err:.6e}",
+            f"max_z_dynamics_mismatch: {self.max_z_consistency_err:.6e}",
+            f"status: {'pass' if self.passed else 'FAIL'}",
         ]
-        if self.max_closed_form_c_err is not None:
-            lines.append(f"max_closed_form_c_mismatch: {self.max_closed_form_c_err:.6e}")
-        lines.append(f"max_z_dynamics_mismatch: {self.max_z_consistency_err:.6e}")
-        lines.append(f"status: {'pass' if self.passed else 'FAIL'}")
-        for msg in self.failures():
-            lines.append(f"violation: {msg}")
+        lines += [f"violation: {msg}" for msg in self.failures()]
         return "\n".join(lines)
 
 
@@ -415,9 +414,7 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
 
     xi = xi_grid[admissible_mask(bundle.plant, evaluate(bundle.immersion.pi, xi_grid))]
     _, max_pi_jac = _jacobian_mismatch(bundle.immersion.jacobian, bundle.immersion.pi, xi)
-    max_c_err = None
-    if bundle.closed_form_c is not None:
-        max_c_err = _max_abs(on_manifold_control(bundle, xi) - evaluate(bundle.closed_form_c, xi))
+    max_c_err = _max_abs(on_manifold_control(bundle, xi) - evaluate(bundle.closed_form_c, xi))
 
     x = x_grid[admissible_mask(bundle.plant, x_grid)]
     J, max_phi_jac = _jacobian_mismatch(bundle.manifold.jacobian, bundle.manifold.phi, x)

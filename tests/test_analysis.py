@@ -84,6 +84,14 @@ class TestOrbitSamples:
         assert abs(np.max(orb.samples[:, 0]) - 1.0) < 1e-6
         assert abs(np.min(orb.samples[:, 0]) + 1.0) < 1e-6
 
+    def test_seed_angle_is_wrapped(self, bundles):
+        # a seed wound by a full turn of the link angle samples the same orbit
+        bundle = bundles["iwp-default"]
+        plain = orbit_samples(bundle, [1.0, 0.0])
+        wound = orbit_samples(bundle, [1.0 + TWO_PI, 0.0])
+        assert abs(wound.period - plain.period) <= 1e-12
+        assert np.max(np.abs(wound.samples - plain.samples)) <= 1e-12
+
     def test_one_crossing_search_per_integration(self, bundles, monkeypatch):
         # every scouting pass and every probe is searched for crossings
         # once; the final resampling pass is not searched

@@ -1,6 +1,7 @@
 """Command line verbs: scenario loading, artifacts, sweeps, and reports."""
 
 import copy
+import dataclasses
 import filecmp
 import math
 import os
@@ -15,7 +16,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iiorbit import cli, plants
+from iiorbit import analysis, cli, plants
 from iiorbit.cli import METRIC_KEYS, ScenarioError, _eval_check, load_scenario
 from iiorbit.odesim import Trajectory
 
@@ -101,6 +102,18 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("run", NOT_UTF8),
         ("sweep", NOT_UTF8),
         ("validate", NOT_UTF8),
+        ("run", scenario_text(name="a\0b")),
+        ("sweep", scenario_text(sweep=SWEEP_X0, name="a\0b")),
+        ("run", scenario_text(name="n" * 300)),
+        ("sweep", scenario_text(sweep=SWEEP_X0, name="n" * 300)),
+        ("run", scenario_text(output=["metrics_csv"])),
+        ("run", scenario_text(check=[])),
+        ("run", scenario_text(bundle={"preset": "lti-identity", "overide": {"gamma1": 3.0}})),
+        ("run", scenario_text(bundle={"preset": "lti-identity", "params": {"gamma1": 3.0}})),
+        ("run", scenario_text(integrator={"method": "fixed", "dtt": 0.1})),
+        ("run", scenario_text(integrator={"method": "adaptive", "dt": 0.01})),
+        ("sweep", scenario_text(sweep=dict(SWEEP_X0, valuse=[3.0]))),
+        ("run", scenario_text(sweep=dict(SWEEP_X0, valuse=[3.0]))),
     ],
     ids=[
         "validate-non-numeric-set",
@@ -146,6 +159,18 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "run-not-utf8",
         "sweep-not-utf8",
         "validate-not-utf8",
+        "run-name-with-nul",
+        "sweep-name-with-nul",
+        "run-name-over-255-bytes",
+        "sweep-name-over-255-bytes",
+        "run-unknown-top-level-key",
+        "run-unknown-top-level-key-check",
+        "run-unknown-bundle-key",
+        "run-params-beside-preset",
+        "run-unknown-fixed-integrator-key",
+        "run-dt-for-adaptive-integrator",
+        "sweep-unknown-sweep-key",
+        "run-unknown-sweep-key",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
@@ -239,6 +264,18 @@ def test_control_history_is_nan_outside_the_cone():
     for row, value in zip(states[inside], u[inside, 0]):
         x, z = tuple(row[:4].tolist()), tuple(row[4:].tolist())
         assert value == bundle.controller.v(x, z)[0]
+
+
+def test_orbit_distance_metric_matches_library_path(tmp_path):
+    # the CLI metric is the library call on the run's final projected state,
+    # bit for bit: the seed's angle wrap belongs to orbit_samples alone
+    scn = load_scenario("iwp-transient")
+    artifact = cli.run_scenario(dataclasses.replace(scn, outputs=["metrics_csv"]), tmp_path)
+    bundle = cli.build_bundle(scn.bundle)
+    xpart = artifact.trajectory.restrict(range(bundle.plant.n))
+    orbit = analysis.orbit_samples(bundle, bundle.project_xi(xpart.final_state))
+    expected = analysis.orbital_distance_tail(xpart, orbit)
+    assert artifact.metrics["orbital_dist_tail_max"] == expected
 
 
 class TestLoadScenario:
@@ -363,6 +400,19 @@ class TestRunCommand:
         assert rc == 1
         assert "outside the admissible set" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_unwritable_out_stops_before_integrating(self, tmp_path, capsys, monkeypatch, verb):
+        def never(*args, **kwargs):
+            raise AssertionError("integrated despite an unwritable output root")
+
+        monkeypatch.setattr(cli, "integrate_fixed", never)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n", encoding="utf-8")
+        path = write_scenario(tmp_path, dict(TINY_LTI, sweep=SWEEP_X0))
+        assert cli.main([verb, str(path), "--out", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write artifacts under ")
+        assert blocker.read_text(encoding="utf-8") == "a regular file, not a directory\n"
 
     def test_constraint_violation_exits_1(self, tmp_path):
         doc = dict(TINY_LTI)

@@ -306,4 +306,17 @@ class TestBundleShape:
                 xi_sample_box=np.zeros((3, 2)),
                 x_sample_box=np.zeros((2, 2)),
                 z_dynamics=lambda x, z: np.zeros(1),
+                closed_form_c=lambda xi: np.zeros(1),
+                xi_projection=(0,),
+                section_index=0,
             )
+
+    @pytest.mark.parametrize(
+        "projection,section",
+        [((0, 2), 1), ((0, 1, 2), 1), ((0,), 0)],
+        ids=["section-outside-projection", "projection-too-long", "projection-too-short"],
+    )
+    def test_projection_and_section_checked(self, bundles, projection, section):
+        good = bundles["iwp-default"]
+        with pytest.raises(ValueError, match="xi_projection"):
+            dataclasses.replace(good, xi_projection=projection, section_index=section)
