@@ -83,17 +83,17 @@ class Scenario:
                 )
             if not isinstance(x0, list):
                 raise ScenarioError(f"x0 must be a list of numbers, got {x0!r}")
-            if not (isinstance(t_span, list) and len(t_span) == 2):
-                raise ScenarioError(f"t_span must be two numbers [t0, t1], got {t_span!r}")
             if not isinstance(checks, list):
                 raise ScenarioError(f"checks must be a list, got {checks!r}")
+            for check in checks:
+                _read_check(check)
             sweep = dict(raw["sweep"]) if raw.get("sweep") else None
             _known_keys(sweep or {}, ["parameter", "values"], "the sweep block")
             return Scenario(
                 name=name,
                 bundle=dict(raw["bundle"]),
                 x0=[_finite(v, "x0 entry") for v in x0],
-                t_span=(_finite(t_span[0], "t_span[0]"), _finite(t_span[1], "t_span[1]")),
+                t_span=_time_span(t_span),
                 integrator=dict(raw.get("integrator", {"method": "fixed", "dt": 1e-3})),
                 outputs=raw.get("outputs", ["trajectory_csv", "metrics_csv"]),
                 sweep=sweep,
@@ -208,6 +208,60 @@ def _finite(raw, what: str) -> float:
     return value
 
 
+def _time_span(raw) -> tuple[float, float]:
+    """raw as (t0, t1), two finite numbers with t1 > t0."""
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ScenarioError(f"t_span must be two numbers [t0, t1], got {raw!r}")
+    t0, t1 = _finite(raw[0], "t_span[0]"), _finite(raw[1], "t_span[1]")
+    if not t1 > t0:
+        raise ScenarioError(f"t_span [{t0!r}, {t1!r}] must end after it starts")
+    return t0, t1
+
+
+def _flag(raw, what: str) -> bool:
+    if not isinstance(raw, bool):
+        raise ScenarioError(f"{what} must be true or false, got {raw!r}")
+    return raw
+
+
+def _target_tol(raw, what: str) -> tuple[float, float]:
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise ScenarioError(f"{what} must be [target, tol], got {raw!r}")
+    return _finite(raw[0], f"{what} target"), _finite(raw[1], f"{what} tol")
+
+
+# Each comparison a check may hold: its bound reader, its test of a metric
+# value against the read bound, and its detail text.
+COMPARISONS = {
+    "equals": (_flag, lambda v, b: v == b, "value={shown}"),
+    "max": (_finite, lambda v, b: float(v) <= b, "value={shown} max={raw}"),
+    "min": (_finite, lambda v, b: float(v) >= b, "value={shown} min={raw}"),
+    "abs_max": (_finite, lambda v, b: abs(float(v)) <= b, "|value|={abs_value!r} abs_max={raw}"),
+    "within": (
+        _target_tol,
+        lambda v, b: abs(float(v) - b[0]) <= b[1],
+        "value={shown} target={bound[0]} tol={bound[1]}",
+    ),
+}
+
+
+def _read_check(check) -> tuple[str, object, object]:
+    """A check's comparison name, its bound as written and its bound as
+    read; ScenarioError naming the check unless it is a mapping of one
+    known metric and exactly one comparison with a well-formed bound."""
+    if not isinstance(check, dict):
+        raise ScenarioError(f"check {check!r} must be a mapping")
+    _known_keys(check, ["metric", *COMPARISONS], f"check {check!r}")
+    if check.get("metric") not in METRIC_KEYS:
+        raise ScenarioError(
+            f"check {check!r} names no known metric; known: {', '.join(METRIC_KEYS)}"
+        )
+    if len(check) != 2:
+        raise ScenarioError(f"check {check!r} must hold exactly one of {', '.join(COMPARISONS)}")
+    (name, raw), = ((k, v) for k, v in check.items() if k != "metric")
+    return name, raw, COMPARISONS[name][0](raw, f"check {check!r}: {name}")
+
+
 def _out_root(flag: Optional[str]) -> Path:
     if flag:
         return Path(flag)
@@ -313,23 +367,20 @@ def compute_metrics(
 
 
 def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
-    """The integrator method and its step settings, with the time span
-    checked too."""
+    """The integrator method and its step settings, with dt kept within
+    the time span."""
     method = scn.integrator.get("method", "fixed")
     defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}
     if not (isinstance(method, str) and method in defaults):
         raise ScenarioError(f"unknown integrator method {method!r}")
     _known_keys(scn.integrator, ["method", *defaults[method]], f"the {method} integrator block")
-    t0, t1 = scn.t_span
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise ScenarioError(f"t_span [{t0!r}, {t1!r}] must be finite and end after it starts")
     settings = {}
     for key, default in defaults[method].items():
         raw = scn.integrator.get(key, default)
         settings[key] = _finite(raw, f"integrator.{key}")
         if settings[key] <= 0:
             raise ScenarioError(f"integrator.{key} must be positive, got {raw!r}")
-    if settings.get("dt", 0.0) > t1 - t0:
+    if settings.get("dt", 0.0) > scn.t_span[1] - scn.t_span[0]:
         raise ScenarioError(f"integrator.dt {settings['dt']!r} exceeds the time span")
     return method, settings
 
@@ -569,40 +620,17 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _eval_check(check, metrics: dict):
-    """Evaluate one check block against a metrics mapping.
-
-    Returns (status, detail) with status in {pass, fail, skipped, error};
-    a check that is not a mapping or has a malformed bound is an error.
-    """
-    if not isinstance(check, dict):
-        return "error", f"check must be a mapping, got {check!r}"
-    metric = check.get("metric")
-    if metric not in METRIC_KEYS:
-        return "skipped", f"unknown metric {metric!r}"
-    value = metrics.get(metric)
+def _eval_check(check: dict, metrics: dict) -> tuple[str, str]:
+    """Evaluate one check, as read by Scenario.from_dict, against a metrics
+    mapping: (status, detail) with status pass, fail, or skipped for an
+    empty metric."""
+    value = metrics.get(check["metric"])
     if value is None:
         return "skipped", "metric not available"
-    shown = _fmt_value(value)
-    try:
-        if "equals" in check:
-            ok, detail = value == check["equals"], f"value={shown}"
-        elif "max" in check:
-            ok, detail = float(value) <= float(check["max"]), f"value={shown} max={check['max']}"
-        elif "min" in check:
-            ok, detail = float(value) >= float(check["min"]), f"value={shown} min={check['min']}"
-        elif "abs_max" in check:
-            ok = abs(float(value)) <= float(check["abs_max"])
-            detail = f"|value|={abs(float(value))!r} abs_max={check['abs_max']}"
-        elif "within" in check:
-            target, tol = (float(v) for v in check["within"])
-            ok = abs(float(value) - target) <= tol
-            detail = f"value={shown} target={target} tol={tol}"
-        else:
-            return "skipped", "no recognized comparison in check"
-    except (TypeError, ValueError) as exc:
-        return "error", f"malformed check {check!r}: {exc}"
-    return ("pass" if ok else "fail"), detail
+    name, raw, bound = _read_check(check)
+    _, test, detail = COMPARISONS[name]
+    text = detail.format(shown=_fmt_value(value), abs_value=abs(float(value)), raw=raw, bound=bound)
+    return ("pass" if test(value, bound) else "fail"), text
 
 
 def cmd_report(args) -> int:
@@ -615,12 +643,7 @@ def cmd_report(args) -> int:
             rows.append((str(mpath.parent), "-", "skipped", "scenario.yaml missing"))
             continue
         try:
-            raw = yaml.safe_load(scn_path.read_text(encoding="utf-8"))
-            if not isinstance(raw, dict):
-                raise ValueError("scenario.yaml does not hold a mapping")
-            checks = raw.get("checks") or []
-            if not isinstance(checks, list):
-                raise ValueError(f"checks must be a list, got {checks!r}")
+            checks = load_scenario(str(scn_path)).checks
             metrics = read_metrics_csv(mpath)
         except (OSError, ValueError, yaml.YAMLError) as exc:
             rows.append((str(mpath.parent), "-", "error", " ".join(str(exc).split())))
@@ -630,8 +653,7 @@ def cmd_report(args) -> int:
             continue
         for check in checks:
             status, detail = _eval_check(check, metrics)
-            metric = check.get("metric") if isinstance(check, dict) else "-"
-            rows.append((str(mpath.parent), str(metric), status, detail))
+            rows.append((str(mpath.parent), check["metric"], status, detail))
     if not rows:
         print("no artifacts found; nothing to evaluate")
         return 1

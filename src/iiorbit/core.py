@@ -318,6 +318,23 @@ def fd_jacobian(fun: Callable, x: Sequence[float]) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
+# Each residual maximum of a ValidationReport: its field, its to_text key,
+# its failure label and its tolerance.
+RESIDUAL_MAXIMA = (
+    ("max_fbi", "max_immersion_residual", "immersion residual", FBI_TOL),
+    ("max_manifold", "max_manifold_residual", "manifold residual", MANIFOLD_TOL),
+    ("max_constraint", "max_boundary_residual", "boundary-condition residual", CONSTRAINT_TOL),
+    ("max_pi_jacobian_err", "max_pi_jacobian_mismatch", "immersion Jacobian mismatch",
+     JACOBIAN_TOL),
+    ("max_phi_jacobian_err", "max_phi_jacobian_mismatch", "manifold Jacobian mismatch",
+     JACOBIAN_TOL),
+    ("max_closed_form_c_err", "max_closed_form_c_mismatch", "closed-form control mismatch",
+     CLOSED_FORM_C_TOL),
+    ("max_z_consistency_err", "max_z_dynamics_mismatch", "off-manifold dynamics mismatch",
+     Z_CONSISTENCY_TOL),
+)
+
+
 @dataclass
 class ValidationReport:
     """Residual maxima and consistency margins over a seeded sample grid."""
@@ -343,19 +360,10 @@ class ValidationReport:
     def failures(self) -> list[str]:
         """Every maximum above its tolerance and a rank margin at or below
         its floor; a NaN maximum or margin counts as a violation."""
-        checks = [
-            ("immersion residual", self.max_fbi, FBI_TOL),
-            ("manifold residual", self.max_manifold, MANIFOLD_TOL),
-            ("boundary-condition residual", self.max_constraint, CONSTRAINT_TOL),
-            ("immersion Jacobian mismatch", self.max_pi_jacobian_err, JACOBIAN_TOL),
-            ("manifold Jacobian mismatch", self.max_phi_jacobian_err, JACOBIAN_TOL),
-            ("closed-form control mismatch", self.max_closed_form_c_err, CLOSED_FORM_C_TOL),
-            ("off-manifold dynamics mismatch", self.max_z_consistency_err, Z_CONSISTENCY_TOL),
-        ]
         out = [
-            f"{name} {value:.3e} exceeds {tol:.1e}"
-            for name, value, tol in checks
-            if not value <= tol
+            f"{label} {getattr(self, attr):.3e} exceeds {tol:.1e}"
+            for attr, _, label, tol in RESIDUAL_MAXIMA
+            if not getattr(self, attr) <= tol
         ]
         if not self.min_g_margin > RANK_MARGIN:
             out.append(
@@ -364,20 +372,16 @@ class ValidationReport:
         return out
 
     def to_text(self) -> str:
+        maxima = [f"{key}: {getattr(self, attr):.6e}" for attr, key, _, _ in RESIDUAL_MAXIMA]
         lines = [
             f"bundle: {self.bundle_name}",
             f"grid_size: {self.grid_size}",
             f"seed: {self.seed}",
             f"skipped_xi_samples: {self.skipped_xi}",
             f"skipped_x_samples: {self.skipped_x}",
-            f"max_immersion_residual: {self.max_fbi:.6e}",
-            f"max_manifold_residual: {self.max_manifold:.6e}",
-            f"max_boundary_residual: {self.max_constraint:.6e}",
-            f"max_pi_jacobian_mismatch: {self.max_pi_jacobian_err:.6e}",
-            f"max_phi_jacobian_mismatch: {self.max_phi_jacobian_err:.6e}",
+            *maxima[:5],  # the rank margin prints after the two Jacobian mismatches
             f"min_g_rank_margin: {self.min_g_margin:.6e}",
-            f"max_closed_form_c_mismatch: {self.max_closed_form_c_err:.6e}",
-            f"max_z_dynamics_mismatch: {self.max_z_consistency_err:.6e}",
+            *maxima[5:],
             f"status: {'pass' if self.passed else 'FAIL'}",
         ]
         lines += [f"violation: {msg}" for msg in self.failures()]

@@ -52,6 +52,15 @@ def scenario_text(**changes) -> str:
 
 SWEEP_X0 = {"parameter": "x0[0]", "values": [1.0, 2.0]}
 NOT_UTF8 = b"\xff\xfe\x00bad"
+# one of each malformed check, paired with its case id
+BAD_CHECKS, BAD_CHECK_IDS = zip(
+    ({"metric": "u_abs_max", "maxx": 0.001}, "check-misspelled-bound-key"),
+    ({"metric": "u_abs_mx", "max": 0.001}, "check-unknown-metric"),
+    ({"metric": "u_abs_max", "max": 1.0, "min": 0.0}, "check-two-comparisons"),
+    ({"metric": "u_abs_max", "max": "abc"}, "check-non-numeric-bound"),
+    ({"metric": "decay_rate", "within": [-1.0]}, "check-within-one-entry"),
+    ("u_abs_max <= 0.001", "check-not-a-mapping"),
+)
 IWP_PARAMS = {"m": 1.962, "b": 10.0, "k": -1.6, "gamma1": 2.0, "gamma2": 1.0}
 INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
 
@@ -114,6 +123,10 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("run", scenario_text(integrator={"method": "adaptive", "dt": 0.01})),
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, valuse=[3.0]))),
         ("run", scenario_text(sweep=dict(SWEEP_X0, valuse=[3.0]))),
+        *[
+            (verb, scenario_text(sweep=SWEEP_X0, checks=[check]))
+            for verb in ("run", "sweep") for check in BAD_CHECKS
+        ],
     ],
     ids=[
         "validate-non-numeric-set",
@@ -171,6 +184,7 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "run-dt-for-adaptive-integrator",
         "sweep-unknown-sweep-key",
         "run-unknown-sweep-key",
+        *[f"{verb}-{name}" for verb in ("run", "sweep") for name in BAD_CHECK_IDS],
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
@@ -211,7 +225,7 @@ FUZZ_SWEEP = {"parameter": "x0[0]", "values": [1.0, 0.5]}
 FUZZ_PATHS = [
     ("name",), ("bundle",), ("bundle", "preset"), ("bundle", "overrides"), ("x0",),
     ("x0", 0), ("t_span",), ("t_span", 1), ("integrator",), ("integrator", "method"),
-    ("integrator", "dt"), ("outputs",), ("outputs", 2), ("checks",), ("sweep",),
+    ("integrator", "dt"), ("outputs",), ("outputs", 2), ("checks",), ("checks", 0), ("sweep",),
     ("sweep", "parameter"), ("sweep", "values"),
 ]
 # leaves stay small, so no junk asks for a long run
@@ -522,6 +536,14 @@ class TestSweepCommand:
 
 
 class TestReportCommand:
+    @staticmethod
+    def edit_copy(artifact: Path, old: str, new: str):
+        """Hand-edit an artifact's copy of its scenario."""
+        copy_path = artifact / "scenario.yaml"
+        text = copy_path.read_text(encoding="utf-8")
+        assert old in text, text
+        copy_path.write_text(text.replace(old, new), encoding="utf-8")
+
     def run_tiny(self, tmp_path, checks, name="tiny-lti"):
         doc = dict(TINY_LTI)
         doc["name"] = name
@@ -575,11 +597,46 @@ class TestReportCommand:
         assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
 
     def test_every_row_has_four_fields(self, tmp_path, capsys):
-        self.run_tiny(tmp_path, [{"metric": "a,b", "max": 1}, {"metric": "aborted", "equals": False}])
-        assert cli.main(["report", str(tmp_path / "tree")]) == 0
+        # a copy whose check names the metric "a,b" is one error row, and the
+        # commas of its detail reach report.csv as ";"
+        self.run_tiny(tmp_path, [{"metric": "aborted", "equals": False}])
+        self.edit_copy(tmp_path / "tree" / "tiny-lti", "metric: aborted", "metric: a,b")
+        assert cli.main(["report", str(tmp_path / "tree")]) == 1
         rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
         assert all(len(row.split(",")) == 4 for row in rows), rows
-        assert f"{tmp_path / 'tree' / 'tiny-lti'},a;b,skipped,unknown metric 'a;b'" in rows
+        assert rows[1].startswith(f"{tmp_path / 'tree' / 'tiny-lti'},-,error,"), rows
+        assert "'metric': 'a;b'" in rows[1], rows
+
+    def test_misspelled_bound_in_copy_is_one_error_row(self, tmp_path, capsys):
+        self.run_tiny(tmp_path, [{"metric": "aborted", "equals": False},
+                                 {"metric": "u_abs_max", "max": 10.0}])
+        self.edit_copy(tmp_path / "tree" / "tiny-lti", "max: 10.0", "maxx: 10.0")
+        assert cli.main(["report", str(tmp_path / "tree")]) == 1
+        rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
+        assert len(rows) == 2, rows
+        assert rows[1].startswith(f"{tmp_path / 'tree' / 'tiny-lti'},-,error,"), rows
+        assert "unknown key 'maxx'" in rows[1], rows
+
+    def test_sweep_tree_reads_each_copy(self, tmp_path, capsys, monkeypatch):
+        doc = dict(TINY_LTI, t_span=[0.0, 0.5], outputs=["metrics_csv"], sweep=SWEEP_X0)
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "tree")]) == 0
+        read = []
+
+        def spy(target):
+            read.append(target)
+            return load_scenario(target)
+
+        monkeypatch.setattr(cli, "load_scenario", spy)
+        root = tmp_path / "tree" / "tiny-lti"
+        assert cli.main(["report", str(root)]) == 0
+        copies = [str(root / f"value-{i}" / "scenario.yaml") for i in range(2)]
+        assert read == copies
+        rows = (root / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [
+            [str(root / f"value-{i}"), check["metric"], "pass"]
+            for i in range(2) for check in TINY_LTI["checks"]
+        ]
 
     @pytest.mark.parametrize(
         "checks",
@@ -596,13 +653,14 @@ class TestReportCommand:
         broken = tmp_path / "tree" / "broken"
         broken.mkdir()
         (broken / "metrics.csv").write_text("key,value\nu_abs_max,0.5\n")
-        (broken / "scenario.yaml").write_text(yaml.safe_dump({"checks": checks}))
+        (broken / "scenario.yaml").write_text(yaml.safe_dump(dict(TINY_LTI, checks=checks)))
         rc = cli.main(["report", str(tmp_path / "tree")])
         assert rc == 1
         rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
         broken_rows = [row for row in rows if row.startswith(f"{broken},")]
         assert len(broken_rows) == 1, rows
         assert broken_rows[0].split(",")[2] == "error", rows
+        assert "check" in broken_rows[0].split(",")[3], rows
         assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
 
 
@@ -621,7 +679,10 @@ class TestEvalCheck:
     def test_skip_paths(self):
         assert _eval_check({"metric": "bogus", "max": 1.0}, self.METRICS)[0] == "skipped"
         assert _eval_check({"metric": "period_est", "max": 1.0}, self.METRICS)[0] == "skipped"
-        assert _eval_check({"metric": "u_abs_max"}, self.METRICS)[0] == "skipped"
+
+    def test_check_without_comparison_is_malformed(self):
+        with pytest.raises(ScenarioError, match="must hold exactly one of equals, max"):
+            cli.Scenario.from_dict(dict(TINY_LTI, checks=[{"metric": "u_abs_max"}]))
 
 
 class TestListPresets:
