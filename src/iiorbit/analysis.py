@@ -109,7 +109,9 @@ ORBIT_SAMPLES_PER_PERIOD = 2048
 ORBIT_MAX_HORIZON = 1e4
 
 
-def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
+def orbit_samples(
+    bundle: IandIBundle, xi0: Sequence[float], period: Optional[float] = None
+) -> OrbitSet:
     """Sample one period of the target orbit through xi0, mapped into the
     plant's state space.
 
@@ -117,7 +119,11 @@ def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
     the section is the bundle's own section_index, read in target
     coordinates. The target is integrated until a period shows up in its
     section crossings (targets with a single attractive orbit relax onto it
-    during this scouting pass). The orbit is then anchored on a refined
+    during this scouting pass). Scouting starts at a horizon of three times
+    the period hint when that is a positive finite number (at most
+    ORBIT_MAX_HORIZON), and at 1 s otherwise; each failed horizon is
+    quadrupled. The hint only sizes the scouting: the period is always
+    measured on the target. The orbit is then anchored on a refined
     crossing, its period measured crossing-to-crossing, and one fixed-step
     pass lays down ORBIT_SAMPLES_PER_PERIOD uniform samples whose last
     state closes onto the first to integrator accuracy.
@@ -138,7 +144,8 @@ def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
     section_index = bundle.xi_projection.index(bundle.section_index)
     section = lambda s: s[section_index]
 
-    horizon = 1.0
+    hinted = period is not None and math.isfinite(period) and period > 0
+    horizon = first = min(3.0 * period, ORBIT_MAX_HORIZON) if hinted else 1.0
     while horizon <= ORBIT_MAX_HORIZON:
         traj = integrate_adaptive(field, xi0, 0.0, horizon, rtol=1e-11, atol=1e-13)
         events = detect_crossings(traj, section)
@@ -156,19 +163,21 @@ def orbit_samples(bundle: IandIBundle, xi0: Sequence[float]) -> OrbitSet:
                 if e.direction == last.direction and e.time > 0.25 * period0
             ]
             if returns:
-                period, back = _refine_crossing(field, probe, returns[0], section)
+                measured, back = _refine_crossing(field, probe, returns[0], section)
                 scale = max(1.0, float(np.max(np.abs(anchor))))
                 if float(np.max(np.abs(back - anchor))) <= 1e-6 * scale:
                     break
         horizon *= 4.0
     else:
+        hint = f", period hint {period!r}" if period is not None else ""
         raise ValueError(
             f"no period detected for target of {bundle.name} from xi0={xi0.tolist()}"
+            f" over horizons {first!r} to {horizon / 4.0!r} s{hint}"
         )
 
-    fine = integrate_fixed(field, anchor, 0.0, period, period / ORBIT_SAMPLES_PER_PERIOD)
+    fine = integrate_fixed(field, anchor, 0.0, measured, measured / ORBIT_SAMPLES_PER_PERIOD)
     samples = evaluate(bundle.immersion.pi, fine.states)
-    return OrbitSet(samples=samples, period=period, angle_indices=bundle.angle_indices)
+    return OrbitSet(samples=samples, period=measured, angle_indices=bundle.angle_indices)
 
 
 def _sq_distances(points: np.ndarray, samples: np.ndarray, angle_indices) -> np.ndarray:

@@ -351,7 +351,9 @@ def compute_metrics(
         pass
 
     try:
-        orbit = analysis.orbit_samples(bundle, bundle.project_xi(xpart.final_state))
+        orbit = analysis.orbit_samples(
+            bundle, bundle.project_xi(xpart.final_state), metrics["period_est"]
+        )
         metrics["orbital_dist_tail_max"] = analysis.orbital_distance_tail(xpart, orbit)
     except (ValueError, IntegrationAbort, FieldEvaluationError):
         pass
@@ -640,7 +642,7 @@ def cmd_report(args) -> int:
     for mpath in metric_files:
         scn_path = mpath.parent / "scenario.yaml"
         if not scn_path.is_file():
-            rows.append((str(mpath.parent), "-", "skipped", "scenario.yaml missing"))
+            rows.append((str(mpath.parent), "-", "error", "scenario.yaml missing"))
             continue
         try:
             checks = load_scenario(str(scn_path)).checks

@@ -1,6 +1,7 @@
 """Orbit sampling, distance/decay metrics, and the two energy-bound checks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,6 +118,78 @@ class TestOrbitSamples:
         integrations = [c for c in calls if c != "detect_crossings"]
         searched = [c for name in integrations[:-1] for c in (name, "detect_crossings")]
         assert calls == searched + ["integrate_fixed"]
+
+    @staticmethod
+    def scouted(monkeypatch):
+        """Record the horizon of every scouting pass orbit_samples makes."""
+        horizons = []
+
+        def recorded(field, x0, t0, t1, **kwargs):
+            horizons.append(t1)
+            return integrate_adaptive(field, x0, t0, t1, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate_adaptive", recorded)
+        return horizons
+
+    def test_no_hint_scouts_from_one_second(self, bundles, monkeypatch):
+        bundle = bundles["lti-identity"]
+        plain = orbit_samples(bundle, [1.0, 0.0])
+        horizons = self.scouted(monkeypatch)
+        unhinted = orbit_samples(bundle, [1.0, 0.0], period=None)
+        assert horizons == [1.0, 4.0, 16.0]
+        assert unhinted.period == plain.period
+        assert np.array_equal(unhinted.samples, plain.samples)
+
+    def test_period_hint_sizes_the_scouting(self, bundles, dcac_unhinted, monkeypatch):
+        horizons = self.scouted(monkeypatch)
+        hinted = orbit_samples(bundles["dcac-default"], dcac_unhinted.seed, period=0.02)
+        assert max(horizons) <= 0.06
+        assert abs(hinted.period - dcac_unhinted.orbit.period) <= 1e-12
+        assert np.max(np.abs(hinted.samples - dcac_unhinted.orbit.samples)) <= 1e-9
+
+    @pytest.mark.parametrize("hint", [1e-5, 50 * 0.02])
+    def test_wrong_hint_still_finds_the_period(self, bundles, dcac_unhinted, hint):
+        orb = orbit_samples(bundles["dcac-default"], dcac_unhinted.seed, period=hint)
+        assert abs(orb.period - 0.02) <= 1e-9
+
+    @pytest.mark.parametrize("hint", [0.0, float("nan"), -0.02])
+    def test_unusable_hint_scouts_as_unhinted(self, bundles, dcac_unhinted, hint):
+        orb = orbit_samples(bundles["dcac-default"], dcac_unhinted.seed, period=hint)
+        assert abs(orb.period - 0.02) <= 1e-9
+        assert orb.period == dcac_unhinted.orbit.period
+        assert np.array_equal(orb.samples, dcac_unhinted.orbit.samples)
+
+    def test_hint_above_a_third_of_the_longest_horizon_is_capped(
+        self, bundles, dcac_unhinted, monkeypatch
+    ):
+        # the longest horizon is lowered to 0.25 s so the capped pass stays
+        # short; uncapped, a start of 0.3 s would skip the scouting loop
+        monkeypatch.setattr(analysis, "ORBIT_MAX_HORIZON", 0.25)
+        horizons = self.scouted(monkeypatch)
+        orb = orbit_samples(bundles["dcac-default"], dcac_unhinted.seed, period=0.1)
+        assert horizons == [0.25]
+        assert abs(orb.period - 0.02) <= 1e-9
+
+    def test_no_period_names_the_horizons_and_hint(self, bundles, monkeypatch):
+        # the 17.65 s pendulum swing cannot show a period within 4 s
+        monkeypatch.setattr(analysis, "ORBIT_MAX_HORIZON", 4.0)
+        bundle = bundles["iwp-default"]
+        no_hint = r"no period detected .* over horizons 1\.0 to 4\.0 s$"
+        with pytest.raises(ValueError, match=no_hint):
+            orbit_samples(bundle, [1.0, 0.0])
+        with pytest.raises(
+            ValueError, match=r"over horizons 0\.75 to 3\.0 s, period hint 0\.25$"
+        ):
+            orbit_samples(bundle, [1.0, 0.0], period=0.25)
+
+
+@pytest.fixture(scope="module")
+def dcac_unhinted(bundles):
+    """The converter target sampled without a period hint, from a seed on
+    its circle of radius A."""
+    bundle = bundles["dcac-default"]
+    seed = [bundle.info["A"], 0.0]
+    return SimpleNamespace(seed=seed, orbit=orbit_samples(bundle, seed))
 
 
 def _brute_min_distance(points, samples, angle_indices):

@@ -281,13 +281,15 @@ def test_control_history_is_nan_outside_the_cone():
 
 
 def test_orbit_distance_metric_matches_library_path(tmp_path):
-    # the CLI metric is the library call on the run's final projected state,
-    # bit for bit: the seed's angle wrap belongs to orbit_samples alone
+    # the CLI metric is the library call on the run's final projected state
+    # and its own period estimate, bit for bit: the seed's angle wrap belongs
+    # to orbit_samples alone
     scn = load_scenario("iwp-transient")
     artifact = cli.run_scenario(dataclasses.replace(scn, outputs=["metrics_csv"]), tmp_path)
     bundle = cli.build_bundle(scn.bundle)
     xpart = artifact.trajectory.restrict(range(bundle.plant.n))
-    orbit = analysis.orbit_samples(bundle, bundle.project_xi(xpart.final_state))
+    seed = bundle.project_xi(xpart.final_state)
+    orbit = analysis.orbit_samples(bundle, seed, artifact.metrics["period_est"])
     expected = analysis.orbital_distance_tail(xpart, orbit)
     assert artifact.metrics["orbital_dist_tail_max"] == expected
 
@@ -595,6 +597,26 @@ class TestReportCommand:
             row.startswith(f"{broken},-,error,while parsing a flow sequence") for row in rows
         ), rows
         assert f"{tmp_path / 'tree' / 'tiny-lti'},aborted,pass,value=false" in rows
+
+    def test_missing_copy_is_an_error_row(self, tmp_path, capsys):
+        # an aborted run whose copy of its scenario is gone must not pass
+        # the tree on the strength of the runs next to it
+        tree = tmp_path / "tree"
+        for name in ("lti-circle", "iwp-transient"):
+            scn = dataclasses.replace(load_scenario(name), outputs=["metrics_csv"])
+            cli.run_scenario(scn, tree)
+        lost = tree / "iwp-transient"
+        (lost / "scenario.yaml").unlink()
+        metrics = (lost / "metrics.csv").read_text()
+        assert "aborted,false\n" in metrics
+        (lost / "metrics.csv").write_text(metrics.replace("aborted,false\n", "aborted,true\n"))
+        assert cli.main(["report", str(tree)]) == 1
+        rows = (tree / "report.csv").read_text().splitlines()[1:]
+        assert rows[0] == f"{lost},-,error,scenario.yaml missing", rows
+        checked = ["aborted", "decay_rate", "period_est", "orbital_dist_tail_max"]
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            [str(tree / "lti-circle"), metric, "pass"] for metric in checked
+        ], rows
 
     def test_every_row_has_four_fields(self, tmp_path, capsys):
         # a copy whose check names the metric "a,b" is one error row, and the
