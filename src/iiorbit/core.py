@@ -265,13 +265,23 @@ def _plant_rate(bundle: IandIBundle):
     """The plant velocity x' = f(x) + g(x) v(x, z), component by component.
 
     The row product g_i(x) u is chosen once from the input count: the single
-    term g_i[0] u[0] for one input, a left-to-right sum otherwise."""
+    term g_i[0] u[0] for one input, g_i[0] u[0] + g_i[1] u[1] written out for
+    two, and the _dot fold for more. All three are the same left-to-right
+    sum, so the result does not depend on which one runs."""
     f, g, v = bundle.plant.f, bundle.plant.g, bundle.controller.v
-    if bundle.plant.m > 1:
+    if bundle.plant.m > 2:
 
         def rate(x, z) -> tuple:
             u = v(x, z)
             return tuple([fi + _dot(gi, u) for fi, gi in zip(f(x), g(x))])
+
+        return rate
+
+    if bundle.plant.m == 2:
+
+        def rate(x, z) -> tuple:
+            u0, u1 = v(x, z)
+            return tuple([fi + (g0 * u0 + g1 * u1) for fi, (g0, g1) in zip(f(x), g(x))])
 
         return rate
 

@@ -3,7 +3,11 @@
 All fields are autonomous: time-dependent terms are handled upstream by
 augmenting the state with a clock coordinate. Two integrators are provided,
 a classical fixed-step RK4 (the default for reproducible runs) and an
-embedded Dormand-Prince 5(4) pair with adaptive step size.
+embedded Dormand-Prince 5(4) pair with adaptive step size. Both advance the
+state as a tuple of Python floats and hand the field that tuple. The
+adaptive pair reuses its last stage as the next step's first and sums its
+stage terms in a fixed left-to-right order, so its output does not depend on
+the BLAS build.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ class IntegrationAbort(RuntimeError):
 
 
 # An autonomous vector field x' = F(x): state components in, one component
-# per coordinate out.
+# per coordinate out. Both integrators pass the state as a tuple of floats.
 Field = Callable[[Sequence[float]], Sequence[float]]
 
 
@@ -97,11 +101,14 @@ class SectionEvent:
 
 
 def _initial_state(x0: Sequence[float], field: Field) -> np.ndarray:
-    """x0 as a float vector, checked against the field's output length; a
-    field that fails at x0 is left for the first step to report."""
+    """x0 as a float vector, checked against the field's output length (the
+    field gets x0 as a tuple of floats, as every later call does); a field
+    that fails at x0 is left for the first step to report."""
     y = np.asarray(x0, dtype=float)
+    if y.ndim != 1:
+        raise ValueError(f"state has shape {y.shape}, not one vector")
     try:
-        dim = len(field(y))
+        dim = len(field(tuple(y.tolist())))
     except (FieldEvaluationError, OverflowError):
         dim = len(y)
     if y.shape != (dim,):
@@ -175,26 +182,64 @@ def integrate_fixed(
     return Trajectory(np.asarray(times), out)
 
 
-# Dormand-Prince 5(4) tableau. b5 propagates; err = (b5 - b4) . k.
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6(1),
+# 1980). _DP_A holds the rows of stages 2-6. _DP_B5 weights k1, k3, k4, k5
+# and k6 (the weights of k2 and k7 are zero); it is also the row of stage 7,
+# so that stage is the field at the new state, which the next step reuses as
+# its first (FSAL). _DP_E = b5 - b4 weights k1, k3, ..., k7 in the error
+# estimate.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_DP_E = _DP_B5 - _DP_B4
+_DP_B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_DP_E = tuple([b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4)])
 
 # Step attempts before integrate_adaptive gives up, and its smallest step
 # as a fraction of the time span.
 ADAPTIVE_MAX_STEPS = 10_000_000
 ADAPTIVE_MIN_STEP_FACTOR = 1e-12
+
+
+def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float, atol: float):
+    """One Dormand-Prince attempt of size h from the state y, a tuple of
+    floats whose field value is k1. Returns the new state (a tuple), the
+    field there (k7) and the RMS of the error estimate scaled by
+    atol + rtol * max(|y|, |y_new|) per component. Every stage sum runs left
+    to right over the nonzero weights, so the result does not depend on the
+    BLAS build or the Python version."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
+    b1, b3, b4, b5, b6 = _DP_B5
+    e1, e3, e4, e5, e6, e7 = _DP_E
+    k2 = field(tuple([a + h * (a21 * c1) for a, c1 in zip(y, k1)]))
+    k3 = field(tuple([a + h * (a31 * c1 + a32 * c2) for a, c1, c2 in zip(y, k1, k2)]))
+    k4 = field(tuple([
+        a + h * (a41 * c1 + a42 * c2 + a43 * c3) for a, c1, c2, c3 in zip(y, k1, k2, k3)
+    ]))
+    k5 = field(tuple([
+        a + h * (a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+        for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+    ]))
+    k6 = field(tuple([
+        a + h * (a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+        for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)
+    ]))
+    y_new = tuple([
+        a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
+        for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
+    ])
+    k7 = field(y_new)
+    total = 0.0
+    for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        q = h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7) / (
+            atol + rtol * max(abs(a), abs(b))
+        )
+        total += q * q
+    return y_new, k7, math.sqrt(total / len(y))
 
 
 def integrate_adaptive(
@@ -207,6 +252,9 @@ def integrate_adaptive(
 ) -> Trajectory:
     """Dormand-Prince 5(4) with standard error-per-step control.
 
+    The state advances as a tuple of floats, as in integrate_fixed, and each
+    attempt evaluates the field six times: the first stage is the last stage
+    of the previous accepted step, or of the same state after a rejection.
     Accepted states are stored; step size underflow (below
     ADAPTIVE_MIN_STEP_FACTOR*(t1-t0)) raises IntegrationAbort, which usually
     signals stiffness or an approach to a singularity.
@@ -215,67 +263,67 @@ def integrate_adaptive(
         raise ValueError("t1 must not precede t0")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    y = _initial_state(x0, field)
+    x0 = _initial_state(x0, field)
     if t1 == t0:
-        return Trajectory([t0], [y])
+        return Trajectory([t0], [x0])
 
     span = t1 - t0
     h_min = ADAPTIVE_MIN_STEP_FACTOR * span
+    y = tuple(x0.tolist())
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     t = t0
 
     def abort(msg: str, at: float) -> IntegrationAbort:
         return IntegrationAbort(msg, Trajectory(times, np.array(states)), at)
 
-    try:
-        f0 = np.asarray(field(y), dtype=float)
-    except FieldEvaluationError as exc:
-        raise abort(f"field evaluation failed at t={t0!r}: {exc}", t0) from exc
-    # first trial step sized from the state's own timescale, so stiff fields
-    # do not blow up before error control gets a chance to engage
-    y_scale = max(float(np.max(np.abs(y))), 1e-3)
-    f_scale = max(float(np.max(np.abs(f0))), 1e-9)
-    h = max(min(span / 10.0, 0.01 * y_scale / f_scale), h_min)
-    k = np.empty((7, len(y)))
-
-    for _ in range(ADAPTIVE_MAX_STEPS):
-        if t >= t1:
-            break
-        h = min(h, t1 - t)
-        if h < h_min:
-            raise abort(f"step size underflow at t={t!r}", t)
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                k[0] = field(y)
-                for s in range(1, 7):
-                    k[s] = field(y + h * (_DP_A[s] @ k[:s]))
-                y_new = y + h * (_DP_B5 @ k)
-        except (FieldEvaluationError, OverflowError) as exc:
-            # a trial stage left the admissible region; retry with a shorter
-            # step, and only give up once the step cannot shrink further
-            h *= 0.2
+            k1 = field(y)
+        except FieldEvaluationError as exc:
+            raise abort(f"field evaluation failed at t={t0!r}: {exc}", t0) from exc
+        except OverflowError:
+            raise abort(f"non-finite state near t={t0!r}", t0) from None
+        # first trial step sized from the state's own timescale, so stiff
+        # fields do not blow up before error control gets a chance to engage
+        y_scale = max(float(np.max(np.abs(x0))), 1e-3)
+        f_scale = max(float(np.max(np.abs(np.asarray(k1, dtype=float)))), 1e-9)
+        h = max(min(span / 10.0, 0.01 * y_scale / f_scale), h_min)
+
+        for _ in range(ADAPTIVE_MAX_STEPS):
+            if t >= t1:
+                break
+            h = min(h, t1 - t)
             if h < h_min:
-                raise abort(f"field evaluation failed at t={t!r}: {exc}", t) from exc
-            continue
-        if not np.isfinite(y_new).all():
-            h *= 0.2
-            if h < h_min:
-                raise abort(f"non-finite state near t={t!r}", t)
-            continue
-        err_vec = h * (_DP_E @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            t = t + h
-            y = y_new
-            times.append(t)
-            states.append(y.copy())
-        # standard 5th-order step-size update, clipped to [0.2, 5] growth
-        factor = 0.9 * (err**-0.2) if err > 0 else 5.0
-        h = h * min(5.0, max(0.2, factor))
-    else:
-        raise abort(f"{ADAPTIVE_MAX_STEPS} step attempts exhausted at t={t!r}", t)
+                raise abort(f"step size underflow at t={t!r}", t)
+            try:
+                y_new, k7, err = _dp_step(field, y, k1, h, rtol, atol)
+                # k7 has no weight in y_new, so a non-finite k7 shows only in err
+                finite = math.isfinite(err) and all(map(math.isfinite, y_new))
+            except FieldEvaluationError as exc:
+                # a trial stage left the admissible region; retry with a
+                # shorter step, and only give up once the step cannot shrink
+                h *= 0.2
+                if h < h_min:
+                    raise abort(f"field evaluation failed at t={t!r}: {exc}", t) from exc
+                continue
+            except OverflowError:
+                finite = False
+            if not finite:
+                h *= 0.2
+                if h < h_min:
+                    raise abort(f"non-finite state near t={t!r}", t)
+                continue
+            if err <= 1.0:
+                t = t + h
+                y, k1 = y_new, k7
+                times.append(t)
+                states.append(y)
+            # standard 5th-order step-size update, clipped to [0.2, 5] growth
+            factor = 0.9 * (err**-0.2) if err > 0 else 5.0
+            h = h * min(5.0, max(0.2, factor))
+        else:
+            raise abort(f"{ADAPTIVE_MAX_STEPS} step attempts exhausted at t={t!r}", t)
     return Trajectory(np.asarray(times), np.asarray(states))
 
 

@@ -62,8 +62,9 @@ def _finite_fields(record) -> None:
 
 
 def _require(ok, message: str) -> None:
-    """Raise FieldEvaluationError unless ok holds at every point."""
-    if not ok.all():
+    """Raise FieldEvaluationError unless ok holds at every point: a flag
+    array is read with all(), one point's flag with bool()."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise FieldEvaluationError(message)
 
 

@@ -28,7 +28,7 @@ from iiorbit.core import (
     validate_bundle,
 )
 from iiorbit.odesim import integrate_fixed
-from iiorbit import plants
+from iiorbit import core, plants
 
 
 class TestLeftAnnihilator:
@@ -234,6 +234,84 @@ class TestClosedLoop:
             got, want = np.array(fld(y), dtype=float), np.array(reference(y), dtype=float)
             assert np.array_equal(got, want), y
             assert np.array_equal(np.signbit(got), np.signbit(want)), y
+
+
+def _fold_rate(bundle, x, z):
+    """f_i + g_i u with the row product written as the _dot fold."""
+    u = bundle.controller.v(x, z)
+    g = bundle.plant.g(x)
+    return tuple(
+        fi + functools.reduce(operator.add, map(operator.mul, gi, u))
+        for fi, gi in zip(bundle.plant.f(x), g)
+    )
+
+
+def _three_input_bundle(template):
+    """A toy plant with three inputs: x' = (x2, -x1 + u1 + u2 + u3, u1 - u2,
+    u3 x1), the other parts borrowed from a two-input design."""
+    plant = ControlAffineSystem(
+        n=4,
+        m=3,
+        f=lambda x: (x[1], -x[0], 0.0, 0.0),
+        g=lambda x: ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (0.0, 0.0, x[0])),
+    )
+    return dataclasses.replace(
+        template,
+        name="three-input",
+        plant=plant,
+        controller=Controller(v=lambda x, z: (0.1 * z[0], -0.3 * z[1], 0.7 * x[3])),
+    )
+
+
+class TestPlantRate:
+    @pytest.mark.parametrize("name", ["lti-identity", "dcac-default"])
+    def test_two_inputs_match_the_fold_at_points(self, bundles, name, monkeypatch):
+        # the written-out two-input sum is the fold's left-to-right sum, bit
+        # for bit and with the sign of every zero, and the fold is not run
+        bundle = bundles[name]
+        folds = []
+        monkeypatch.setattr(core, "_dot", lambda row, u: folds.append(1))
+        rate = core._plant_rate(bundle)
+        rng = np.random.default_rng(23)
+        X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.plant.n))
+        Z = rng.normal(size=(1000, bundle.z_dim))
+        Z[:2] = [[0.0, -0.0], [-0.0, -0.0]]
+        for x, z in zip(map(tuple, X.tolist()), map(tuple, Z.tolist())):
+            got = np.array(rate(x, z), dtype=float)
+            want = np.array(_fold_rate(bundle, x, z), dtype=float)
+            assert np.array_equal(got, want), (x, z)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (x, z)
+        assert folds == []
+
+    @pytest.mark.parametrize("name", ["lti-identity", "dcac-default"])
+    def test_two_inputs_match_the_fold_on_a_stack(self, bundles, name):
+        # the (n, N) stack validate_bundle passes
+        bundle = bundles[name]
+        rng = np.random.default_rng(29)
+        X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.plant.n))
+        Z = evaluate(bundle.manifold.phi, X) + rng.normal(size=(1000, bundle.z_dim))
+        got = evaluate(core._plant_rate(bundle), X, Z)
+        want = as_array(_fold_rate(bundle, X.T, Z.T), (1000,))
+        assert got.shape == (1000, bundle.plant.n)
+        assert np.array_equal(got, want)
+
+    def test_three_inputs_run_through_the_fold(self, bundles, monkeypatch):
+        bundle = _three_input_bundle(bundles["lti-identity"])
+        folds = []
+        dot = core._dot
+        monkeypatch.setattr(core, "_dot", lambda row, u: folds.append(1) or dot(row, u))
+        x, z = (0.5, -1.25, 2.0, 0.75), (0.3, -0.7)
+        u1, u2, u3 = 0.1 * z[0], -0.3 * z[1], 0.7 * x[3]
+        want = (
+            x[1] + (0.0 * u1 + 0.0 * u2 + 0.0 * u3),
+            -x[0] + (1.0 * u1 + 1.0 * u2 + 1.0 * u3),
+            0.0 + (1.0 * u1 + -1.0 * u2 + 0.0 * u3),
+            0.0 + (0.0 * u1 + 0.0 * u2 + x[0] * u3),
+        )
+        assert core._plant_rate(bundle)(x, z) == want
+        assert len(folds) == 4
+        traj = integrate_fixed(closed_loop_field(bundle), [0.5, -1.25, 2.0, 0.75], 0.0, 0.1, 0.01)
+        assert np.all(np.isfinite(traj.states))
 
 
 class TestKernels:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from iiorbit import plants
+from iiorbit import odesim, plants
 from iiorbit.core import augmented_field
 from iiorbit.odesim import (
     FieldEvaluationError,
@@ -127,18 +127,132 @@ class TestAdaptive:
         A2 = 144.0
 
         def f(y):
-            r2 = y @ y - A2
-            return np.array([-r2 * y[0] + 300.0 * y[1], -300.0 * y[0] - r2 * y[1]])
+            r2 = y[0] * y[0] + y[1] * y[1] - A2
+            return (-r2 * y[0] + 300.0 * y[1], -300.0 * y[0] - r2 * y[1])
 
         traj = integrate_adaptive(f, [24.0, 0.0], 0.0, 1.0,
                                   rtol=1e-10, atol=1e-12)
         assert np.hypot(*traj.final_state) == pytest.approx(12.0, abs=1e-6)
 
     def test_blowup_aborts(self):
+        # error control follows y = 1/(1 - t) with finite states until the
+        # step cannot shrink further
         field = lambda y: (y[0] ** 2,)
         with pytest.raises(IntegrationAbort) as info:
             integrate_adaptive(field, [1.0], 0.0, 2.0)
         assert info.value.abort_time == pytest.approx(1.0, abs=1e-3)
+        assert "step size underflow" in str(info.value)
+
+    def test_overflow_reads_as_non_finite(self):
+        # math.exp overflows once y > 709.78/1000; every attempt past that
+        # point is retried shorter, as for a non-finite state, until the step
+        # underflows
+        def field(y):
+            math.exp(1000.0 * y[0])
+            return (1.0,)
+
+        with pytest.raises(IntegrationAbort, match="non-finite state near t=") as info:
+            integrate_adaptive(field, [0.0], 0.0, 2.0)
+        assert info.value.abort_time == pytest.approx(math.log(1e308) / 1000.0, abs=1e-3)
+        assert np.all(info.value.trajectory.states <= 0.71)
+        with pytest.raises(IntegrationAbort, match="non-finite state near t=0.0"):
+            integrate_adaptive(field, [1.0], 0.0, 2.0)
+
+    def test_nan_field_reads_as_non_finite(self, monkeypatch):
+        # the new state gets no weight from the field there, so a NaN in that
+        # last stage shows only in the error estimate; it must shrink the
+        # step like a non-finite state, not be retried with a larger one
+        monkeypatch.setattr(odesim, "ADAPTIVE_MAX_STEPS", 20_000)
+        field = lambda y: (math.nan if y[0] > 0.5 else 1.0,)
+        with pytest.raises(IntegrationAbort, match="non-finite state near t=") as info:
+            integrate_adaptive(field, [0.0], 0.0, 2.0)
+        assert info.value.abort_time == pytest.approx(0.5, abs=1e-9)
+
+    def test_field_gets_a_tuple_of_floats(self):
+        seen = set()
+
+        def field(y):
+            seen.add((type(y), *map(type, y)))
+            return (y[1], -y[0])
+
+        traj = integrate_adaptive(field, [1.0, 0.0], 0.0, 3.0)
+        assert len(traj) > 10
+        assert seen == {(tuple, float, float)}
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count field evaluations and Dormand-Prince step attempts."""
+        counts = {"evals": 0, "attempts": 0}
+        step = odesim._dp_step
+
+        def attempt(*args):
+            counts["attempts"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(odesim, "_dp_step", attempt)
+        return counts
+
+    def test_six_new_evaluations_per_step(self, monkeypatch):
+        # two evaluations at x0 (the shape check and the first stage), then
+        # six per attempt: the first stage is the last one of the step before
+        counts = self.counted(monkeypatch)
+
+        def field(y):
+            counts["evals"] += 1
+            return (-y[0],)
+
+        # exponential decay: every attempt is accepted
+        traj = integrate_adaptive(field, [1.0], 0.0, 5.0, rtol=1e-9, atol=1e-12)
+        assert counts["attempts"] == len(traj) - 1 > 50
+        assert counts["evals"] == 2 + 6 * (len(traj) - 1)
+
+    def test_rejected_step_reuses_its_first_stage(self, monkeypatch):
+        # the stiff cubic of test_stiff_cubic_survives_large_scale rejects
+        # steps; a retry from the same state evaluates six new stages too
+        counts = self.counted(monkeypatch)
+
+        def f(y):
+            counts["evals"] += 1
+            r2 = y[0] * y[0] + y[1] * y[1] - 144.0
+            return (-r2 * y[0] + 300.0 * y[1], -300.0 * y[0] - r2 * y[1])
+
+        traj = integrate_adaptive(f, [24.0, 0.0], 0.0, 1.0, rtol=1e-10, atol=1e-12)
+        assert counts["attempts"] > len(traj) - 1
+        assert counts["evals"] == 2 + 6 * counts["attempts"]
+
+    def test_step_is_a_left_to_right_stage_sum(self):
+        # the first step, against the tableau summed term by term from the
+        # left, zero weights included, bit for bit
+        A = [
+            [1 / 5],
+            [3 / 40, 9 / 40],
+            [44 / 45, -56 / 15, 32 / 9],
+            [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+            [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        ]
+        b5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+        mu = 2.0
+
+        def vdp(y):
+            return (y[1], mu * (1.0 - y[0] * y[0]) * y[1] - y[0])
+
+        def advance(y, k, weights, h):
+            out = []
+            for i, a in enumerate(y):
+                acc = weights[0] * k[0][i]
+                for w, kj in zip(weights[1:], k[1:]):
+                    acc = acc + w * kj[i]
+                out.append(a + h * acc)
+            return tuple(out)
+
+        y0 = (1.5, -0.25)
+        traj = integrate_adaptive(vdp, y0, 0.0, 1.0, rtol=1e-6, atol=1e-9)
+        h = traj.times[1]
+        k = [vdp(y0)]
+        for row in A:
+            k.append(vdp(advance(y0, k, row, h)))
+        assert tuple(traj.states[1].tolist()) == advance(y0, k, b5[:6], h)
+        assert advance(y0, k, b5[:6], h) == advance(y0, k + [vdp(traj.states[1])], b5, h)
 
     def test_matches_fixed_on_all_bundles(self, bundles):
         # closed-loop spot check: both integrators land on the same state.

@@ -24,6 +24,40 @@ from iiorbit.plants import (
 )
 
 
+class TestRequire:
+    # a kernel's flag is one np.bool_ at a single point and an array on a stack
+    @pytest.mark.parametrize(
+        "flag",
+        [np.bool_(False), np.array([True, False, True]), np.array(False)],
+        ids=["scalar", "array", "zero-d-array"],
+    )
+    def test_any_false_flag_raises(self, flag):
+        with pytest.raises(FieldEvaluationError, match="^left the region$"):
+            plants._require(flag, "left the region")
+
+    @pytest.mark.parametrize(
+        "flag", [np.bool_(True), np.array([True, True]), True], ids=["scalar", "array", "bool"]
+    )
+    def test_true_flag_passes(self, flag):
+        assert plants._require(flag, "left the region") is None
+
+    def test_point_flag_is_not_read_with_all(self):
+        # a single point's flag is read with bool(), not ndarray.all()
+        class Flag:
+            def __init__(self, value):
+                self.value = value
+
+            def __bool__(self):
+                return self.value
+
+            def all(self):
+                raise AssertionError("all() called on a point flag")
+
+        plants._require(Flag(True), "left the region")
+        with pytest.raises(FieldEvaluationError):
+            plants._require(Flag(False), "left the region")
+
+
 class TestParameterRecords:
     def test_iwp_restoring_coefficient(self):
         p = IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
