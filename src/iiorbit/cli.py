@@ -319,7 +319,7 @@ def read_metrics_csv(path: Path) -> dict:
 def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
     """The feedback along the stored states, NaN where it is not defined."""
     n = bundle.plant.n
-    ok = admissible_mask(bundle.plant, traj.states[:, :n])
+    ok = admissible_mask(bundle, traj.states[:, :n])
     u = np.full((len(traj), bundle.plant.m), np.nan)
     u[ok] = evaluate(bundle.controller.v, traj.states[ok, :n], traj.states[ok, n:])
     return u
@@ -439,8 +439,9 @@ def check_scenario(scn: Scenario) -> RunPlan:
         raise ScenarioError(
             f"x0 has {x0.size} entries, bundle {bundle.name} needs {bundle.plant.n}"
         )
-    if not bundle.plant.admissible(x0):
-        raise ParameterError(f"x0 {scn.x0} is outside the admissible set of bundle {bundle.name}")
+    if not admissible_mask(bundle, x0):
+        raise ParameterError(f"x0 {scn.x0} is outside the admissible set of bundle {bundle.name} "
+                             f"(singularity margin {evaluate(bundle.singularity_margin, x0):.6g})")
     y0 = np.concatenate([x0, evaluate(bundle.manifold.phi, x0)])
     return RunPlan(bundle, y0, method, settings, plots)
 

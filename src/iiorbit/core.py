@@ -14,7 +14,7 @@ ufuncs and returns a tuple (of row tuples for a matrix), so it runs alike on
 one point and on a stack, the (n, N) transpose of N points (see evaluate);
 constant components stay floats that the consumer broadcasts. A kernel that
 breaks down raises FieldEvaluationError if any point is outside its region;
-array consumers mask with the plant's admissible kernel first.
+array consumers mask with admissible_mask first.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ControlAffineSystem:
     m: int
     f: Callable
     g: Callable
-    admissible: Callable = lambda x: True
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,9 @@ class IandIBundle:
       angle_indices   plant coordinates living on the circle; metrics wrap
                       them, integration never does
       singularity_margin
-                      for designs whose feedback is defined on part of the
-                      state space only: the margin from where it breaks
-                      down, one per point
+                      signed, in the design's units: positive exactly where
+                      the feedback is defined (its kernels raise elsewhere),
+                      one per point; None when it is defined everywhere
       info            derived scalars worth reporting (e.g. the effective
                       restoring coefficient, the analytic z decay rate)
     """
@@ -168,9 +167,10 @@ def evaluate(kernel: Callable, *points) -> np.ndarray:
     return as_array(kernel(*(p.T for p in points)), points[0].shape[:-1])
 
 
-def admissible_mask(plant: ControlAffineSystem, x: np.ndarray) -> np.ndarray:
-    """Where the plant's feedback is defined, one flag per row of x."""
-    return np.broadcast_to(plant.admissible(x.T), x.shape[:-1])
+def admissible_mask(bundle: IandIBundle, x: np.ndarray) -> np.ndarray:
+    """Where the feedback is defined, one flag for a point or per row of x:
+    a positive singularity margin, and everywhere for a bundle without one."""
+    return evaluate(bundle.singularity_margin or (lambda x: 1.0), x) > 0.0
 
 
 def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ def _immersed(bundle: IandIBundle, xi: Sequence[float]):
     point."""
     xi = np.asarray(xi, dtype=float)
     x = evaluate(bundle.immersion.pi, xi)
-    if not admissible_mask(bundle.plant, x).all():
+    if not admissible_mask(bundle, x).all():
         raise FieldEvaluationError(f"pi(xi) leaves the admissible region of {bundle.name}")
     return xi, x
 
@@ -426,11 +426,11 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     xi_grid = _sample_box(rng, bundle.xi_sample_box, grid_size)
     x_grid = _sample_box(rng, bundle.x_sample_box, grid_size)
 
-    xi = xi_grid[admissible_mask(bundle.plant, evaluate(bundle.immersion.pi, xi_grid))]
+    xi = xi_grid[admissible_mask(bundle, evaluate(bundle.immersion.pi, xi_grid))]
     _, max_pi_jac = _jacobian_mismatch(bundle.immersion.jacobian, bundle.immersion.pi, xi)
     max_c_err = _max_abs(on_manifold_control(bundle, xi) - evaluate(bundle.closed_form_c, xi))
 
-    x = x_grid[admissible_mask(bundle.plant, x_grid)]
+    x = x_grid[admissible_mask(bundle, x_grid)]
     J, max_phi_jac = _jacobian_mismatch(bundle.manifold.jacobian, bundle.manifold.phi, x)
     g_margins = np.linalg.svd(evaluate(bundle.plant.g, x), compute_uv=False)[..., -1]
     z = evaluate(bundle.manifold.phi, x)

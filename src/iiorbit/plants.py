@@ -304,13 +304,12 @@ def _pole_pair(g1: float, g2: float):
     return lambda x, z: (z[1], -g2 * z[0] - g1 * z[1])
 
 
-def _cartpend_plant(a1: float, a2: float, admissible) -> ControlAffineSystem:
+def _cartpend_plant(a1: float, a2: float) -> ControlAffineSystem:
     return ControlAffineSystem(
         n=4,
         m=1,
         f=lambda x: (x[2], x[3], a1 * np.sin(x[0]), 0.0),
         g=lambda x: ((0.0,), (0.0,), (-a2 * np.cos(x[0]),), (1.0,)),
-        admissible=admissible,
     )
 
 
@@ -345,7 +344,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
 
     bundle = IandIBundle(
         name="cartpend-linear",
-        plant=_cartpend_plant(a1, a2, lambda x: denom(x[0]) < 0.0),
+        plant=_cartpend_plant(a1, a2),
         target=TargetDynamics(
             p=2,
             alpha=lambda xi: (xi[1], alpha2(xi[0])),
@@ -363,7 +362,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
-        singularity_margin=lambda x: np.abs(denom(x[0])),
+        singularity_margin=lambda x: -denom(x[0]),
         info={
             "beta_star": beta_star,
             "k": k,
@@ -434,7 +433,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
     s_lim = half_pi - 0.05
     bundle = IandIBundle(
         name="cartpend-nonlinear",
-        plant=_cartpend_plant(a1, a2, lambda x: np.abs(x[0]) < half_pi),
+        plant=_cartpend_plant(a1, a2),
         target=TargetDynamics(p=2, alpha=alpha, first_integral=first_integral),
         immersion=ImmersionMap(pi=pi_map, jacobian=pi_jac),
         manifold=ImplicitManifold(phi=phi, jacobian=phi_jac),

@@ -280,6 +280,35 @@ def test_control_history_is_nan_outside_the_cone():
         assert value == bundle.controller.v(x, z)[0]
 
 
+def test_sing_margin_min_reads_negative_after_a_cone_exit(tmp_path, capsys):
+    # fixed RK4 stores a state once its four stages have evaluated, so a run
+    # can store one state outside the cone before the next step aborts; the
+    # margin there is negative and the shipped check on it fails
+    doc = {
+        "name": "cone-exit",
+        "bundle": {"preset": "cartpend-lin-default"},
+        "x0": [0.0, 0.0, 5.0, 0.0],
+        "t_span": [0.0, 2.0],
+        "integrator": {"method": "fixed", "dt": 0.05},
+        "checks": [{"metric": "sing_margin_min", "min": 1.0e-9}],
+    }
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "tree")]) == 1
+    artifact = tmp_path / "tree" / "cone-exit"
+    metrics = cli.read_metrics_csv(artifact / "metrics.csv")
+    assert metrics["aborted"] is True
+    params = plants.preset_params("cartpend-lin-default")
+    last = np.loadtxt(artifact / "trajectory.csv", delimiter=",", skiprows=1)[-1]
+    assert abs(last[1]) > params.beta_star  # column 0 is time
+    assert metrics["sing_margin_min"] < 0.0
+    assert metrics["sing_margin_min"] == -(1.0 + params.k * params.a2 * np.cos(last[1]))
+    capsys.readouterr()
+    assert cli.main(["report", str(tmp_path / "tree")]) == 1
+    assert "fail" in capsys.readouterr().out
+    rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
+    assert any(row.startswith(f"{artifact},sing_margin_min,fail,") for row in rows), rows
+
+
 def test_orbit_distance_metric_matches_library_path(tmp_path):
     # the CLI metric is the library call on the run's final projected state
     # and its own period estimate, bit for bit: the seed's angle wrap belongs

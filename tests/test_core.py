@@ -27,7 +27,7 @@ from iiorbit.core import (
     on_manifold_control,
     validate_bundle,
 )
-from iiorbit.odesim import integrate_fixed
+from iiorbit.odesim import FieldEvaluationError, integrate_fixed
 from iiorbit import core, plants
 
 
@@ -199,7 +199,7 @@ class TestClosedLoop:
                 if tried >= 25:
                     break
                 x = rng.uniform(lo, hi)
-                if not bundle.plant.admissible(x):
+                if not admissible_mask(bundle, x):
                     continue
                 tried += 1
                 z = np.atleast_1d(bundle.manifold.phi(x))
@@ -225,7 +225,7 @@ class TestClosedLoop:
 
         rng = np.random.default_rng(17)
         X = rng.uniform(*bundle.x_sample_box.T, size=(300, n))
-        X = X[admissible_mask(bundle.plant, X)][:200]
+        X = X[admissible_mask(bundle, X)][:200]
         Y = np.hstack([X, rng.normal(size=(len(X), bundle.z_dim))])
         Y[:3, n:] = [[0.0] * bundle.z_dim, [-0.0] * bundle.z_dim, [1.0] + [-0.0] * (bundle.z_dim - 1)]
         Y[3:5, :n] = [[-0.0] * n, [0.0] * n]
@@ -325,13 +325,12 @@ class TestKernels:
             return rng.uniform(box[:, 0], box[:, 1], size=(64, len(box)))
 
         X = grid(bundle.x_sample_box)
-        X = X[admissible_mask(bundle.plant, X)]
+        X = X[admissible_mask(bundle, X)]
         Z = rng.normal(size=(len(X), bundle.z_dim))
         Xi = grid(bundle.xi_sample_box)
         kernels = {
             "f": (bundle.plant.f, X),
             "g": (bundle.plant.g, X),
-            "admissible": (bundle.plant.admissible, X),
             "alpha": (bundle.target.alpha, Xi),
             "first_integral": (bundle.target.first_integral, Xi),
             "pi": (bundle.immersion.pi, Xi),
@@ -351,6 +350,52 @@ class TestKernels:
                 for i in range(len(args[0]))
             ]
             assert np.array_equal(evaluate(kernel, *args), np.array(rows)), f"{name}: {label}"
+
+
+def _link_angles(beta_star: float) -> list:
+    """Edge values for the link angle, each with its two float neighbours."""
+    edges = [math.nan]
+    for c in (math.inf, 0.0, beta_star, math.pi / 2):
+        edges += [c, -c]
+    return [s for c in edges for s in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf))]
+
+
+class TestAdmissibleMask:
+    @pytest.mark.parametrize("name", ["cartpend-lin-default", "cartpend-nl-default"])
+    def test_mask_is_where_the_feedback_does_not_raise(self, bundles, name):
+        bundle = bundles[name]
+        rng = np.random.default_rng(33)
+        X = rng.uniform(-3.0, 3.0, size=(400, 4))
+        X[:, 0] = rng.uniform(-2.0, 2.0, size=400)
+        beta_star = plants.preset_params("cartpend-lin-default").beta_star
+        edge = rng.uniform(-1.0, 1.0, size=(len(_link_angles(beta_star)), 4))
+        edge[:, 0] = _link_angles(beta_star)
+        X = np.vstack([X, edge])
+        z = (0.3, -0.2)
+        kernels = [bundle.controller.v]
+        if name == "cartpend-nl-default":
+            kernels.append(lambda x, z: bundle.manifold.phi(x))
+        flags = []
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for x in map(tuple, X.tolist()):
+                for kernel in kernels:
+                    try:
+                        kernel(x, z)
+                        defined = True
+                    except FieldEvaluationError:
+                        defined = False
+                    assert bool(admissible_mask(bundle, np.array(x))) == defined, x
+                flags.append(admissible_mask(bundle, np.array(x)))
+            assert 0 < sum(flags) < len(flags)
+            assert np.array_equal(admissible_mask(bundle, X), flags)
+
+    @pytest.mark.parametrize("name", ["lti-identity", "iwp-default", "dcac-default"])
+    def test_no_margin_is_defined_everywhere(self, bundles, name):
+        bundle = bundles[name]
+        stack = np.full((5, 4), np.nan)
+        assert np.array_equal(admissible_mask(bundle, stack), np.ones(5, dtype=bool))
+        point = admissible_mask(bundle, np.zeros(4))
+        assert point.shape == () and point.dtype == bool and point
 
 
 class TestBundleShape:

@@ -241,13 +241,15 @@ class TestCartPendLinearBundle:
         assert np.all(np.isfinite(bundle.controller.v(x_in, np.zeros(2))))
 
     def test_singularity_margin(self):
-        # |1 + k a2 cos(x1)|, evaluated over a stack of states
+        # -(1 + k a2 cos(x1)), evaluated over a stack of states
         bundle = make_preset("cartpend-lin-default")
-        X = np.array([[0.0, 0.0, 0.0, 0.0], [bundle.info["beta_star"], 0.0, 0.0, 0.0]])
+        beta_star = bundle.info["beta_star"]
+        X = np.array([[0.0, 0.0, 0.0, 0.0], [beta_star, 0.0, 0.0, 0.0]])
         margins = bundle.singularity_margin(X.T)
         assert margins.shape == (2,)
         assert abs(margins[0] - 3.0) < 1e-15
         assert margins[1] < 1e-12
+        assert bundle.singularity_margin(np.array([beta_star + 0.01, 0.0, 0.0, 0.0])) < 0.0
 
     def test_singularity_margin_absent_on_other_bundles(self):
         for name in ("lti-identity", "iwp-default", "dcac-default"):
