@@ -390,45 +390,55 @@ def lemma2_F(setup: Lemma2Setup, r: float) -> float:
 
 
 def lemma2_r0(setup: Lemma2Setup, scan_limit: float = 1e9) -> float:
-    """Largest zero of the root function, by scan-bracketing plus bisection.
+    """Largest zero of the root function F.
 
-    Scans a linear grid from |Hw_min| upward, then doubles; keeps the last
-    sign change and bisects it to 1e-12 relative width. Raises ValueError
-    (reporting the function's range) if no sign change is found.
+    F is an exponential minus a square root, so it is convex on
+    [Hw_min, inf) and has at most two zeros, one on each side of its
+    minimizer. The minimizer is bisected as the zero of the increasing F';
+    if F is negative there, the largest zero is bracketed to its right by
+    doubling the step until F turns positive, then bisected to 1e-12
+    relative width. Raises ValueError (with F's minimum) when F is positive
+    at its minimizer or stays negative up to scan_limit.
     """
-    start = abs(setup.Hw_min) + 1e-9 * max(1.0, abs(setup.Hw_min))
-    rs = [start + 0.01 * j for j in range(5001)]
-    r = rs[-1] * 2.0
-    while r <= scan_limit:
-        rs.append(r)
-        r *= 2.0
+    c = -setup.k * setup.a2 / setup.a1
 
     def F(r: float) -> float:
         # the exponential term overflows long after it has won; treat that
-        # as +inf so the scan over large r keeps the right sign
+        # as +inf so the bracket search over large r keeps the right sign
         try:
             return lemma2_F(setup, r)
         except OverflowError:
             return math.inf
 
-    bracket = None
-    f_prev = F(rs[0])
-    f_min, f_max = f_prev, f_prev
-    for rl, rr in zip(rs[:-1], rs[1:]):
-        f_next = F(rr)
-        f_min, f_max = min(f_min, f_next), max(f_max, f_next)
-        if f_prev == 0.0:
-            bracket = (rl, rl)
-        elif f_prev * f_next < 0.0:
-            bracket = (rl, rr)
-        f_prev = f_next
-    if bracket is None:
+    def dF(r: float) -> float:
+        arg = 2.0 * (r - setup.Hw_min)
+        if arg <= 0.0:
+            return -math.inf
+        try:
+            return c * math.exp(c * r) - 1.0 / math.sqrt(arg)
+        except OverflowError:
+            return math.inf
+
+    def first_positive(fun, lo: float) -> float:
+        """lo + w for the first w in max(1, |lo|) * (1, 2, 4, ...) where
+        fun is positive, or NaN once lo + w passes scan_limit."""
+        width = max(1.0, abs(lo))
+        while not fun(lo + width) > 0.0:
+            if lo + width > scan_limit:
+                return math.nan
+            width *= 2.0
+        return lo + width
+
+    lo = setup.Hw_min
+    r_min = _bisect(dF, lo, first_positive(dF, lo), 1e-12 * max(1.0, abs(lo)))
+    f_min = F(r_min)
+    hi = first_positive(F, r_min) if f_min <= 0.0 else math.nan
+    if not hi <= scan_limit:
         raise ValueError(
-            "no sign change of the root function up to "
-            f"{scan_limit:g} (F ranges over [{f_min:.3e}, {f_max:.3e}])"
+            f"no sign change of the root function up to {scan_limit:g} "
+            f"(its minimum is {f_min:.3e} at r = {r_min:.6g})"
         )
-    rl, rr = bracket
-    return _bisect(F, rl, rr, 1e-12 * max(1.0, abs(rr)))
+    return _bisect(F, r_min, hi, 1e-12 * max(1.0, abs(hi)))
 
 
 def lemma2_l2min(setup: Lemma2Setup, r0: Optional[float] = None) -> float:

@@ -9,10 +9,13 @@ here evaluate the defining identities numerically (immersion residual,
 manifold residual, on-manifold control consistency) and assemble the
 closed-loop and augmented vector fields for simulation.
 
-Every bundle callable is a kernel: it reads components by index with numpy
-ufuncs and returns a tuple (of row tuples for a matrix), so it runs alike on
-one point and on a stack, the (n, N) transpose of N points (see evaluate);
-constant components stay floats that the consumer broadcasts. A kernel that
+Every bundle callable is a kernel: it reads components by index and returns
+a tuple (of row tuples for a matrix), so it runs alike on one point and on a
+stack, the (n, N) transpose of N points (see evaluate); constant components
+stay floats that the consumer broadcasts. Its functions give the same bits
+on both: numpy ufuncs, or for sine and cosine the plants' point-aware
+helpers, which keep one Python float a Python float so that a field
+evaluated at an integrator's tuple of floats returns floats. A kernel that
 breaks down raises FieldEvaluationError if any point is outside its region;
 array consumers mask with admissible_mask first.
 """

@@ -4,8 +4,11 @@ Each make_* constructor validates its parameter inequalities, derives the
 closed forms (immersion, implicit map, feedback, on-manifold control,
 off-manifold dynamics), and returns an immutable bundle ready for residual
 checks and simulation. Every closed form is a kernel in the sense of
-iiorbit.core: components in by index, a tuple out, numpy ufuncs only, so
-one definition serves single points and whole stacks.
+iiorbit.core: components in by index, a tuple out, so one definition serves
+single points and whole stacks. Sines and cosines go through _sin and _cos,
+which keep one Python float a Python float (through math) and pass anything
+else to numpy with the same bits; np.log, np.tan and np.power stay numpy on
+every path, because math's versions differ from them in the last bit.
 """
 
 from __future__ import annotations
@@ -61,6 +64,30 @@ def _finite_fields(record) -> None:
             raise ParameterError(f"{f.name} must be finite (got {value!r})")
 
 
+def _point_aware(math_fun, numpy_fun):
+    """A trig function that takes one Python float through math and
+    anything else (an array, an np.float64) through numpy.
+
+    The two agree bit for bit on every float tried (tests pin this on a
+    seeded grid), and a float result keeps the integrators' stage arithmetic in
+    Python floats, which numpy's float64 scalars run at about half speed.
+    A non-finite float gives NaN, as numpy does; math raises for +-inf."""
+
+    def fun(s):
+        if type(s) is float:
+            try:
+                return math_fun(s)
+            except ValueError:  # s is +-inf
+                return s - s
+        return numpy_fun(s)
+
+    return fun
+
+
+_sin = _point_aware(math.sin, np.sin)
+_cos = _point_aware(math.cos, np.cos)
+
+
 def _require(ok, message: str) -> None:
     """Raise FieldEvaluationError unless ok holds at every point: a flag
     array is read with all(), one point's flag with bool()."""
@@ -101,9 +128,12 @@ class IwpParams:
             raise ParameterError("m and b must be positive")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ParameterError("gamma1 and gamma2 must be positive")
-        if self.k >= -1.0 / self.b:
+        # 1 + b k is what a and the feedback divide by; it rounds to zero
+        # for some k just below -1/b, so it is checked as computed
+        if self.k >= -1.0 / self.b or 1.0 + self.b * self.k >= 0.0:
             raise ParameterError(
-                f"k must satisfy k < -1/b (got k={self.k}, -1/b={-1.0 / self.b}); "
+                f"k must satisfy k < -1/b (got k={self.k}, -1/b={-1.0 / self.b}, "
+                f"1 + b k = {1.0 + self.b * self.k}); "
                 "the restoring coefficient -m/(1+bk) is not positive otherwise"
             )
 
@@ -133,9 +163,12 @@ class CartPendLinearParams:
             raise ParameterError("a1 and a2 must be positive")
         if self.gamma1 <= 0 or self.gamma2 <= 0:
             raise ParameterError("gamma1 and gamma2 must be positive")
-        if self.k >= -1.0 / self.a2:
+        # the potential divides by 1 + k a2, which rounds to zero for some
+        # k just below -1/a2, so it is checked as computed
+        if self.k >= -1.0 / self.a2 or 1.0 + self.k * self.a2 >= 0.0:
             raise ParameterError(
-                f"k must satisfy k < -1/a2 (got k={self.k}, -1/a2={-1.0 / self.a2}); "
+                f"k must satisfy k < -1/a2 (got k={self.k}, -1/a2={-1.0 / self.a2}, "
+                f"1 + k a2 = {1.0 + self.k * self.a2}); "
                 "the control denominator 1 + k a2 cos(x1) changes sign otherwise"
             )
 
@@ -261,24 +294,24 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     km = k * m
 
     def v(x, z):
-        return (inv_den * (-g1 * z[1] - g2 * z[0] + km * np.sin(x[0])),)
+        return (inv_den * (-g1 * z[1] - g2 * z[0] + km * _sin(x[0])),)
 
     bundle = IandIBundle(
         name="iwp",
         plant=ControlAffineSystem(
-            n=4, m=1, f=lambda x: (x[2], x[3], m * np.sin(x[0]), 0.0), g=lambda x: G
+            n=4, m=1, f=lambda x: (x[2], x[3], m * _sin(x[0]), 0.0), g=lambda x: G
         ),
         target=TargetDynamics(
             p=2,
-            alpha=lambda xi: (xi[1], -a * np.sin(xi[0])),
-            first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * np.cos(xi[0]),
+            alpha=lambda xi: (xi[1], -a * _sin(xi[0])),
+            first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * _cos(xi[0]),
         ),
         immersion=immersion,
         manifold=manifold,
         controller=Controller(v=v),
         xi_sample_box=_box([[-3, 3], [-3, 3]]),
         x_sample_box=_box([[-3, 3]] * 4),
-        closed_form_c=lambda xi: (-a * k * np.sin(xi[0]),),
+        closed_form_c=lambda xi: (-a * k * _sin(xi[0]),),
         z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0, 1),
@@ -308,8 +341,8 @@ def _cartpend_plant(a1: float, a2: float) -> ControlAffineSystem:
     return ControlAffineSystem(
         n=4,
         m=1,
-        f=lambda x: (x[2], x[3], a1 * np.sin(x[0]), 0.0),
-        g=lambda x: ((0.0,), (0.0,), (-a2 * np.cos(x[0]),), (1.0,)),
+        f=lambda x: (x[2], x[3], a1 * _sin(x[0]), 0.0),
+        g=lambda x: ((0.0,), (0.0,), (-a2 * _cos(x[0]),), (1.0,)),
     )
 
 
@@ -326,17 +359,25 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
     immersion, manifold = _straight_manifold(k)
     ka1, ka2 = k * a1, k * a2
     outside = f"x1 leaves the admissible cone (|x1| < {beta_star:.6f})"
+    edge = f"x1 on the cone edge (|x1| = {beta_star:.6f}), where 1 + k a2 cos(x1) = 0"
 
     def denom(s):
-        return 1.0 + ka2 * np.cos(s)
+        return 1.0 + ka2 * _cos(s)
 
     def v(x, z):
         d = denom(x[0])
         _require(d < 0.0, outside)
-        return ((-g1 * z[1] - g2 * z[0] + ka1 * np.sin(x[0])) / d,)
+        return ((-g1 * z[1] - g2 * z[0] + ka1 * _sin(x[0])) / d,)
+
+    def nonzero_denom(s):
+        """denom(s), which must not vanish: a float divisor would raise
+        ZeroDivisionError there (v's own check excludes it)."""
+        d = denom(s)
+        _require(d != 0.0, edge)
+        return d
 
     def alpha2(s):
-        return a1 * np.sin(s) / denom(s)
+        return a1 * _sin(s) / nonzero_denom(s)
 
     def potential(s):
         """-integral of alpha2 from 0 to s, in closed form."""
@@ -357,7 +398,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         x_sample_box=_box(
             [[-(beta_star - 0.05), beta_star - 0.05], [-3, 3], [-2, 2], [-3, 3]]
         ),
-        closed_form_c=lambda xi: (ka1 * np.sin(xi[0]) / denom(xi[0]),),
+        closed_form_c=lambda xi: (ka1 * _sin(xi[0]) / nonzero_denom(xi[0]),),
         z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0,),
@@ -388,9 +429,11 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
     half_pi = math.pi / 2
 
     def slaving(s):
-        """kfun(s), kfun'(s), kfun''(s); raises off (-pi/2, pi/2)."""
-        _require(np.abs(s) < half_pi, "link angle outside (-pi/2, pi/2)")
-        sin, cos = np.sin(s), np.cos(s)
+        """kfun(s), kfun'(s), kfun''(s); raises off (-pi/2, pi/2). On it
+        cos(s) >= 2.8e-16 (half_pi is the float just below pi/2), so neither
+        divisor vanishes on the float path."""
+        _require(abs(s) < half_pi, "link angle outside (-pi/2, pi/2)")
+        sin, cos = _sin(s), _cos(s)
         return -c1 * np.log((1.0 + sin) / cos) + a0, -c1 / cos, -c1 * sin / (cos * cos)
 
     def pi_map(xi):
@@ -412,13 +455,13 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
     def on_manifold(s, ds):
         """-a times the feedback's z-free part at link angle s and rate ds."""
         _, kp, kpp = slaving(s)
-        return kpp * (ds * ds) + a1 * kp * np.sin(s)
+        return kpp * (ds * ds) + a1 * kp * _sin(s)
 
     def v(x, z):
         return (-(on_manifold(x[0], x[2]) - g2 * z[0] - g1 * z[1]) / a,)
 
     def alpha(xi):
-        rho = -(a1 / a) * np.sin(xi[0])
+        rho = -(a1 / a) * _sin(xi[0])
         beta = -((1.0 + a) / a) * np.tan(xi[0])
         return (xi[1], rho + beta * (xi[1] * xi[1]))
 
@@ -427,7 +470,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
     u_scale = a1 / (a + 2.0)
 
     def first_integral(xi):
-        c = np.cos(xi[0])
+        c = _cos(xi[0])
         return 0.5 * np.power(np.abs(c), exp_m) * (xi[1] * xi[1]) + u_scale * np.power(c, exp_u)
 
     s_lim = half_pi - 0.05
@@ -445,7 +488,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
-        singularity_margin=lambda x: half_pi - np.abs(x[0]),
+        singularity_margin=lambda x: half_pi - abs(x[0]),
         info={
             "kfun": lambda s: slaving(s)[0],
             "kprime": lambda s: slaving(s)[1],

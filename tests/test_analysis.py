@@ -397,9 +397,23 @@ class TestLemma2:
             assert lemma2_F(lemma2_setup, r) > -1e-9
 
     def test_no_root_reported(self):
-        s = Lemma2Setup(k=-50.0, a1=0.1, a2=1.0, l1=0.1, w0=(0.01, 0.0))
-        with pytest.raises(ValueError, match="no sign change"):
+        # F is positive at its minimizer (about 0.696 at r = 7.02), so it
+        # has no zero at all
+        s = Lemma2Setup(k=-1.5, a1=9.8, a2=1.0, l1=0.1, w0=(0.01, 0.0))
+        with pytest.raises(ValueError, match="no sign change .* minimum is 6.96"):
             lemma2_r0(s, scan_limit=1e6)
+
+    def test_roots_below_abs_hw_min_are_found(self):
+        # both zeros (about -0.00751 and -0.00531) lie between Hw_min and
+        # |Hw_min| and only 0.0022 apart; the larger one is r0
+        s = Lemma2Setup(k=-50.0, a1=0.1, a2=1.0, l1=0.1, w0=(0.01, 0.0))
+        assert -0.0078 < s.Hw_min < -0.0077
+        r0 = lemma2_r0(s)
+        assert abs(r0 - (-0.00531)) < 1e-5
+        assert abs(lemma2_F(s, r0)) < 1e-10
+        assert lemma2_F(s, r0 - 1e-4) < 0.0 < lemma2_F(s, r0 + 1e-4)
+        # the smaller zero lies below the minimizer
+        assert lemma2_F(s, -0.0076) > 0.0 > lemma2_F(s, -0.0074)
 
     def test_threshold_value(self, lemma2_setup):
         r0 = lemma2_r0(lemma2_setup)

@@ -27,7 +27,7 @@ from iiorbit.core import (
     on_manifold_control,
     validate_bundle,
 )
-from iiorbit.odesim import FieldEvaluationError, integrate_fixed
+from iiorbit.odesim import FieldEvaluationError, IntegrationAbort, integrate_fixed, rk4_step
 from iiorbit import core, plants
 
 
@@ -234,6 +234,26 @@ class TestClosedLoop:
             got, want = np.array(fld(y), dtype=float), np.array(reference(y), dtype=float)
             assert np.array_equal(got, want), y
             assert np.array_equal(np.signbit(got), np.signbit(want)), y
+
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_rk4_step_stays_in_python_floats(self, bundles, name):
+        # a numpy scalar anywhere in a stage would make every later stage
+        # sum run in numpy's slower scalar arithmetic
+        bundle = bundles[name]
+        rng = np.random.default_rng(23)
+        X = rng.uniform(*(0.5 * bundle.x_sample_box.T), size=(20, bundle.plant.n))
+        x = tuple(X[admissible_mask(bundle, X)][0].tolist())
+        z = tuple(np.atleast_1d(bundle.manifold.phi(x)).tolist())
+        y = rk4_step(augmented_field(bundle), x + z, 1e-3)
+        assert [type(c) for c in y] == [float] * len(y)
+
+    def test_stage_overflow_to_inf_aborts_as_non_finite(self, bundles):
+        # the second stage puts x1 at 0.5 h 1e308 = inf; sin(inf) must read
+        # as NaN and end the run as a non-finite state, not raise ValueError
+        field = augmented_field(bundles["iwp-default"])
+        with pytest.raises(IntegrationAbort, match="^non-finite state at t=10.0$") as info:
+            integrate_fixed(field, [0.0, 0.0, 1e308, 0.0, 0.0, 0.0], 0.0, 10.0, 10.0)
+        assert len(info.value.trajectory) == 1
 
 
 def _fold_rate(bundle, x, z):

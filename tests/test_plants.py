@@ -58,6 +58,54 @@ class TestRequire:
             plants._require(Flag(False), "left the region")
 
 
+def _trig_grid() -> np.ndarray:
+    """Seeded values for the point-aware trig helpers: ordinary and large
+    arguments, signed zeros, subnormals, the float neighbours of the
+    multiples of pi/2, and the non-finite values."""
+    rng = np.random.default_rng(15)
+    tiny = np.finfo(float).tiny
+    quarter_turns = [j * math.pi / 2 for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
+    return np.concatenate([
+        rng.uniform(-10.0, 10.0, 4000),
+        rng.uniform(-1e6, 1e6, 4000),
+        rng.standard_normal(500) * 1e-8,
+        [0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny, 1e6, -1e6],
+        quarter_turns,
+        [math.nextafter(h, toward) for h in quarter_turns for toward in (-math.inf, math.inf)],
+        [math.nan, -math.nan, math.inf, -math.inf],
+    ])
+
+
+class TestPointTrig:
+    # the float path must give numpy's bits: every trajectory byte of a
+    # trigonometric plant rests on it, so a libm that disagrees fails here
+    @pytest.mark.parametrize(
+        "helper,reference", [(plants._sin, np.sin), (plants._cos, np.cos)], ids=["sin", "cos"]
+    )
+    def test_float_path_matches_numpy_bit_for_bit(self, helper, reference):
+        grid = _trig_grid()
+        with np.errstate(invalid="ignore"):
+            want = reference(grid)
+            # one value at a time, as numpy's scalar path computes it
+            want_scalar = np.array([reference(v) for v in grid.tolist()])
+        got = [helper(v) for v in grid.tolist()]
+        assert all(type(c) is float for c in got)
+        got = np.array(got)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), want_scalar.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "helper,reference", [(plants._sin, np.sin), (plants._cos, np.cos)], ids=["sin", "cos"]
+    )
+    def test_everything_else_goes_to_numpy(self, helper, reference):
+        stack = np.linspace(-4.0, 4.0, 9)
+        assert np.array_equal(helper(stack), reference(stack))
+        for value in (np.float64(0.7), np.array(0.7)):
+            got = helper(value)
+            assert type(got) is type(reference(value)) and got == reference(value)
+        assert type(helper(1)) is np.float64  # an int is not a float
+
+
 class TestParameterRecords:
     def test_iwp_restoring_coefficient(self):
         p = IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
@@ -91,6 +139,16 @@ class TestParameterRecords:
     def test_cartpend_linear_rejects_shallow_slope(self):
         with pytest.raises(ParameterError, match="k must satisfy"):
             CartPendLinearParams(a1=9.8, a2=1.0, k=-0.9, gamma1=2.0, gamma2=2.0)
+
+    def test_slope_whose_product_rounds_to_minus_one_is_rejected(self):
+        # k is the float just below -1/b, but b k rounds to -1.0, so 1 + b k
+        # is 0.0 and a = -m/(1 + b k) would divide by zero
+        b, k = 8.971307580456251, -0.11146647141810997
+        assert k < -1.0 / b and 1.0 + b * k == 0.0
+        with pytest.raises(ParameterError, match="k must satisfy"):
+            IwpParams(m=1.962, b=b, k=k, gamma1=2.0, gamma2=1.0)
+        with pytest.raises(ParameterError, match="k must satisfy"):
+            CartPendLinearParams(a1=9.8, a2=b, k=k, gamma1=2.0, gamma2=2.0)
 
     def test_cartpend_linear_cone_half_width(self):
         p = CartPendLinearParams(a1=9.8, a2=1.0, k=-4.0, gamma1=2.0, gamma2=2.0)
@@ -239,6 +297,19 @@ class TestCartPendLinearBundle:
         # and stays finite just inside
         x_in = np.array([beta_star - 0.01, 0.0, 0.0, 0.0])
         assert np.all(np.isfinite(bundle.controller.v(x_in, np.zeros(2))))
+
+    def test_exact_cone_edge_raises_a_field_error(self):
+        # 1 + k a2 cos(s) is exactly 0.0 at this float for k = -4, a2 = 1; a
+        # float divisor must not turn that into ZeroDivisionError
+        bundle = make_preset("cartpend-lin-default")
+        s = 1.318116071652818
+        assert 1.0 + (-4.0 * 1.0) * math.cos(s) == 0.0
+        with pytest.raises(FieldEvaluationError, match="cone edge"):
+            bundle.target.alpha((s, 0.0))
+        with pytest.raises(FieldEvaluationError, match="cone edge"):
+            bundle.closed_form_c((s, 0.0))
+        with pytest.raises(FieldEvaluationError, match="admissible cone"):
+            bundle.controller.v((s, 0.0, 0.0, 0.0), (0.0, 0.0))
 
     def test_singularity_margin(self):
         # -(1 + k a2 cos(x1)), evaluated over a stack of states
