@@ -1,9 +1,10 @@
 """Post-run metrics and the two perturbation-bound harnesses.
 
 Metrics: sampled limit orbits, distance-to-orbit, exponential decay fitting
-of the off-manifold coordinate, and first-integral drift. Harnesses: the
-energy bound for the pendulum under an exponentially decaying disturbance,
-and the cone-invariance bound for the cart-pendulum's reduced dynamics.
+of the off-manifold coordinate, and first-integral drift. Harnesses, each
+built from the design it is about: the energy bound for the iwp target
+pendulum under an exponentially decaying disturbance, and the
+cone-invariance bound for the linear cart-pendulum's reduced dynamics.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .odesim import (
     period_from_events,
     rk4_step,
 )
+from .plants import CartPendLinearParams, IwpParams, make_cartpend_linear, make_iwp
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,7 +300,7 @@ def tail_amplitude(bundle: IandIBundle, traj: Trajectory) -> float:
 
 
 def lemma1_check(
-    a: float,
+    design: IwpParams,
     l1: float,
     l2: float,
     x0: Sequence[float],
@@ -306,25 +308,30 @@ def lemma1_check(
     dt: float = 1e-3,
     perturbation: Optional[Callable[[float], float]] = None,
 ) -> Lemma1Report:
-    """Energy bound for the pendulum x1'' = -a sin(x1) + eps(t) under
+    """Energy bound for the design's target pendulum under a disturbance:
+    x1'' = -a sin(x1) + eps(t), with a = design.a and
     |eps(t)| <= l1 exp(-l2 t).
 
-    Simulates the fixed-sign worst case eps(t) = l1 exp(-l2 t) (or a caller
-    supplied signed perturbation within the same envelope) and checks
+    Simulates the target's own field plus the fixed-sign worst case
+    eps(t) = l1 exp(-l2 t) (or a caller supplied signed perturbation within
+    the same envelope) and checks the target's first integral
     r(t) = x3^2/2 - a cos(x1) against
     r(0) + l1 |x3(0)| / l2 + l1 (a + l1) / l2^2.
     """
-    if a <= 0 or l1 < 0 or l2 <= 0 or horizon <= 0:
-        raise ValueError("need a > 0, l1 >= 0, l2 > 0, horizon > 0")
+    if l1 < 0 or l2 <= 0 or horizon <= 0:
+        raise ValueError("need l1 >= 0, l2 > 0, horizon > 0")
+    target = make_iwp(design).target
+    a = design.a
     x1_0, x3_0 = float(x0[0]), float(x0[1])
     eps = perturbation if perturbation is not None else (lambda tau: l1 * math.exp(-l2 * tau))
 
     def rhs(y):
-        return (y[1], -a * math.sin(y[0]) + eps(y[2]), 1.0)
+        rate, accel = target.alpha(y)
+        return (rate, accel + eps(y[2]), 1.0)
 
     traj = integrate_fixed(rhs, [x1_0, x3_0, 0.0], 0.0, horizon, dt)
-    r = 0.5 * traj.states[:, 1] ** 2 - a * np.cos(traj.states[:, 0])
-    r0 = 0.5 * x3_0**2 - a * math.cos(x1_0)
+    r = evaluate(target.first_integral, traj.states[:, :2])
+    r0 = float(target.first_integral((x1_0, x3_0)))
     l3 = l1 * abs(x3_0)
     l4 = l1 * (a + l1)
     bound = r0 + l3 / l2 + l4 / l2**2
@@ -336,34 +343,33 @@ def lemma1_check(
 
 @dataclass
 class Lemma2Setup:
-    """Reduced cart-pendulum dynamics with a decaying disturbance.
+    """The design's reduced cart-pendulum dynamics with a decaying
+    disturbance of size l1, started at w0.
 
-    The motion w1'' = (a1 sin(w1) + eps(t)) / (1 + k a2 cos(w1)) lives in the
-    angle cone (-beta_star, beta_star). Derived quantities:
+    The motion w1'' = (a1 sin(w1) + eps(t)) / (1 + k a2 cos(w1)) is the
+    design's target field plus eps over its control denominator, and lives
+    in the angle cone (-beta_star, beta_star). Derived quantities:
+      bundle    = make_cartpend_linear(design), whose target and
+                  singularity margin the harness reads
       k0        = -2 k a2 / a1
       Hw_min    = (a1/(k a2)) ln(-1 - k a2), the potential's minimum
-      beta_star = arccos(-1/(k a2)), the cone half-width
+      beta_star = the design's cone half-width
+    The energy hw is the target's first integral, which is zero at rest at
+    the bottom, plus Hw_min.
     """
 
-    k: float
-    a1: float
-    a2: float
+    design: CartPendLinearParams
     l1: float
     w0: tuple[float, float]
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0:
-            raise ParameterError("a1 and a2 must be positive")
         if self.l1 < 0:
             raise ParameterError("l1 must be nonnegative")
-        if self.k >= -1.0 / self.a2 - 1e-6:
-            raise ParameterError(
-                f"k must satisfy k < -1/a2 with margin 1e-6 (got k={self.k}); "
-                "the cone width and Hw_min degenerate at the boundary"
-            )
-        self.k0 = -2.0 * self.k * self.a2 / self.a1
-        self.Hw_min = (self.a1 / (self.k * self.a2)) * math.log(-1.0 - self.k * self.a2)
-        self.beta_star = math.acos(-1.0 / (self.k * self.a2))
+        d = self.design
+        self.bundle = make_cartpend_linear(d)
+        self.k0 = -2.0 * d.k * d.a2 / d.a1
+        self.Hw_min = (d.a1 / (d.k * d.a2)) * math.log(-1.0 - d.k * d.a2)
+        self.beta_star = d.beta_star
         self.w0 = (float(self.w0[0]), float(self.w0[1]))
         if abs(self.w0[0]) >= self.beta_star:
             raise ParameterError(
@@ -372,9 +378,7 @@ class Lemma2Setup:
 
     def hw(self, w1: float, w2: float) -> float:
         """Energy 0.5 w2^2 + (a1/(k a2)) ln|1 + k a2 cos(w1)|."""
-        return 0.5 * w2**2 + (self.a1 / (self.k * self.a2)) * math.log(
-            abs(1.0 + self.k * self.a2 * math.cos(w1))
-        )
+        return float(self.bundle.target.first_integral((w1, w2))) + self.Hw_min
 
 
 def lemma2_F(setup: Lemma2Setup, r: float) -> float:
@@ -386,7 +390,8 @@ def lemma2_F(setup: Lemma2Setup, r: float) -> float:
     arg = 2.0 * (r - setup.Hw_min)
     if arg < 0:
         raise ValueError(f"r={r} below the domain edge Hw_min={setup.Hw_min}")
-    return math.exp(-(setup.k * setup.a2 / setup.a1) * r) - math.sqrt(arg)
+    d = setup.design
+    return math.exp(-(d.k * d.a2 / d.a1) * r) - math.sqrt(arg)
 
 
 def lemma2_r0(setup: Lemma2Setup, scan_limit: float = 1e9) -> float:
@@ -400,7 +405,7 @@ def lemma2_r0(setup: Lemma2Setup, scan_limit: float = 1e9) -> float:
     relative width. Raises ValueError (with F's minimum) when F is positive
     at its minimizer or stays negative up to scan_limit.
     """
-    c = -setup.k * setup.a2 / setup.a1
+    c = -setup.design.k * setup.design.a2 / setup.design.a1
 
     def F(r: float) -> float:
         # the exponential term overflows long after it has won; treat that
@@ -464,16 +469,12 @@ def lemma2_check(
     """
     if l2 <= 0 or horizon <= 0:
         raise ValueError("need l2 > 0 and horizon > 0")
-    k, a1, a2, l1 = setup.k, setup.a1, setup.a2, setup.l1
-    ka2 = k * a2
+    alpha, sing_margin, l1 = setup.bundle.target.alpha, setup.bundle.singularity_margin, setup.l1
 
     def rhs(y):
-        return (
-            y[1],
-            (a1 * math.sin(y[0]) + l1 * math.exp(-l2 * y[2]))
-            / (1.0 + ka2 * math.cos(y[0])),
-            1.0,
-        )
+        # the singularity margin is minus the control denominator
+        rate, accel = alpha(y)
+        return (rate, accel - l1 * math.exp(-l2 * y[2]) / sing_margin(y), 1.0)
 
     aborted = False
     try:

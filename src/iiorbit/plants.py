@@ -383,6 +383,9 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         """-integral of alpha2 from 0 to s, in closed form."""
         return (a1 / ka2) * np.log(np.abs(denom(s) / (1.0 + ka2)))
 
+    # the sample boxes keep clear of the cone edge by 0.05, or by half of
+    # beta_star when that is below 0.1, so a narrow cone keeps a box
+    s_lim = beta_star - min(0.05, beta_star / 2)
     bundle = IandIBundle(
         name="cartpend-linear",
         plant=_cartpend_plant(a1, a2),
@@ -394,23 +397,15 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         immersion=immersion,
         manifold=manifold,
         controller=Controller(v=v),
-        xi_sample_box=_box([[-(beta_star - 0.05), beta_star - 0.05], [-1.5, 1.5]]),
-        x_sample_box=_box(
-            [[-(beta_star - 0.05), beta_star - 0.05], [-3, 3], [-2, 2], [-3, 3]]
-        ),
+        xi_sample_box=_box([[-s_lim, s_lim], [-1.5, 1.5]]),
+        x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-2, 2], [-3, 3]]),
         closed_form_c=lambda xi: (ka1 * _sin(xi[0]) / nonzero_denom(xi[0]),),
         z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
         singularity_margin=lambda x: -denom(x[0]),
-        info={
-            "beta_star": beta_star,
-            "k": k,
-            "a1": a1,
-            "a2": a2,
-            "z_rate": _slow_pole_rate(g1, g2),
-        },
+        info={"beta_star": beta_star, "z_rate": _slow_pole_rate(g1, g2)},
     )
     return bundle
 

@@ -186,7 +186,9 @@ def test_criterion_09_decaying_disturbance_energy_bound():
         l1 = 0.0 if i % 4 == 0 else 0.05 + 0.95 * rng.random()
         l2 = 0.1 + 1.9 * rng.random()
         x0 = (float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-1.0, 1.0)))
-        rep = lemma1_check(a, l1, l2, x0, horizon=100.0, dt=2e-3)
+        # the iwp design whose target pendulum has a = -m/(1 + b k) = m
+        design = plants.IwpParams(m=a, b=1.0, k=-2.0, gamma1=1.0, gamma2=1.0)
+        rep = lemma1_check(design, l1, l2, x0, horizon=100.0, dt=2e-3)
         assert rep.bound_holds, (a, l1, l2, x0, rep.max_r, rep.bound)
         if l1 == 0.0:
             conserved += 1
@@ -195,7 +197,7 @@ def test_criterion_09_decaying_disturbance_energy_bound():
 
 
 def test_criterion_10_cone_trapping_threshold():
-    setup = Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=0.1, w0=(0.3, 0.0))
+    setup = Lemma2Setup(plants.preset_params("cartpend-lin-default"), l1=0.1, w0=(0.3, 0.0))
     r0 = lemma2_r0(setup)
     assert abs(lemma2_F(setup, r0)) <= 1e-10
     for r in np.linspace(r0, r0 + 50.0, 100):

@@ -1,6 +1,7 @@
 """Orbit sampling, distance/decay metrics, and the two energy-bound checks."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +24,9 @@ from iiorbit.analysis import (
     orbital_distance_tail,
     wrap_angle,
 )
-from iiorbit.core import ParameterError
+from iiorbit.core import ParameterError, admissible_mask, augmented_field, evaluate
 from iiorbit.odesim import Trajectory, integrate_adaptive, integrate_fixed
+from iiorbit.plants import IwpParams, make_preset, preset_params
 
 TWO_PI = 2.0 * math.pi
 
@@ -325,20 +327,61 @@ class TestEnergyDrift:
             energy_drift(bundles["dcac-default"], traj)
 
 
+def closed_loop_link_motion(name: str, count: int = 2000, seed: int = 2026):
+    """On seeded admissible points x of the preset's sample box, with
+    z = phi(x): the link angle, the closed loop's link acceleration x3' and
+    the off-manifold rate z2', as read off the augmented field."""
+    bundle = make_preset(name)
+    box = bundle.x_sample_box
+    x = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(count, 4))
+    x = x[admissible_mask(bundle, x)]
+    z = evaluate(bundle.manifold.phi, x)
+    rates = evaluate(augmented_field(bundle), np.hstack([x, z]))
+    return x[:, 0], rates[:, 2], rates[:, 5]
+
+
+class TestClosedLoopsAreTheLemmaSystems:
+    """The closed loop's link moves by the lemma's reduced field, with the
+    off-manifold motion as its disturbance eps. The error is relative to
+    the size of the field's terms, which cancel near the upright."""
+
+    def test_cartpend_linear_is_lemma2(self):
+        p = preset_params("cartpend-lin-default")
+        x1, accel, dz2 = closed_loop_link_motion("cartpend-lin-default")
+        assert len(x1) == 2000
+        eps = -p.a2 * np.cos(x1) * dz2
+        den = 1.0 + p.k * p.a2 * np.cos(x1)
+        want = (p.a1 * np.sin(x1) + eps) / den
+        scale = (np.abs(p.a1 * np.sin(x1)) + np.abs(eps)) / np.abs(den)
+        assert np.max(np.abs(accel - want) / scale) <= 1e-13
+
+    def test_iwp_is_lemma1(self):
+        p = preset_params("iwp-default")
+        x1, accel, dz2 = closed_loop_link_motion("iwp-default")
+        eps = -p.b * dz2 / (1.0 + p.b * p.k)
+        want = -p.a * np.sin(x1) + eps
+        scale = np.abs(p.a * np.sin(x1)) + np.abs(eps)
+        assert np.max(np.abs(accel - want) / scale) <= 1e-13
+
+
+# an iwp design whose target pendulum has a = -m/(1 + b k) = 0.1308 exactly
+IWP_A = IwpParams(m=0.1308, b=1.0, k=-2.0, gamma1=1.0, gamma2=1.0)
+
+
 class TestLemma1:
     def test_reference_case_bound_holds(self):
-        rep = lemma1_check(0.1308, 0.5, 1.0, (0.5, 0.0), 100.0)
+        rep = lemma1_check(IWP_A, 0.5, 1.0, (0.5, 0.0), 100.0)
         assert rep.bound_holds
         assert rep.max_r <= rep.bound
 
     def test_unforced_energy_is_conserved(self):
-        rep = lemma1_check(0.1308, 0.0, 1.0, (0.5, 0.0), 100.0)
+        rep = lemma1_check(IWP_A, 0.0, 1.0, (0.5, 0.0), 100.0)
         assert rep.bound_holds
         assert abs(rep.max_r - rep.r0) < 1e-8
 
     def test_slower_decay_pumps_more_energy(self):
         reports = [
-            lemma1_check(0.1308, 0.5, l2, (0.5, 0.0), 100.0)
+            lemma1_check(IWP_A, 0.5, l2, (0.5, 0.0), 100.0)
             for l2 in (0.1, 0.5, 1.0, 5.0)
         ]
         assert all(r.bound_holds for r in reports)
@@ -347,23 +390,28 @@ class TestLemma1:
 
     def test_signed_perturbation_within_envelope(self):
         rep = lemma1_check(
-            0.1308, 0.5, 1.0, (0.5, 0.0), 100.0,
+            IWP_A, 0.5, 1.0, (0.5, 0.0), 100.0,
             perturbation=lambda tau: 0.5 * math.exp(-tau) * math.cos(5.0 * tau),
         )
         assert rep.bound_holds
 
     def test_bad_arguments_rejected(self):
+        # a = 0 is no iwp design: its record rejects m = 0
+        with pytest.raises(ParameterError):
+            lemma1_check(replace(IWP_A, m=0.0), 0.5, 1.0, (0.5, 0.0), 100.0)
         with pytest.raises(ValueError):
-            lemma1_check(0.0, 0.5, 1.0, (0.5, 0.0), 100.0)
+            lemma1_check(IWP_A, 0.5, 0.0, (0.5, 0.0), 100.0)
         with pytest.raises(ValueError):
-            lemma1_check(0.1308, 0.5, 0.0, (0.5, 0.0), 100.0)
-        with pytest.raises(ValueError):
-            lemma1_check(0.1308, -0.5, 1.0, (0.5, 0.0), 100.0)
+            lemma1_check(IWP_A, -0.5, 1.0, (0.5, 0.0), 100.0)
+
+
+# a1 = 9.8, a2 = 1, k = -4
+CARTPEND_LIN = preset_params("cartpend-lin-default")
 
 
 @pytest.fixture(scope="module")
 def lemma2_setup():
-    return Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=0.1, w0=(0.3, 0.0))
+    return Lemma2Setup(CARTPEND_LIN, l1=0.1, w0=(0.3, 0.0))
 
 
 class TestLemma2:
@@ -376,13 +424,17 @@ class TestLemma2:
         assert abs(s.hw(0.0, 0.0) - s.Hw_min) < 1e-15
 
     def test_setup_rejects_degenerate_slope(self):
-        for k in (-1.0, -0.5, -1.0 - 1e-9):
+        for k in (-1.0, -0.5):
             with pytest.raises(ParameterError, match="k must satisfy"):
-                Lemma2Setup(k=k, a1=9.8, a2=1.0, l1=0.1, w0=(0.3, 0.0))
+                Lemma2Setup(replace(CARTPEND_LIN, k=k), l1=0.1, w0=(0.3, 0.0))
+        # a valid design (1 + k a2 is about -1e-9, Hw_min about 203) whose
+        # cone's half-width is about 4.5e-5, so the start lies outside it
+        with pytest.raises(ParameterError, match="outside the cone"):
+            Lemma2Setup(replace(CARTPEND_LIN, k=-1.0 - 1e-9), l1=0.1, w0=(0.3, 0.0))
 
     def test_setup_rejects_start_outside_cone(self):
         with pytest.raises(ParameterError, match="outside the cone"):
-            Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=0.1, w0=(1.4, 0.0))
+            Lemma2Setup(CARTPEND_LIN, l1=0.1, w0=(1.4, 0.0))
 
     def test_root_function_domain(self, lemma2_setup):
         with pytest.raises(ValueError, match="below the domain edge"):
@@ -399,14 +451,14 @@ class TestLemma2:
     def test_no_root_reported(self):
         # F is positive at its minimizer (about 0.696 at r = 7.02), so it
         # has no zero at all
-        s = Lemma2Setup(k=-1.5, a1=9.8, a2=1.0, l1=0.1, w0=(0.01, 0.0))
+        s = Lemma2Setup(replace(CARTPEND_LIN, k=-1.5), l1=0.1, w0=(0.01, 0.0))
         with pytest.raises(ValueError, match="no sign change .* minimum is 6.96"):
             lemma2_r0(s, scan_limit=1e6)
 
     def test_roots_below_abs_hw_min_are_found(self):
         # both zeros (about -0.00751 and -0.00531) lie between Hw_min and
         # |Hw_min| and only 0.0022 apart; the larger one is r0
-        s = Lemma2Setup(k=-50.0, a1=0.1, a2=1.0, l1=0.1, w0=(0.01, 0.0))
+        s = Lemma2Setup(replace(CARTPEND_LIN, k=-50.0, a1=0.1), l1=0.1, w0=(0.01, 0.0))
         assert -0.0078 < s.Hw_min < -0.0077
         r0 = lemma2_r0(s)
         assert abs(r0 - (-0.00531)) < 1e-5
@@ -424,12 +476,12 @@ class TestLemma2:
         assert l2min == lemma2_setup.k0 * 0.1 * math.exp(lemma2_setup.k0 * r0)
 
     def test_threshold_scales_linearly_with_disturbance_size(self, lemma2_setup):
-        doubled = Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=0.2, w0=(0.3, 0.0))
+        doubled = Lemma2Setup(CARTPEND_LIN, l1=0.2, w0=(0.3, 0.0))
         assert lemma2_l2min(doubled) == 2.0 * lemma2_l2min(lemma2_setup)
 
     def test_threshold_grows_with_start_energy(self):
         thresholds = [
-            lemma2_l2min(Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=0.1, w0=(0.3, w2)))
+            lemma2_l2min(Lemma2Setup(CARTPEND_LIN, l1=0.1, w0=(0.3, w2)))
             for w2 in (0.0, 5.0, 7.0)
         ]
         assert thresholds[0] < thresholds[1] < thresholds[2]
@@ -442,14 +494,14 @@ class TestLemma2:
         assert rep.max_abs_w2 < 1.0
 
     def test_undisturbed_motion_keeps_cone(self):
-        s = Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=0.0, w0=(0.3, 0.0))
+        s = Lemma2Setup(CARTPEND_LIN, l1=0.0, w0=(0.3, 0.0))
         rep = lemma2_check(s, l2=1.0, horizon=60.0)
         assert rep.stayed_in_cone
 
     def test_large_slow_disturbance_escapes(self):
         # near the far cone edge a large positive forcing term divided by the
         # vanishing denominator points outward, so the barrier fails
-        s = Lemma2Setup(k=-4.0, a1=9.8, a2=1.0, l1=400.0, w0=(0.3, 0.0))
+        s = Lemma2Setup(CARTPEND_LIN, l1=400.0, w0=(0.3, 0.0))
         rep = lemma2_check(s, l2=0.01, horizon=20.0)
         assert not rep.stayed_in_cone
         assert rep.min_margin < 0.0

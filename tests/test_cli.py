@@ -370,6 +370,13 @@ class TestValidateCommand:
     def test_unknown_target_exits_2(self):
         assert cli.main(["validate", "no-such-bundle"]) == 2
 
+    def test_narrow_cone_exits_with_a_status(self, capsys):
+        # the cone's half-width is about 0.045, less than the sample boxes'
+        # usual 0.05 clearance from its edge
+        rc = cli.main(["validate", "cartpend-lin-default", "--set", "k=-1.001"])
+        assert rc in (0, 1)
+        assert "status: " in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "target,setting", [("iwp-default", "k=nan"), ("dcac-default", "R=nan")]
     )

@@ -279,7 +279,8 @@ class TestCartPendLinearBundle:
 
     def test_target_linearization_at_origin(self):
         bundle = make_preset("cartpend-lin-default")
-        a1, a2, k = bundle.info["a1"], bundle.info["a2"], bundle.info["k"]
+        params = preset_params("cartpend-lin-default")
+        a1, a2, k = params.a1, params.a2, params.k
         h = 1e-7
         slope = (
             bundle.target.alpha(np.array([h, 0.0]))[1]
