@@ -318,11 +318,13 @@ def lemma1_check(
     r(t) = x3^2/2 - a cos(x1) against
     r(0) + l1 |x3(0)| / l2 + l1 (a + l1) / l2^2.
     """
+    x1_0, x3_0 = float(x0[0]), float(x0[1])
+    if not all(map(math.isfinite, (l1, l2, horizon, dt, x1_0, x3_0))):
+        raise ValueError("l1, l2, horizon, dt and x0 must be finite")
     if l1 < 0 or l2 <= 0 or horizon <= 0:
         raise ValueError("need l1 >= 0, l2 > 0, horizon > 0")
     target = make_iwp(design).target
     a = design.a
-    x1_0, x3_0 = float(x0[0]), float(x0[1])
     eps = perturbation if perturbation is not None else (lambda tau: l1 * math.exp(-l2 * tau))
 
     def rhs(y):
@@ -363,6 +365,9 @@ class Lemma2Setup:
     w0: tuple[float, float]
 
     def __post_init__(self):
+        self.w0 = (float(self.w0[0]), float(self.w0[1]))
+        if not all(map(math.isfinite, (self.l1, *self.w0))):
+            raise ParameterError("l1 and w0 must be finite")
         if self.l1 < 0:
             raise ParameterError("l1 must be nonnegative")
         d = self.design
@@ -370,7 +375,6 @@ class Lemma2Setup:
         self.k0 = -2.0 * d.k * d.a2 / d.a1
         self.Hw_min = (d.a1 / (d.k * d.a2)) * math.log(-1.0 - d.k * d.a2)
         self.beta_star = d.beta_star
-        self.w0 = (float(self.w0[0]), float(self.w0[1]))
         if abs(self.w0[0]) >= self.beta_star:
             raise ParameterError(
                 f"w0[0]={self.w0[0]} outside the cone (-{self.beta_star}, {self.beta_star})"
@@ -467,6 +471,8 @@ def lemma2_check(
     An integrator abort (blow-up at the cone edge) is reported as a cone
     exit, not raised.
     """
+    if not all(map(math.isfinite, (l2, horizon, dt))):
+        raise ValueError("l2, horizon and dt must be finite")
     if l2 <= 0 or horizon <= 0:
         raise ValueError("need l2 > 0 and horizon > 0")
     alpha, sing_margin, l1 = setup.bundle.target.alpha, setup.bundle.singularity_margin, setup.l1

@@ -5,9 +5,12 @@ A bundle packages one complete design: a control-affine plant, a
 lower-dimensional target oscillator, an immersion of the target into the
 plant's state space, an implicit description of the immersed manifold, and a
 feedback that renders the manifold invariant and attractive. The functions
-here evaluate the defining identities numerically (immersion residual,
-manifold residual, on-manifold control consistency) and assemble the
-closed-loop and augmented vector fields for simulation.
+here evaluate the defining identities numerically and assemble the
+closed-loop and augmented vector fields for simulation. The immersion
+identity f(pi(xi)) + g(pi(xi)) c = Dpi(xi) alpha(xi) is solved once, in
+least squares, for the on-manifold control c; what is left of it is the
+immersion residual, and c feeds the boundary-condition and closed-form
+checks.
 
 Every bundle callable is a kernel: it reads components by index and returns
 a tuple (of row tuples for a matrix), so it runs alike on one point and on a
@@ -181,31 +184,6 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", M, v)
 
 
-def left_annihilator(G: np.ndarray) -> np.ndarray:
-    """Orthonormal-row matrix B with B G = 0, via the SVD left null space.
-
-    G is one (n, m) matrix or an (N, n, m) stack, and B one (n - m, n)
-    matrix or a stack of them. Rows follow descending singular-vector order
-    with each row's sign fixed so its first nonzero entry is positive,
-    making the output deterministic. Raises ValueError when G is
-    column-rank deficient.
-    """
-    G = np.asarray(G, dtype=float)
-    if G.ndim not in (2, 3):
-        raise ValueError("G must be a matrix or a stack of matrices")
-    n, m = G.shape[-2:]
-    if n <= m:
-        raise ValueError("G must be tall (n > m)")
-    U, s, _ = np.linalg.svd(G)
-    if np.any(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
-        raise ValueError(
-            f"G is rank deficient (smallest singular value {s[..., -1].min():.3e})"
-        )
-    B = np.swapaxes(U[..., m:], -1, -2)
-    first = np.take_along_axis(B, np.argmax(np.abs(B) > 1e-12, axis=-1)[..., None], -1)
-    return np.where(first < 0, -B, B)
-
-
 def _immersed(bundle: IandIBundle, xi: Sequence[float]):
     """xi as a float array and x = pi(xi), which must be admissible at every
     point."""
@@ -216,41 +194,54 @@ def _immersed(bundle: IandIBundle, xi: Sequence[float]):
     return xi, x
 
 
-def _target_velocity(bundle: IandIBundle, xi: np.ndarray) -> np.ndarray:
-    """Dpi(xi) alpha(xi), the plant velocity the immersion asks for."""
-    return _matvec(evaluate(bundle.immersion.jacobian, xi), evaluate(bundle.target.alpha, xi))
+def _immersion(bundle: IandIBundle, xi: Sequence[float]):
+    """x = pi(xi), the least-squares on-manifold control c and the immersion
+    residual f(x) + g(x) c - Dpi(xi) alpha(xi), at a point or rows.
+
+    c solves the normal equations g'g c = g'(Dpi alpha - f). Raises
+    ValueError when g is column-rank deficient at some pi(xi).
+    """
+    xi, x = _immersed(bundle, xi)
+    G = evaluate(bundle.plant.g, x)
+    s = np.linalg.svd(G, compute_uv=False)
+    if np.any(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
+        raise ValueError(
+            f"g is rank deficient at pi(xi) for {bundle.name} "
+            f"(smallest singular value {s[..., -1].min():.3e})"
+        )
+    Gt = np.swapaxes(G, -1, -2)
+    velocity = _matvec(evaluate(bundle.immersion.jacobian, xi), evaluate(bundle.target.alpha, xi))
+    rhs = velocity - evaluate(bundle.plant.f, x)
+    try:
+        c = np.linalg.solve(Gt @ G, Gt @ rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"g'g singular at pi(xi) for {bundle.name}") from exc
+    return x, c, _matvec(G, c) - rhs
 
 
 def fbi_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
-    """Immersion-condition residual at xi, one point (p,) or (N, p) rows.
+    """Immersion-condition residual f(pi(xi)) + g(pi(xi)) c - Dpi(xi) alpha(xi)
+    with the least-squares c: n plant components for one point xi (p,), or
+    per row of (N, p) points; identically zero for a correct design.
 
-    Projects the velocity mismatch f(pi(xi)) - Dpi(xi) alpha(xi) onto the
-    directions annihilated by g; identically zero for a correct design.
+    It is the part of the velocity mismatch f - Dpi alpha that no input can
+    cancel, so its Euclidean norm is that of the mismatch annihilated by g.
     """
-    xi, x = _immersed(bundle, xi)
-    mismatch = evaluate(bundle.plant.f, x) - _target_velocity(bundle, xi)
-    return _matvec(left_annihilator(evaluate(bundle.plant.g, x)), mismatch)
+    return _immersion(bundle, xi)[2]
 
 
 def on_manifold_control(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
-    """Least-squares input holding the state on the manifold at pi(xi),
-    computed through the pseudoinverse of g; xi is a point or rows."""
-    xi, x = _immersed(bundle, xi)
-    G = evaluate(bundle.plant.g, x)
-    Gt = np.swapaxes(G, -1, -2)
-    rhs = _target_velocity(bundle, xi) - evaluate(bundle.plant.f, x)
-    try:
-        return np.linalg.solve(Gt @ G, Gt @ rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"g'g singular at pi(xi) for {bundle.name}") from exc
+    """Least-squares input c(pi(xi)) holding the state on the manifold, from
+    the normal equations of g(pi(xi)) c = Dpi(xi) alpha(xi) - f(pi(xi)); xi
+    is a point or rows."""
+    return _immersion(bundle, xi)[1]
 
 
 def constraint_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
     """Boundary-condition residual v(pi(xi), 0) - c(pi(xi)) at a point or
     rows."""
-    xi, x = _immersed(bundle, xi)
-    z0 = np.zeros(xi.shape[:-1] + (bundle.z_dim,))
-    return evaluate(bundle.controller.v, x, z0) - on_manifold_control(bundle, xi)
+    x, c, _ = _immersion(bundle, xi)
+    return evaluate(bundle.controller.v, x, np.zeros(c.shape[:-1] + (bundle.z_dim,))) - c
 
 
 def manifold_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
@@ -431,7 +422,8 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
 
     xi = xi_grid[admissible_mask(bundle, evaluate(bundle.immersion.pi, xi_grid))]
     _, max_pi_jac = _jacobian_mismatch(bundle.immersion.jacobian, bundle.immersion.pi, xi)
-    max_c_err = _max_abs(on_manifold_control(bundle, xi) - evaluate(bundle.closed_form_c, xi))
+    pi_xi, c, fbi = _immersion(bundle, xi)
+    z0 = np.zeros((len(xi), bundle.z_dim))
 
     x = x_grid[admissible_mask(bundle, x_grid)]
     J, max_phi_jac = _jacobian_mismatch(bundle.manifold.jacobian, bundle.manifold.phi, x)
@@ -446,12 +438,12 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
         seed=seed,
         skipped_xi=grid_size - len(xi),
         skipped_x=grid_size - len(x),
-        max_fbi=_max_abs(fbi_residual(bundle, xi)),
-        max_manifold=_max_abs(manifold_residual(bundle, xi)),
-        max_constraint=_max_abs(constraint_residual(bundle, xi)),
+        max_fbi=_max_abs(fbi),
+        max_manifold=_max_abs(evaluate(bundle.manifold.phi, pi_xi)),
+        max_constraint=_max_abs(evaluate(bundle.controller.v, pi_xi, z0) - c),
         max_pi_jacobian_err=max_pi_jac,
         max_phi_jacobian_err=max_phi_jac,
         min_g_margin=float(np.min(g_margins, initial=np.inf)),
-        max_closed_form_c_err=max_c_err,
+        max_closed_form_c_err=_max_abs(c - evaluate(bundle.closed_form_c, xi)),
         max_z_consistency_err=max_z_err,
     )

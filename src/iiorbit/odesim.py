@@ -129,6 +129,13 @@ def rk4_step(field: Field, y: tuple, h: float) -> tuple:
     ])
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite (got {value!r})")
+
+
 def integrate_fixed(
     field: Field,
     x0: Sequence[float],
@@ -143,6 +150,7 @@ def integrate_fixed(
     field raises FieldEvaluationError or produces a non-finite value (a
     Python float overflow counts as one).
     """
+    _require_finite(t0=t0, t1=t1, dt=dt)
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if dt <= 0 or dt > t1 - t0:
@@ -259,6 +267,7 @@ def integrate_adaptive(
     ADAPTIVE_MIN_STEP_FACTOR*(t1-t0)) raises IntegrationAbort, which usually
     signals stiffness or an approach to a singularity.
     """
+    _require_finite(t0=t0, t1=t1, rtol=rtol, atol=atol)
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
     if rtol <= 0 or atol <= 0:

@@ -404,6 +404,16 @@ class TestLemma1:
         with pytest.raises(ValueError):
             lemma1_check(IWP_A, -0.5, 1.0, (0.5, 0.0), 100.0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("l1", math.nan), ("l1", math.inf), ("l2", math.nan), ("horizon", math.inf),
+         ("dt", math.nan), ("x0", (math.nan, 0.0)), ("x0", (0.5, math.inf))],
+    )
+    def test_non_finite_argument_rejected(self, name, value):
+        args = {"l1": 0.5, "l2": 1.0, "x0": (0.5, 0.0), "horizon": 1.0, "dt": 1e-3, name: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            lemma1_check(IWP_A, **args)
+
 
 # a1 = 9.8, a2 = 1, k = -4
 CARTPEND_LIN = preset_params("cartpend-lin-default")
@@ -431,6 +441,16 @@ class TestLemma2:
         # cone's half-width is about 4.5e-5, so the start lies outside it
         with pytest.raises(ParameterError, match="outside the cone"):
             Lemma2Setup(replace(CARTPEND_LIN, k=-1.0 - 1e-9), l1=0.1, w0=(0.3, 0.0))
+
+    @pytest.mark.parametrize(
+        "l1,w0",
+        [(math.nan, (0.3, 0.0)), (math.inf, (0.3, 0.0)), (0.1, (math.nan, 0.0)),
+         (0.1, (0.3, math.inf)), (0.1, (0.3, -math.inf))],
+    )
+    def test_setup_rejects_non_finite_input(self, l1, w0):
+        # a NaN angle used to pass the cone check, and max(r0, NaN) is r0
+        with pytest.raises(ParameterError, match="must be finite"):
+            Lemma2Setup(CARTPEND_LIN, l1=l1, w0=w0)
 
     def test_setup_rejects_start_outside_cone(self):
         with pytest.raises(ParameterError, match="outside the cone"):
@@ -511,3 +531,12 @@ class TestLemma2:
             lemma2_check(lemma2_setup, l2=0.0, horizon=10.0)
         with pytest.raises(ValueError):
             lemma2_check(lemma2_setup, l2=1.0, horizon=-1.0)
+
+    @pytest.mark.parametrize(
+        "name,value", [("l2", math.nan), ("l2", math.inf), ("horizon", math.inf), ("dt", math.nan)]
+    )
+    def test_check_rejects_non_finite_argument(self, lemma2_setup, name, value):
+        # a NaN or infinite l2 used to read as a cone exit at a positive margin
+        args = {"l2": 1.0, "horizon": 1.0, "dt": 1e-3, name: value}
+        with pytest.raises(ValueError, match="must be finite"):
+            lemma2_check(lemma2_setup, **args)

@@ -22,38 +22,12 @@ from iiorbit.core import (
     evaluate,
     fbi_residual,
     fd_jacobian,
-    left_annihilator,
     manifold_residual,
     on_manifold_control,
     validate_bundle,
 )
 from iiorbit.odesim import FieldEvaluationError, IntegrationAbort, integrate_fixed, rk4_step
 from iiorbit import core, plants
-
-
-class TestLeftAnnihilator:
-    @pytest.mark.parametrize("n,m", [(2, 1), (4, 1), (4, 2), (6, 2)])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_annihilates_and_is_orthonormal(self, n, m, seed):
-        rng = np.random.default_rng(seed)
-        G = rng.normal(size=(n, m))
-        W = left_annihilator(G)
-        assert W.shape == (n - m, n)
-        assert np.max(np.abs(W @ G)) < 1e-12
-        assert np.allclose(W @ W.T, np.eye(n - m), atol=1e-12)
-
-    def test_sign_convention_is_deterministic(self):
-        G = np.array([[0.0], [0.0], [-10.0], [1.0]])
-        W = left_annihilator(G)
-        for row in W:
-            first = row[np.nonzero(np.abs(row) > 1e-12)[0][0]]
-            assert first > 0
-
-    def test_rank_deficient_rejected(self):
-        G = np.zeros((3, 2))
-        G[:, 1] = [1.0, 2.0, 3.0]
-        with pytest.raises(ValueError):
-            left_annihilator(G)
 
 
 class TestJacobian:
@@ -91,6 +65,58 @@ class TestResiduals:
                 c_pinv = on_manifold_control(bundle, xi)
                 c_closed = np.atleast_1d(bundle.closed_form_c(xi))
                 assert np.max(np.abs(c_pinv - c_closed)) < 1e-10
+
+    def test_rank_deficient_g_rejected(self, bundles):
+        # the second column is zero, so g has rank one at every point
+        good = bundles["lti-identity"]
+        G = ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (0.0, 0.0))
+        plant = dataclasses.replace(good.plant, g=lambda x: G)
+        bad = dataclasses.replace(good, plant=plant)
+        with pytest.raises(ValueError, match="smallest singular value 0.000e"):
+            fbi_residual(bad, [0.3, -0.2])
+
+
+def _mistargeted(bundle, make_alpha):
+    """The bundle with its target field replaced; plant, immersion, manifold
+    and feedback are unchanged."""
+    return dataclasses.replace(
+        bundle, target=dataclasses.replace(bundle.target, alpha=make_alpha(bundle))
+    )
+
+
+# design errors that leave pi, phi and both Jacobians consistent: the iwp
+# target's restoring term and the whole dcac target field slightly off
+MISTARGETED = {
+    "iwp-default": lambda b: lambda xi: (xi[1], -1.001 * b.info["a"] * plants._sin(xi[0])),
+    "dcac-default": lambda b: lambda xi: tuple(1.0001 * c for c in b.target.alpha(xi)),
+}
+
+
+class TestImmersionResidual:
+    @pytest.mark.parametrize("name", sorted(MISTARGETED))
+    def test_mistargeted_design_fails_on_the_immersion_residual(self, bundles, name):
+        report = validate_bundle(_mistargeted(bundles[name], MISTARGETED[name]))
+        failures = report.failures()
+        assert failures and failures[0].startswith("immersion residual"), failures
+        assert not [msg for msg in failures if "manifold" in msg or "Jacobian" in msg]
+
+    @pytest.mark.parametrize("name", sorted(MISTARGETED))
+    def test_norm_is_that_of_the_annihilated_mismatch(self, bundles, name):
+        bundle = _mistargeted(bundles[name], MISTARGETED[name])
+        box = bundle.xi_sample_box
+        xi = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(500, 2))
+        x = evaluate(bundle.immersion.pi, xi)
+        mismatch = evaluate(bundle.plant.f, x) - np.einsum(
+            "...ij,...j->...i",
+            evaluate(bundle.immersion.jacobian, xi),
+            evaluate(bundle.target.alpha, xi),
+        )
+        # orthonormal columns spanning the left null space of g
+        null = np.linalg.svd(evaluate(bundle.plant.g, x))[0][..., bundle.plant.m:]
+        expected = np.linalg.norm(np.einsum("...ji,...j->...i", null, mismatch), axis=-1)
+        residual = fbi_residual(bundle, xi)
+        assert residual.shape == (500, bundle.plant.n)
+        np.testing.assert_allclose(np.linalg.norm(residual, axis=-1), expected, rtol=1e-9, atol=0.0)
 
 
 class TestValidateBundle:

@@ -106,8 +106,33 @@ class TestFixedStep:
         with pytest.raises(ValueError):
             integrate_fixed(DECAY, [1.0], 1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("t0", math.nan), ("t1", math.inf), ("t1", math.nan), ("dt", math.nan), ("dt", math.inf)],
+    )
+    def test_non_finite_argument_rejected(self, name, value):
+        calls = []
+        args = {"t0": 0.0, "t1": 1.0, "dt": 0.1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate_fixed(lambda y: calls.append(y) or DECAY(y), [1.0], **args)
+        assert calls == []
+
 
 class TestAdaptive:
+    @pytest.mark.parametrize(
+        "name,value",
+        [("t0", math.nan), ("t1", math.nan), ("t1", math.inf), ("t0", -math.inf),
+         ("rtol", math.nan), ("atol", math.inf)],
+    )
+    def test_non_finite_argument_rejected(self, name, value):
+        # a non-finite span used to make the minimum step NaN or infinite,
+        # so the step loop never stopped
+        calls = []
+        args = {"t0": 0.0, "t1": 1.0, "rtol": 1e-8, "atol": 1e-10, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate_adaptive(lambda y: calls.append(y) or DECAY(y), [1.0], **args)
+        assert calls == []
+
     def test_rotation_oracle(self):
         traj = integrate_adaptive(ROTATION, [1.0, 0.0], 0.0, 2 * math.pi, rtol=1e-9, atol=1e-12)
         assert np.max(np.abs(traj.final_state - [1.0, 0.0])) < 1e-7
