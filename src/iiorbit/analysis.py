@@ -128,9 +128,12 @@ def orbit_samples(
     measured on the target. The orbit is then anchored on a refined
     crossing, its period measured crossing-to-crossing, and one fixed-step
     pass lays down ORBIT_SAMPLES_PER_PERIOD uniform samples whose last
-    state closes onto the first to integrator accuracy.
+    state closes onto the first to integrator accuracy. A non-finite xi0
+    raises ValueError.
     """
     xi0 = np.array(xi0, dtype=float)
+    if not np.all(np.isfinite(xi0)):
+        raise ValueError(f"xi0={xi0.tolist()} is not finite; no orbit passes through it")
     angles = [j for j, col in enumerate(bundle.xi_projection) if col in bundle.angle_indices]
     xi0[angles] = wrap_angle(xi0[angles])
     field = bundle.target.alpha

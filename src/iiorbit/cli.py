@@ -120,12 +120,13 @@ class Scenario:
 
 @dataclass
 class RunArtifact:
-    """Where a run landed on disk, its metric summary and the integrated
-    (x, z) trajectory."""
+    """Where a run landed on disk, its metric summary, the integrated
+    (x, z) trajectory and the bundle that drove it."""
 
     directory: Path
     metrics: dict
     trajectory: Trajectory
+    bundle: IandIBundle
     trajectory_csv: Optional[Path] = None
 
 
@@ -509,7 +510,7 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
     u = _control_history(bundle, traj)
     metrics = compute_metrics(bundle, traj, u, aborted, abort_time)
 
-    artifact = RunArtifact(directory=outdir, metrics=metrics, trajectory=traj)
+    artifact = RunArtifact(directory=outdir, metrics=metrics, trajectory=traj, bundle=bundle)
     if "trajectory_csv" in scn.outputs:
         artifact.trajectory_csv = outdir / "trajectory.csv"
         _write_trajectory_csv(
@@ -595,27 +596,85 @@ def cmd_run(args) -> int:
     return 1 if artifact.metrics["aborted"] else 0
 
 
+# Set only in a sweep's worker processes: the event the parent sets once
+# the sweep is over, so that a value still queued does not run.
+_sweep_over = None
+
+
+def _join_sweep(over) -> None:
+    """Worker initializer: keep the sweep's end event."""
+    global _sweep_over
+    _sweep_over = over
+
+
+def _sweep_value(sub: Scenario, root: Path, subdir: str) -> Optional[tuple[tuple, bool, Path]]:
+    """Run one checked sweep value: its comparison row (period_est,
+    amplitude, decay_rate), its aborted flag and its artifact directory.
+    Only these return from a worker process; the trajectory stays there.
+    A worker that takes the value after the sweep is over returns None."""
+    if _sweep_over is not None and _sweep_over.is_set():
+        return None
+    artifact = run_scenario(sub, root, subdir=subdir)
+    metrics = artifact.metrics
+    amplitude = analysis.tail_amplitude(artifact.bundle, artifact.trajectory)
+    row = (metrics["period_est"], amplitude, metrics["decay_rate"])
+    return row, metrics["aborted"], artifact.directory
+
+
 def cmd_sweep(args) -> int:
+    """Run every value of a sweep, in forked worker processes when more than
+    one value and more than one usable CPU allow it, in process otherwise;
+    the printed lines and comparison.csv follow value order either way."""
     scn = load_scenario(args.target)
-    # every value is checked before the first run
-    runs = [(value, sub, check_scenario(sub).bundle) for value, sub in expand_sweep(scn)]
-    out_root = _out_root(args.out)
+    runs = expand_sweep(scn)
+    for _, sub in runs:  # every value is checked before the first run
+        check_scenario(sub)
+    root = _out_root(args.out) / scn.name
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(runs), cpus)
+    pool, spread = None, map
+    if workers > 1:
+        # imported here: `import iiorbit` loads neither module
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Fork, not spawn: a spawned worker imports the package again.
+            # The pool forks all its workers before it starts its manager
+            # thread, and multiprocessing flushes stdout and stderr before
+            # each fork, so no worker writes the parent's buffer again.
+            fork = multiprocessing.get_context("fork")
+            over = fork.Event()
+            pool = ProcessPoolExecutor(
+                workers, mp_context=fork, initializer=_join_sweep, initargs=(over,)
+            )
+            spread = pool.map
     rows = []
     failed = False
-    for i, (value, sub, bundle) in enumerate(runs):
-        artifact = run_scenario(sub, out_root / scn.name, subdir=f"value-{i}")
-        rows.append(
-            (
-                value,
-                artifact.metrics.get("period_est"),
-                analysis.tail_amplitude(bundle, artifact.trajectory),
-                artifact.metrics.get("decay_rate"),
-            )
+    try:
+        results = spread(
+            _sweep_value,
+            [sub for _, sub in runs],
+            [root] * len(runs),
+            [f"value-{i}" for i in range(len(runs))],
         )
-        failed = failed or artifact.metrics["aborted"]
-        print(f"value {value!r} -> {artifact.directory}")
+        for (value, _), (row, aborted, directory) in zip(runs, results):
+            rows.append((value, *row))
+            failed = failed or aborted
+            print(f"value {value!r} -> {directory}")
+    finally:
+        if pool is not None:
+            # After an error, values not yet started never run. The pool
+            # cancels the calls it still holds; the event stops those it
+            # has already queued to the workers (up to workers + 1).
+            over.set()
+            pool.shutdown(cancel_futures=True)
 
-    cmp_path = out_root / scn.name / "comparison.csv"
+    cmp_path = root / "comparison.csv"
     lines = ["value,period_est,amplitude,decay_rate"]
     lines += [",".join(map(_fmt_value, row)) for row in rows]
     cmp_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

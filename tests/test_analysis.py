@@ -70,6 +70,12 @@ class TestOrbitSamples:
         with pytest.raises(ValueError, match="equilibrium"):
             orbit_samples(bundles["iwp-default"], [0.0, 0.0])
 
+    @pytest.mark.parametrize("xi0", [[math.nan, 0.0], [0.3, math.inf]])
+    def test_non_finite_seed_rejected(self, bundles, xi0):
+        # named before the equilibrium test, which an inf seed would fool
+        with pytest.raises(ValueError, match="is not finite"):
+            orbit_samples(bundles["iwp-default"], xi0)
+
     def test_attractive_orbit_reached_from_off_orbit_seed(self, bundles):
         # the converter target pulls every nonzero seed onto the circle of
         # radius A, so the scouting pass may start well inside it

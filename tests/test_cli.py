@@ -572,6 +572,75 @@ class TestSweepCommand:
         path = write_scenario(tmp_path, TINY_LTI)
         assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    THREE_VALUES = dict(
+        TINY_LTI, t_span=[0.0, 1.0], outputs=["metrics_csv"],
+        sweep={"parameter": "x0[0]", "values": [1.0, 2.0, 3.0]},
+    )
+
+    @staticmethod
+    def sweep_in_fresh_interpreter(path: Path, out: Path, **popen) -> subprocess.CompletedProcess:
+        # piped stdout is block-buffered, so a buffer a forked worker copied
+        # and flushed again would show as a repeated line
+        src = Path(cli.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "iiorbit.cli", "sweep", str(path), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)), **popen,
+        )
+
+    def test_each_value_prints_once_in_value_order(self, tmp_path):
+        path = write_scenario(tmp_path, self.THREE_VALUES)
+        proc = self.sweep_in_fresh_interpreter(path, tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        root = tmp_path / "out" / "tiny-lti"
+        assert proc.stdout.splitlines() == [
+            f"value 1.0 -> {root / 'value-0'}",
+            f"value 2.0 -> {root / 'value-1'}",
+            f"value 3.0 -> {root / 'value-2'}",
+            f"comparison table: {root / 'comparison.csv'}",
+        ]
+
+    def test_no_worker_outlives_the_sweep(self, tmp_path):
+        import multiprocessing
+
+        path = write_scenario(tmp_path, self.THREE_VALUES)
+        assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_failing_value_keeps_the_exit_code_contract(self, tmp_path):
+        # a regular file where value-1's directory goes: its run raises
+        # ScenarioError wherever it runs
+        root = tmp_path / "out" / "tiny-lti"
+        root.mkdir(parents=True)
+        (root / "value-1").write_text("a regular file\n", encoding="utf-8")
+        path = write_scenario(tmp_path, self.THREE_VALUES)
+        proc = self.sweep_in_fresh_interpreter(path, tmp_path / "out")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write artifacts under ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == [f"value 1.0 -> {root / 'value-0'}"]
+        assert not (root / "comparison.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_values_not_started_before_a_failure_never_run(self, tmp_path):
+        # value-0 fails at once; on two CPUs value-1 runs beside it and
+        # value-2 may already be taken, but value-3 and value-4 never start
+        doc = dict(
+            self.SWEEP_DOC, name="five", outputs=["metrics_csv"],
+            sweep={"parameter": "k", "values": [-1.4, -1.6, -1.8, -2.0, -2.2]},
+        )
+        root = tmp_path / "out" / "five"
+        root.mkdir(parents=True)
+        (root / "value-0").write_text("a regular file\n", encoding="utf-8")
+        path = write_scenario(tmp_path, doc)
+        two_cpus = set(sorted(os.sched_getaffinity(0))[:2])
+        proc = self.sweep_in_fresh_interpreter(
+            path, tmp_path / "out", preexec_fn=lambda: os.sched_setaffinity(0, two_cpus)
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert not (root / "value-3").exists()
+        assert not (root / "value-4").exists()
+
 
 class TestReportCommand:
     @staticmethod
