@@ -9,6 +9,7 @@ single points and whole stacks. Sines and cosines go through _sin and _cos,
 which keep one Python float a Python float (through math) and pass anything
 else to numpy with the same bits; np.log, np.tan and np.power stay numpy on
 every path, because math's versions differ from them in the last bit.
+pi and phi also carry a complex input through, for core.derivative.
 """
 
 from __future__ import annotations
@@ -241,9 +242,8 @@ def make_lti(params: LtiParams) -> IandIBundle:
         raise ParameterError("P and R must be 2x2")
     T = np.vstack([np.eye(2), _J])  # pi(xi) = T xi
     KT = _rows(np.hstack([P, R + _J]) @ T)  # on-manifold control c(xi) = K T xi
-    Pk, Rk, RJk, Tk = _rows(P), _rows(R), _rows(R + _J), _rows(T)
+    Pk, Rk, RJk = _rows(P), _rows(R), _rows(R + _J)
     G = _rows(np.vstack([np.zeros((2, 2)), np.eye(2)]))
-    Jphi = _rows(np.hstack([-_J, np.eye(2)]))
 
     def f(x):
         px, rx = _matvec2(Pk, x[:2]), _matvec2(Rk, x[2:])
@@ -261,12 +261,8 @@ def make_lti(params: LtiParams) -> IandIBundle:
             alpha=lambda xi: (xi[1], -xi[0]),
             first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
         ),
-        immersion=ImmersionMap(
-            pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0]), jacobian=lambda xi: Tk
-        ),
-        manifold=ImplicitManifold(
-            phi=lambda x: (x[2] - x[1], x[0] + x[3]), jacobian=lambda x: Jphi
-        ),
+        immersion=ImmersionMap(pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0])),
+        manifold=ImplicitManifold(phi=lambda x: (x[2] - x[1], x[0] + x[3])),
         controller=Controller(v=v),
         xi_sample_box=_box([[-2, 2], [-2, 2]]),
         x_sample_box=_box([[-2, 2]] * 4),
@@ -324,11 +320,9 @@ def make_iwp(params: IwpParams) -> IandIBundle:
 def _straight_manifold(k: float) -> tuple[ImmersionMap, ImplicitManifold]:
     """pi(xi) = (xi1, k xi1, xi2, k xi2) and the phi whose zero set is its
     image, x2 = k x1 and x4 = k x3."""
-    Jpi = ((1.0, 0.0), (k, 0.0), (0.0, 1.0), (0.0, k))
-    Jphi = ((-k, 1.0, 0.0, 0.0), (0.0, 0.0, -k, 1.0))
     return (
-        ImmersionMap(pi=lambda xi: (xi[0], k * xi[0], xi[1], k * xi[1]), jacobian=lambda xi: Jpi),
-        ImplicitManifold(phi=lambda x: (x[1] - k * x[0], x[3] - k * x[2]), jacobian=lambda x: Jphi),
+        ImmersionMap(pi=lambda xi: (xi[0], k * xi[0], xi[1], k * xi[1])),
+        ImplicitManifold(phi=lambda x: (x[1] - k * x[0], x[3] - k * x[2])),
     )
 
 
@@ -435,17 +429,9 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         k, kp, _ = slaving(xi[0])
         return (xi[0], k, xi[1], kp * xi[1])
 
-    def pi_jac(xi):
-        _, kp, kpp = slaving(xi[0])
-        return ((1.0, 0.0), (kp, 0.0), (0.0, 1.0), (kpp * xi[1], kp))
-
     def phi(x):
         k, kp, _ = slaving(x[0])
         return (x[1] - k, x[3] - kp * x[2])
-
-    def phi_jac(x):
-        _, kp, kpp = slaving(x[0])
-        return ((-kp, 1.0, 0.0, 0.0), (-kpp * x[2], 0.0, -kp, 1.0))
 
     def on_manifold(s, ds):
         """-a times the feedback's z-free part at link angle s and rate ds."""
@@ -473,8 +459,8 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         name="cartpend-nonlinear",
         plant=_cartpend_plant(a1, a2),
         target=TargetDynamics(p=2, alpha=alpha, first_integral=first_integral),
-        immersion=ImmersionMap(pi=pi_map, jacobian=pi_jac),
-        manifold=ImplicitManifold(phi=phi, jacobian=phi_jac),
+        immersion=ImmersionMap(pi=pi_map),
+        manifold=ImplicitManifold(phi=phi),
         controller=Controller(v=v),
         xi_sample_box=_box([[-s_lim, s_lim], [-1.0, 1.0]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-1.5, 1.5], [-3, 3]]),
@@ -551,20 +537,13 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         b = beta(x[0], x[1])
         return (x[2] - b[0], x[3] - b[1])
 
-    def phi_jac(x):
-        (j00, j01), (j10, j11) = beta_jac(x[0], x[1])
-        return ((-j00, -j01, 1.0, 0.0), (-j10, -j11, 0.0, 1.0))
-
     z_rate = gamma * E / L
     bundle = IandIBundle(
         name="dcac",
         plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
         target=TargetDynamics(p=2, alpha=alpha),
-        immersion=ImmersionMap(
-            pi=pi_map,
-            jacobian=lambda xi: ((1.0, 0.0), (0.0, 1.0)) + beta_jac(xi[0], xi[1]),
-        ),
-        manifold=ImplicitManifold(phi=phi, jacobian=phi_jac),
+        immersion=ImmersionMap(pi=pi_map),
+        manifold=ImplicitManifold(phi=phi),
         controller=Controller(v=v),
         xi_sample_box=_box([[-1.25 * A, 1.25 * A]] * 2),
         x_sample_box=_box(

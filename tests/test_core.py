@@ -19,9 +19,9 @@ from iiorbit.core import (
     augmented_field,
     closed_loop_field,
     constraint_residual,
+    derivative,
     evaluate,
     fbi_residual,
-    fd_jacobian,
     manifold_residual,
     on_manifold_control,
     validate_bundle,
@@ -30,17 +30,58 @@ from iiorbit.odesim import FieldEvaluationError, IntegrationAbort, integrate_fix
 from iiorbit import core, plants
 
 
-class TestJacobian:
-    def test_fd_matches_analytic(self):
-        def fn(x):
-            return np.array([x[0] ** 2 * x[1], math.sin(x[1])])
+def _central_difference(kernel, x, v):
+    """Reference derivative of kernel at x along v, per row: central
+    differences with step 1e-6 max(1, |x|) / |v|."""
+    norm = functools.partial(np.linalg.norm, axis=-1, keepdims=True)
+    step = 1e-6 * np.maximum(1.0, norm(x)) / norm(v)
+    return (evaluate(kernel, x + step * v) - evaluate(kernel, x - step * v)) / (2.0 * step)
 
-        x = np.array([1.3, -0.4])
-        J = fd_jacobian(fn, x)
-        exact = np.array(
-            [[2 * 1.3 * -0.4, 1.3**2], [0.0, math.cos(-0.4)]]
-        )
-        assert np.max(np.abs(J - exact)) < 1e-8
+
+def _grid_and_directions(bundle, which, count=200, seed=13):
+    """Seeded points of pi's or phi's sample box, with pi's derivative taken
+    along alpha and phi's along random directions."""
+    rng = np.random.default_rng(seed)
+    if which == "pi":
+        xi = rng.uniform(*bundle.xi_sample_box.T, size=(count, bundle.target.p))
+        return bundle.immersion.pi, xi, evaluate(bundle.target.alpha, xi)
+    x = rng.uniform(*bundle.x_sample_box.T, size=(count, bundle.plant.n))
+    x = x[admissible_mask(bundle, x)]
+    return bundle.manifold.phi, x, rng.normal(size=x.shape)
+
+
+class TestDerivative:
+    def test_analytic_case(self):
+        def fn(x):
+            return (x[0] * x[0] * x[1], np.sin(x[1]))
+
+        x, v = np.array([1.3, -0.4]), np.array([0.7, -1.1])
+        exact = [2 * 1.3 * -0.4 * 0.7 + 1.3**2 * -1.1, math.cos(-0.4) * -1.1]
+        assert np.max(np.abs(derivative(fn, x, v) - exact)) < 1e-15
+
+    @pytest.mark.parametrize("name", ["lti-identity", "iwp-default", "cartpend-lin-default"])
+    @pytest.mark.parametrize("which", ["pi", "phi"])
+    def test_linear_kernels_are_exact(self, bundles, name, which):
+        # D pi(x) v = pi(v) for a linear pi, bit for bit
+        kernel, x, v = _grid_and_directions(bundles[name], which)
+        assert np.array_equal(derivative(kernel, x, v), evaluate(kernel, v))
+
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    @pytest.mark.parametrize("which", ["pi", "phi"])
+    def test_matches_central_differences(self, bundles, name, which):
+        kernel, x, v = _grid_and_directions(bundles[name], which)
+        got, want = derivative(kernel, x, v), _central_difference(kernel, x, v)
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) < 1e-6
+
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    @pytest.mark.parametrize("which", ["pi", "phi"])
+    def test_point_matches_rows(self, bundles, name, which):
+        # numpy's complex loops round scalars and arrays differently, so the
+        # two agree to rounding, not bit for bit
+        kernel, x, v = _grid_and_directions(bundles[name], which, count=20)
+        rows = derivative(kernel, x, v)
+        points = np.array([derivative(kernel, xk, vk) for xk, vk in zip(x, v)])
+        np.testing.assert_allclose(points, rows, rtol=1e-14, atol=0.0)
 
 
 class TestResiduals:
@@ -84,8 +125,8 @@ def _mistargeted(bundle, make_alpha):
     )
 
 
-# design errors that leave pi, phi and both Jacobians consistent: the iwp
-# target's restoring term and the whole dcac target field slightly off
+# design errors that leave pi and phi consistent: the iwp target's
+# restoring term and the whole dcac target field slightly off
 MISTARGETED = {
     "iwp-default": lambda b: lambda xi: (xi[1], -1.001 * b.info["a"] * plants._sin(xi[0])),
     "dcac-default": lambda b: lambda xi: tuple(1.0001 * c for c in b.target.alpha(xi)),
@@ -98,7 +139,7 @@ class TestImmersionResidual:
         report = validate_bundle(_mistargeted(bundles[name], MISTARGETED[name]))
         failures = report.failures()
         assert failures and failures[0].startswith("immersion residual"), failures
-        assert not [msg for msg in failures if "manifold" in msg or "Jacobian" in msg]
+        assert not [msg for msg in failures if "manifold" in msg]
 
     @pytest.mark.parametrize("name", sorted(MISTARGETED))
     def test_norm_is_that_of_the_annihilated_mismatch(self, bundles, name):
@@ -106,10 +147,8 @@ class TestImmersionResidual:
         box = bundle.xi_sample_box
         xi = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(500, 2))
         x = evaluate(bundle.immersion.pi, xi)
-        mismatch = evaluate(bundle.plant.f, x) - np.einsum(
-            "...ij,...j->...i",
-            evaluate(bundle.immersion.jacobian, xi),
-            evaluate(bundle.target.alpha, xi),
+        mismatch = evaluate(bundle.plant.f, x) - derivative(
+            bundle.immersion.pi, xi, evaluate(bundle.target.alpha, xi)
         )
         # orthonormal columns spanning the left null space of g
         null = np.linalg.svd(evaluate(bundle.plant.g, x))[0][..., bundle.plant.m:]
@@ -138,7 +177,7 @@ class TestValidateBundle:
             x = good.immersion.pi(xi)
             return (x[0], x[1] + 0.01, x[2], x[3])
 
-        warped = ImmersionMap(pi=warped_pi, jacobian=good.immersion.jacobian)
+        warped = ImmersionMap(pi=warped_pi)
         bad = IandIBundle(
             name=good.name,
             plant=good.plant,
@@ -159,11 +198,28 @@ class TestValidateBundle:
         assert not report.passed
         assert any("manifold" in msg or "immersion" in msg for msg in report.failures())
 
+    @pytest.mark.parametrize("name", ["iwp-default", "dcac-default"])
+    @pytest.mark.parametrize(
+        "part,attr,named",
+        [
+            ("immersion", "pi", "immersion residual"),
+            ("manifold", "phi", "off-manifold dynamics mismatch"),
+        ],
+    )
+    def test_kernel_dropping_the_imaginary_part_fails(self, bundles, name, part, attr, named):
+        # the same real values, but a zero complex-step derivative
+        good = bundles[name]
+        record = getattr(good, part)
+        kernel = getattr(record, attr)
+        real = dataclasses.replace(record, **{attr: lambda y: tuple(map(np.real, kernel(y)))})
+        failures = validate_bundle(dataclasses.replace(good, **{part: real})).failures()
+        assert failures and failures[0].startswith(named), failures
+
     @pytest.mark.parametrize(
         "field,named",
         [
             ("max_fbi", "immersion residual"),
-            ("max_phi_jacobian_err", "manifold Jacobian mismatch"),
+            ("max_z_consistency_err", "off-manifold dynamics mismatch"),
             ("max_closed_form_c_err", "closed-form control mismatch"),
             ("min_g_margin", "input-matrix rank margin"),
         ],
@@ -231,8 +287,7 @@ class TestClosedLoop:
                 z = np.atleast_1d(bundle.manifold.phi(x))
                 y = np.concatenate([x, z])
                 ydot = fld(y)
-                dphi = np.array(bundle.manifold.jacobian(x))
-                zdot_literal = dphi @ ydot[:n]
+                zdot_literal = derivative(bundle.manifold.phi, x, ydot[:n])
                 assert np.max(np.abs(ydot[n:] - zdot_literal)) < 1e-9
 
     @pytest.mark.parametrize("name", plants.PRESETS)
@@ -380,9 +435,7 @@ class TestKernels:
             "alpha": (bundle.target.alpha, Xi),
             "first_integral": (bundle.target.first_integral, Xi),
             "pi": (bundle.immersion.pi, Xi),
-            "pi jacobian": (bundle.immersion.jacobian, Xi),
             "phi": (bundle.manifold.phi, X),
-            "phi jacobian": (bundle.manifold.jacobian, X),
             "v": (bundle.controller.v, X, Z),
             "closed_form_c": (bundle.closed_form_c, Xi),
             "z_dynamics": (bundle.z_dynamics, X, Z),
@@ -461,8 +514,8 @@ class TestBundleShape:
             g=lambda x: np.array([[0.0], [1.0]]),
         )
         target = TargetDynamics(p=1, alpha=lambda xi: np.zeros(1))
-        imm = ImmersionMap(pi=lambda xi: np.zeros(2), jacobian=lambda xi: np.zeros((2, 1)))
-        man = ImplicitManifold(phi=lambda x: np.zeros(1), jacobian=lambda x: np.zeros((1, 2)))
+        imm = ImmersionMap(pi=lambda xi: np.zeros(2))
+        man = ImplicitManifold(phi=lambda x: np.zeros(1))
         ctl = Controller(v=lambda x, z: np.zeros(1))
         with pytest.raises(ValueError):
             IandIBundle(
