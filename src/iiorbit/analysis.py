@@ -492,9 +492,13 @@ def lemma2_check(
         traj = exc.trajectory
         aborted = True
     margin = setup.beta_star - np.abs(traj.states[:, 0])
-    min_margin = float(margin.min()) if len(traj) else 0.0
+    # past the first sample outside the cone the design is undefined, so the
+    # report describes the motion up to that sample only
+    outside = np.flatnonzero(margin <= 0.0)
+    end = outside[0] + 1 if len(outside) else len(margin)
+    min_margin = float(margin[:end].min()) if end else 0.0
     return Lemma2Report(
         stayed_in_cone=(not aborted) and min_margin > 0.0,
-        max_abs_w2=float(np.max(np.abs(traj.states[:, 1]))),
+        max_abs_w2=float(np.max(np.abs(traj.states[:end, 1]))),
         min_margin=min_margin,
     )

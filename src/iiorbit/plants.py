@@ -9,7 +9,9 @@ single points and whole stacks. Sines and cosines go through _sin and _cos,
 which keep one Python float a Python float (through math) and pass anything
 else to numpy with the same bits; np.log, np.tan and np.power stay numpy on
 every path, because math's versions differ from them in the last bit.
-pi and phi also carry a complex input through, for core.derivative.
+Every kernel also carries a complex input through, for core.derivative;
+a test that a cone or domain boundary holds reads the real part, so a
+complex step is judged where its real part lies.
 """
 
 from __future__ import annotations
@@ -360,7 +362,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
 
     def v(x, z):
         d = denom(x[0])
-        _require(d < 0.0, outside)
+        _require(d.real < 0.0, outside)
         return ((-g1 * z[1] - g2 * z[0] + ka1 * _sin(x[0])) / d,)
 
     def nonzero_denom(s):
@@ -421,7 +423,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         """kfun(s), kfun'(s), kfun''(s); raises off (-pi/2, pi/2). On it
         cos(s) >= 2.8e-16 (half_pi is the float just below pi/2), so neither
         divisor vanishes on the float path."""
-        _require(abs(s) < half_pi, "link angle outside (-pi/2, pi/2)")
+        _require(abs(s.real) < half_pi, "link angle outside (-pi/2, pi/2)")
         sin, cos = _sin(s), _cos(s)
         return -c1 * np.log((1.0 + sin) / cos) + a0, -c1 / cos, -c1 * sin / (cos * cos)
 

@@ -532,6 +532,33 @@ class TestLemma2:
         assert not rep.stayed_in_cone
         assert rep.min_margin < 0.0
 
+    @pytest.mark.parametrize(
+        "l1,l2,escapes", [(0.1, 1.0, False), (0.0, 1.0, False), (400.0, 0.01, True)]
+    )
+    def test_report_stops_at_the_first_sample_outside(self, l1, l2, escapes):
+        # past the cone edge the design is undefined, so an escaping run is
+        # reported up to its first sample outside; an in-cone run over all
+        # of its samples, as before
+        s = Lemma2Setup(CARTPEND_LIN, l1=l1, w0=(0.3, 0.0))
+        alpha, margin_of = s.bundle.target.alpha, s.bundle.singularity_margin
+
+        def rhs(y):
+            rate, accel = alpha(y)
+            return (rate, accel - l1 * math.exp(-l2 * y[2]) / margin_of(y), 1.0)
+
+        traj = integrate_fixed(rhs, [0.3, 0.0, 0.0], 0.0, 20.0, 1e-3)
+        margin = s.beta_star - np.abs(traj.states[:, 0])
+        outside = np.flatnonzero(margin <= 0.0)
+        assert bool(len(outside)) == escapes
+        end = outside[0] + 1 if escapes else len(traj)
+        if escapes:
+            # the motion goes on well past the edge; the report ignores it
+            assert end < len(traj) and margin.min() < 100.0 * margin[outside[0]]
+        rep = lemma2_check(s, l2, horizon=20.0)
+        assert rep.stayed_in_cone != escapes
+        assert rep.min_margin == margin[:end].min()
+        assert rep.max_abs_w2 == np.abs(traj.states[:end, 1]).max()
+
     def test_check_rejects_bad_arguments(self, lemma2_setup):
         with pytest.raises(ValueError):
             lemma2_check(lemma2_setup, l2=0.0, horizon=10.0)

@@ -476,6 +476,159 @@ class TestRunCommand:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
+def _csv_table(rows: int) -> tuple[Trajectory, np.ndarray]:
+    """A trajectory of n = 2, z_dim = 1 and its m = 1 inputs, with the
+    floats whose repr is easy to get wrong among seeded random ones."""
+    rng = np.random.default_rng(rows)
+    states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
+    u = rng.standard_normal((rows, 1))
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
+    u[: len(special), 0] = special[:rows]
+    return Trajectory(np.arange(rows) * 1e-3, states), u
+
+
+def _csv_reference(traj: Trajectory, u: np.ndarray) -> str:
+    """trajectory.csv of a (2, 1, 1) trajectory, formatted row by row."""
+    table = np.column_stack((traj.times, traj.states, u)).tolist()
+    return "t,x1,x2,z1,u1\n" + "".join(",".join(map(repr, row)) + "\n" for row in table)
+
+
+@pytest.mark.skipif(cli._fork_context() is None, reason="needs the fork start method")
+class TestTrajectoryCsvSplit:
+    """trajectory.csv written by a forked child and the parent together."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the usable CPU count the writer sees (two by default)."""
+        def set_cpus(count: int):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+        set_cpus(2)
+        return set_cpus
+
+    @staticmethod
+    def write(path: Path, traj: Trajectory, u: np.ndarray, meanwhile=lambda: None):
+        return cli._write_trajectory_csv(path, traj, 2, 1, 1, u, meanwhile=meanwhile)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4095, 4096, 4097, 40001])
+    def test_bytes_equal_the_in_process_write(self, tmp_path, cpus, rows):
+        import multiprocessing
+
+        traj, u = _csv_table(rows)
+        split, single = tmp_path / "split.csv", tmp_path / "single.csv"
+        assert self.write(split, traj, u, meanwhile=lambda: "metrics") == "metrics"
+        assert multiprocessing.active_children() == []
+        cpus(1)
+        self.write(single, traj, u)
+        assert split.read_bytes() == single.read_bytes()
+        assert split.read_text(encoding="utf-8") == _csv_reference(traj, u)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["single.csv", "split.csv"]
+
+    def test_aborted_run_matches_the_in_process_write(self, tmp_path, cpus):
+        # the cone-exit run: its last stored state is outside the cone, so u
+        # ends in NaN
+        doc = {
+            "name": "cone-exit",
+            "bundle": {"preset": "cartpend-lin-default"},
+            "x0": [0.0, 0.0, 5.0, 0.0],
+            "t_span": [0.0, 2.0],
+            "integrator": {"method": "fixed", "dt": 0.05},
+        }
+        scn = load_scenario(str(write_scenario(tmp_path, doc)))
+        split = cli.run_scenario(scn, tmp_path / "split")
+        cpus(1)
+        single = cli.run_scenario(scn, tmp_path / "single")
+        assert split.metrics["aborted"] and split.metrics == single.metrics
+        assert split.trajectory_csv.read_bytes() == single.trajectory_csv.read_bytes()
+        assert b"nan\n" in split.trajectory_csv.read_bytes()
+        assert sorted(p.name for p in split.directory.iterdir()) == [
+            "metrics.csv", "scenario.yaml", "trajectory.csv"
+        ]
+
+    def test_child_failure_raises_and_leaves_no_file(self, tmp_path, cpus, monkeypatch):
+        import multiprocessing
+
+        parent, write_rows = os.getpid(), cli._write_csv_rows
+
+        def fail_in_child(path, head, columns, lo, hi):
+            if os.getpid() != parent:
+                raise OSError("disk full")
+            write_rows(path, head, columns, lo, hi)
+
+        monkeypatch.setattr(cli, "_write_csv_rows", fail_in_child)
+        traj, u = _csv_table(3000)
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            self.write(tmp_path / "trajectory.csv", traj, u)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_waits_and_leaves_no_file(self, tmp_path, cpus):
+        import multiprocessing
+
+        def fail():
+            raise ValueError("metrics failed")
+
+        traj, u = _csv_table(3000)
+        with pytest.raises(ValueError, match="metrics failed"):
+            self.write(tmp_path / "trajectory.csv", traj, u, meanwhile=fail)
+        assert list(tmp_path.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_nothing_prints_twice(self, tmp_path, cpus, capfd, monkeypatch):
+        # stdout block-buffered, as under a pipe: a child that inherited
+        # unflushed text would write it again when it exits
+        buffered = open(os.dup(1), "w", buffering=1 << 16, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", buffered)
+        try:
+            print("before the split")
+            traj, u = _csv_table(3000)
+            self.write(tmp_path / "trajectory.csv", traj, u, meanwhile=lambda: print("meanwhile"))
+            print("after the split")
+        finally:
+            buffered.close()
+        captured = capfd.readouterr()
+        assert captured.out == "before the split\nmeanwhile\nafter the split\n"
+        assert captured.err == ""
+
+    def test_one_usable_cpu_writes_in_process(self, tmp_path, cpus, monkeypatch):
+        cpus(1)
+
+        def no_fork():
+            raise AssertionError("forked a child")
+
+        monkeypatch.setattr(cli, "_fork_context", no_fork)
+        traj, u = _csv_table(3000)
+        path = tmp_path / "trajectory.csv"
+        # in process, meanwhile runs before anything is written
+        assert self.write(path, traj, u, meanwhile=path.exists) is False
+        assert path.read_text(encoding="utf-8") == _csv_reference(traj, u)
+
+    def test_in_process_failure_leaves_no_file(self, tmp_path, cpus, monkeypatch):
+        cpus(1)
+        write_rows = cli._write_csv_rows
+
+        def fail_halfway(path, head, columns, lo, hi):
+            write_rows(path, head, columns, lo, (lo + hi) // 2)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_csv_rows", fail_halfway)
+        traj, u = _csv_table(3000)
+        with pytest.raises(OSError, match="disk full"):
+            self.write(tmp_path / "trajectory.csv", traj, u)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_import_does_not_load_process_pools():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, iiorbit; print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSweepCommand:
     SWEEP_DOC = {
         "name": "tiny-sweep",

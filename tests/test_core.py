@@ -83,6 +83,30 @@ class TestDerivative:
         points = np.array([derivative(kernel, xk, vk) for xk, vk in zip(x, v)])
         np.testing.assert_allclose(points, rows, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_through_the_closed_loop(self, bundles, name):
+        # the complex step through every preset's augmented field, its cone
+        # and domain tests included: rows and points raise nothing, the real
+        # part of the rows is the float evaluation (to rounding: numpy's
+        # complex division rounds it differently), and the derivative
+        # matches central differences
+        bundle, h = bundles[name], 2.0**-100
+        field = augmented_field(bundle)
+        rng = np.random.default_rng(17)
+        x = rng.uniform(*bundle.x_sample_box.T, size=(40, bundle.plant.n))
+        x = x[admissible_mask(bundle, x)]
+        y = np.hstack([x, rng.uniform(-0.5, 0.5, size=(len(x), bundle.z_dim))])
+        v = rng.normal(size=y.shape)
+        real = evaluate(field, y)
+        np.testing.assert_allclose(
+            evaluate(field, y + 1j * (h * v)).real, real, rtol=1e-14, atol=1e-14 * np.abs(real).max()
+        )
+        rows = derivative(field, y, v)
+        points = np.array([derivative(field, yk, vk) for yk, vk in zip(y, v)])
+        np.testing.assert_allclose(points, rows, rtol=1e-13, atol=1e-13 * np.abs(rows).max())
+        want = _central_difference(field, y, v)
+        assert np.max(np.abs(rows - want) / np.maximum(1.0, np.abs(want))) < 1e-6
+
 
 class TestResiduals:
     def test_identities_on_small_grids(self, bundles):
