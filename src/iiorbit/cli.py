@@ -9,11 +9,11 @@ Verbs: validate, run, sweep, report, list-presets. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
 import re
-import shutil
 import sys
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -158,6 +158,8 @@ def load_scenario(target: str) -> Scenario:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario {target!r} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario {target!r}: {exc}") from None
     return Scenario.from_dict(raw, fallback_name=name)
 
 
@@ -300,76 +302,38 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _write_csv_rows(path: Path, head: str, columns: tuple, lo: int, hi: int) -> None:
-    """Write head, then one line for each row lo..hi-1 of the arrays in
-    columns placed side by side: each float as repr gives it, comma
-    separated."""
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(head)
-        for start in range(lo, hi, 4096):  # a slice at a time bounds the memory
-            end = min(start + 4096, hi)
-            rows = np.column_stack([c[start:end] for c in columns]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-
-
-def _write_trajectory_csv(
-    path: Path, traj: Trajectory, n: int, z_dim: int, m: int, u: np.ndarray, meanwhile
-):
-    """Run meanwhile() and write trajectory.csv; return what meanwhile()
-    returns, once the whole file is on disk.
-
-    With two usable CPUs and fork available, a forked child writes the
-    header and the first two thirds of the rows while this process runs
-    meanwhile() and writes the rest into a sibling part file, which it
-    appends once the child is done. Both halves come from one row
-    formatter, so the bytes are those of the in-process write. A child
-    that fails raises here. In process, meanwhile() runs first and the
-    file is written after it; the other order raised the peak RSS of a
-    40 s iwp-lift run by about 1 MB. On either path a failed write leaves
-    no partial file."""
+def _write_trajectory_csv(path: Path, traj: Trajectory, n: int, z_dim: int, m: int, u: np.ndarray):
+    """Write trajectory.csv: the header t, x1.., z1.., u1.., then one line
+    per stored state, each float as repr gives it. A failed write leaves no
+    file."""
     cols = (
         ["t"]
         + [f"x{i + 1}" for i in range(n)]
         + [f"z{i + 1}" for i in range(z_dim)]
         + [f"u{i + 1}" for i in range(m)]
     )
-    header = ",".join(cols) + "\n"
-    columns, rows = (traj.times, traj.states, u), len(traj)
-    fork = _fork_context() if _usable_cpus() > 1 else None
-    if fork is None:
-        result = meanwhile()
-        try:
-            _write_csv_rows(path, header, columns, 0, rows)
-        except BaseException:
-            path.unlink(missing_ok=True)
-            raise
-        return result
-
-    # the parent also carries meanwhile(), so the child takes the larger share
-    split = 2 * rows // 3
-    part = path.with_name(path.name + ".part")
-    # multiprocessing flushes stdout and stderr before it forks, and its
-    # child leaves by os._exit, so no buffer or exit handler runs twice
-    child = fork.Process(target=_write_csv_rows, args=(path, header, columns, 0, split))
-    child.start()
-    written = False
     try:
-        result = meanwhile()
-        _write_csv_rows(part, "", columns, split, rows)
-        child.join()
-        if child.exitcode != 0:
-            raise RuntimeError(
-                f"the process writing the first rows of {path} exited with code {child.exitcode}"
-            )
-        with path.open("ab") as out, part.open("rb") as tail:
-            shutil.copyfileobj(tail, out)
-        written = True
-    finally:
-        child.join()
-        part.unlink(missing_ok=True)
-        if not written:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.write(",".join(cols) + "\n")
+            for lo in range(0, len(traj), 4096):  # a slice at a time bounds the memory
+                hi = lo + 4096
+                rows = np.column_stack((traj.times[lo:hi], traj.states[lo:hi], u[lo:hi])).tolist()
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+    except BaseException:
+        with contextlib.suppress(OSError):  # a directory stays, and the write's error is raised
             path.unlink(missing_ok=True)
-    return result
+        raise
+
+
+def _write_trajectory_csv_in_child(failure, *args) -> None:
+    """The forked writer: _write_trajectory_csv(*args), sending the OSError
+    that stops it to the parent through failure and exiting 1 without a
+    traceback."""
+    try:
+        _write_trajectory_csv(*args)
+    except OSError as exc:
+        failure.send(exc)
+        sys.exit(1)
 
 
 def _write_metrics_csv(path: Path, metrics: dict) -> None:
@@ -569,7 +533,9 @@ def _plot_outputs(bundle: IandIBundle, name: str, plots: list, traj: Trajectory,
 def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) -> RunArtifact:
     """Check one scenario, write its copy into the artifact directory, then
     integrate it and write the rest; an unwritable directory is malformed
-    (ScenarioError) and stops before the integration."""
+    (ScenarioError) and stops before the integration. An artifact that
+    cannot be written raises its OSError, and a failed run leaves no
+    trajectory.csv."""
     plan = check_scenario(scn)
     bundle = plan.bundle
     outdir = out_root / (subdir or scn.name)
@@ -583,23 +549,42 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
 
     traj, aborted, abort_time = _integrate(plan, scn.t_span)
     u = _control_history(bundle, traj)
-
-    def metrics_and_plots() -> dict:
+    csv_path = outdir / "trajectory.csv" if "trajectory_csv" in scn.outputs else None
+    csv_args = (csv_path, traj, bundle.plant.n, bundle.z_dim, bundle.plant.m, u)
+    fork = _fork_context() if csv_path is not None and _usable_cpus() > 1 else None
+    writer = None
+    if fork is not None:
+        # a forked child writes trajectory.csv while this process computes
+        # the metrics and plots; multiprocessing flushes stdout and stderr
+        # before it forks, and its child leaves by os._exit
+        failure, report = fork.Pipe(duplex=False)
+        writer = fork.Process(target=_write_trajectory_csv_in_child, args=(report, *csv_args))
+        writer.start()
+    done = False
+    try:
         metrics = compute_metrics(bundle, traj, u, aborted, abort_time)
         if "metrics_csv" in scn.outputs:
             _write_metrics_csv(outdir / "metrics.csv", metrics)
         _plot_outputs(bundle, scn.name, plan.plots, traj, outdir)
-        return metrics
-
-    csv_path = None
-    if "trajectory_csv" in scn.outputs:
-        csv_path = outdir / "trajectory.csv"
-        metrics = _write_trajectory_csv(
-            csv_path, traj, bundle.plant.n, bundle.z_dim, bundle.plant.m, u,
-            meanwhile=metrics_and_plots,
+        if writer is None and csv_path is not None:
+            # in process the file comes last: the other order raised the
+            # peak RSS of a 40 s iwp-lift run by about 1 MB
+            _write_trajectory_csv(*csv_args)
+        done = True
+    finally:
+        if writer is not None:
+            writer.join()
+            # the OSError a failed writer sends fits the pipe's buffer, so
+            # the join cannot wait on it being read
+            with failure, report:
+                error = failure.recv() if failure.poll() else None
+            if not done or writer.exitcode != 0:
+                with contextlib.suppress(OSError):
+                    csv_path.unlink(missing_ok=True)
+    if writer is not None and writer.exitcode != 0:
+        raise error or RuntimeError(
+            f"the process writing {csv_path} exited with code {writer.exitcode}"
         )
-    else:
-        metrics = metrics_and_plots()
     artifact = RunArtifact(
         directory=outdir, metrics=metrics, trajectory=traj, trajectory_csv=csv_path,
         bundle=bundle,
@@ -761,11 +746,11 @@ def cmd_sweep(args) -> int:
 
 def _eval_check(check: dict, metrics: dict) -> tuple[str, str]:
     """Evaluate one check, as read by Scenario.from_dict, against a metrics
-    mapping: (status, detail) with status pass, fail, or skipped for an
-    empty metric."""
+    mapping: (status, detail) with status pass or fail; a check on an empty
+    metric fails."""
     value = metrics.get(check["metric"])
     if value is None:
-        return "skipped", "metric not available"
+        return "fail", "metric not available"
     name, raw, bound = _read_check(check)
     _, test, detail = COMPARISONS[name]
     text = detail.format(shown=_fmt_value(value), abs_value=abs(float(value)), raw=raw, bound=bound)
@@ -876,6 +861,9 @@ def main(argv=None) -> int:
     except (ScenarioError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a scenario file that cannot be read raises ScenarioError
+        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import errno
 import filecmp
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -346,6 +348,16 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="bad scenario"):
             load_scenario(str(path))
 
+    def test_unreadable_file_is_malformed(self, tmp_path, monkeypatch):
+        path = write_scenario(tmp_path, TINY_LTI)
+
+        def unreadable(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", unreadable)
+        with pytest.raises(ScenarioError, match="cannot read scenario .*Permission denied"):
+            load_scenario(str(path))
+
     def test_all_shipped_scenarios_parse(self):
         names = cli.shipped_scenarios()
         assert len(names) == 11
@@ -477,54 +489,74 @@ class TestRunCommand:
 
 
 def _csv_table(rows: int) -> tuple[Trajectory, np.ndarray]:
-    """A trajectory of n = 2, z_dim = 1 and its m = 1 inputs, with the
-    floats whose repr is easy to get wrong among seeded random ones."""
+    """A trajectory of n = 4, z_dim = 2 and its m = 2 inputs (the shape of
+    the lti-identity bundle), with the floats whose repr is easy to get
+    wrong among seeded random ones."""
     rng = np.random.default_rng(rows)
-    states = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-300, 300, (rows, 3))
-    u = rng.standard_normal((rows, 1))
+    states = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-300, 300, (rows, 6))
+    u = rng.standard_normal((rows, 2))
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
     u[: len(special), 0] = special[:rows]
     return Trajectory(np.arange(rows) * 1e-3, states), u
 
 
-def _csv_reference(traj: Trajectory, u: np.ndarray) -> str:
-    """trajectory.csv of a (2, 1, 1) trajectory, formatted row by row."""
+def _csv_reference(traj: Trajectory, u: np.ndarray, n: int) -> bytes:
+    """trajectory.csv of a trajectory with n plant states, formatted row by
+    row."""
+    z_dim, m = traj.states.shape[1] - n, u.shape[1]
+    head = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"z{i + 1}" for i in range(z_dim)]
+    head += [f"u{i + 1}" for i in range(m)]
     table = np.column_stack((traj.times, traj.states, u)).tolist()
-    return "t,x1,x2,z1,u1\n" + "".join(",".join(map(repr, row)) + "\n" for row in table)
+    text = ",".join(head) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in table)
+    return text.encode("utf-8")
+
+
+def _set_cpus(monkeypatch, count: int):
+    """Set the usable CPU count a run sees; with one, a fork fails the test."""
+    def no_fork():
+        raise AssertionError("forked a child")
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+    if count == 1:
+        monkeypatch.setattr(cli, "_fork_context", no_fork)
 
 
 @pytest.mark.skipif(cli._fork_context() is None, reason="needs the fork start method")
-class TestTrajectoryCsvSplit:
-    """trajectory.csv written by a forked child and the parent together."""
+class TestTrajectoryCsvWriter:
+    """trajectory.csv written whole by a forked writer while the run computes
+    its metrics and plots, or in process after them."""
 
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """Set the usable CPU count the writer sees (two by default)."""
-        def set_cpus(count: int):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
-
-        set_cpus(2)
-        return set_cpus
+    @pytest.fixture(params=["forked", "in-process"])
+    def writer(self, request, monkeypatch):
+        _set_cpus(monkeypatch, 2 if request.param == "forked" else 1)
+        return request.param
 
     @staticmethod
-    def write(path: Path, traj: Trajectory, u: np.ndarray, meanwhile=lambda: None):
-        return cli._write_trajectory_csv(path, traj, 2, 1, 1, u, meanwhile=meanwhile)
+    def run_table(tmp_path, monkeypatch, traj, u, metrics=None):
+        """run_scenario on TINY_LTI (trajectory.csv only) with traj as the
+        integrated trajectory, u as its control history and metrics() in
+        place of compute_metrics."""
+        monkeypatch.setattr(cli, "_integrate", lambda plan, t_span: (traj, False, None))
+        monkeypatch.setattr(cli, "_control_history", lambda bundle, traj: u)
+        monkeypatch.setattr(
+            cli, "compute_metrics", lambda *args: (metrics or dict.fromkeys)(METRIC_KEYS)
+        )
+        scn = cli.Scenario.from_dict(dict(TINY_LTI, outputs=["trajectory_csv"]))
+        return cli.run_scenario(scn, tmp_path)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4095, 4096, 4097, 40001])
-    def test_bytes_equal_the_in_process_write(self, tmp_path, cpus, rows):
+    def test_bytes_equal_the_reference(self, tmp_path, monkeypatch, writer, rows):
         import multiprocessing
 
         traj, u = _csv_table(rows)
-        split, single = tmp_path / "split.csv", tmp_path / "single.csv"
-        assert self.write(split, traj, u, meanwhile=lambda: "metrics") == "metrics"
+        artifact = self.run_table(tmp_path, monkeypatch, traj, u)
         assert multiprocessing.active_children() == []
-        cpus(1)
-        self.write(single, traj, u)
-        assert split.read_bytes() == single.read_bytes()
-        assert split.read_text(encoding="utf-8") == _csv_reference(traj, u)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["single.csv", "split.csv"]
+        assert artifact.trajectory_csv.read_bytes() == _csv_reference(traj, u, 4)
+        assert sorted(p.name for p in artifact.directory.iterdir()) == [
+            "scenario.yaml", "trajectory.csv"
+        ]
 
-    def test_aborted_run_matches_the_in_process_write(self, tmp_path, cpus):
+    def test_aborted_run_matches_the_reference(self, tmp_path, writer):
         # the cone-exit run: its last stored state is outside the cone, so u
         # ends in NaN
         doc = {
@@ -534,87 +566,138 @@ class TestTrajectoryCsvSplit:
             "t_span": [0.0, 2.0],
             "integrator": {"method": "fixed", "dt": 0.05},
         }
-        scn = load_scenario(str(write_scenario(tmp_path, doc)))
-        split = cli.run_scenario(scn, tmp_path / "split")
-        cpus(1)
-        single = cli.run_scenario(scn, tmp_path / "single")
-        assert split.metrics["aborted"] and split.metrics == single.metrics
-        assert split.trajectory_csv.read_bytes() == single.trajectory_csv.read_bytes()
-        assert b"nan\n" in split.trajectory_csv.read_bytes()
-        assert sorted(p.name for p in split.directory.iterdir()) == [
+        artifact = cli.run_scenario(load_scenario(str(write_scenario(tmp_path, doc))), tmp_path)
+        u = cli._control_history(artifact.bundle, artifact.trajectory)
+        assert artifact.metrics["aborted"]
+        assert artifact.trajectory_csv.read_bytes() == _csv_reference(artifact.trajectory, u, 4)
+        assert artifact.trajectory_csv.read_bytes().endswith(b",nan\n")
+        assert sorted(p.name for p in artifact.directory.iterdir()) == [
             "metrics.csv", "scenario.yaml", "trajectory.csv"
         ]
 
-    def test_child_failure_raises_and_leaves_no_file(self, tmp_path, cpus, monkeypatch):
+    def test_unwritable_trajectory_csv_is_one_error_line(self, tmp_path, capfd, writer):
         import multiprocessing
 
-        parent, write_rows = os.getpid(), cli._write_csv_rows
-
-        def fail_in_child(path, head, columns, lo, hi):
-            if os.getpid() != parent:
-                raise OSError("disk full")
-            write_rows(path, head, columns, lo, hi)
-
-        monkeypatch.setattr(cli, "_write_csv_rows", fail_in_child)
-        traj, u = _csv_table(3000)
-        with pytest.raises(RuntimeError, match="exited with code 1"):
-            self.write(tmp_path / "trajectory.csv", traj, u)
-        assert list(tmp_path.iterdir()) == []
+        blocker = tmp_path / "out" / "tiny-lti" / "trajectory.csv"
+        blocker.mkdir(parents=True)
+        path = write_scenario(tmp_path, TINY_LTI)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: cannot write artifacts: [Errno {errno.EISDIR}] ")
+        assert str(blocker) in err
+        assert blocker.is_dir() and list(blocker.iterdir()) == []
         assert multiprocessing.active_children() == []
 
-    def test_parent_failure_waits_and_leaves_no_file(self, tmp_path, cpus):
+    def test_child_failure_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
         import multiprocessing
 
-        def fail():
+        _set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def fail_in_child(path, *args):
+            assert os.getpid() != parent
+            path.write_text("t,x1,x2,x3,x4,z1,z2,u1,u2\n0.0,", encoding="utf-8")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_trajectory_csv", fail_in_child)
+        traj, u = _csv_table(3000)
+        with pytest.raises(OSError, match="No space left on device") as caught:
+            self.run_table(tmp_path, monkeypatch, traj, u)
+        assert caught.value.errno == errno.ENOSPC
+        assert not (tmp_path / "tiny-lti" / "trajectory.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_killed_child_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        _set_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def killed_in_child(path, *args):
+            path.write_text("t,x1,x2,x3,x4,z1,z2,u1,u2\n0.0,", encoding="utf-8")
+            if os.getpid() != parent:  # never the test process itself
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("wrote in the parent")
+
+        monkeypatch.setattr(cli, "_write_trajectory_csv", killed_in_child)
+        traj, u = _csv_table(3000)
+        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}"):
+            self.run_table(tmp_path, monkeypatch, traj, u)
+        assert not (tmp_path / "tiny-lti" / "trajectory.csv").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_parent_failure_waits_and_leaves_no_file(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        _set_cpus(monkeypatch, 2)
+
+        def fail(keys):
             raise ValueError("metrics failed")
 
         traj, u = _csv_table(3000)
         with pytest.raises(ValueError, match="metrics failed"):
-            self.write(tmp_path / "trajectory.csv", traj, u, meanwhile=fail)
-        assert list(tmp_path.iterdir()) == []
+            self.run_table(tmp_path, monkeypatch, traj, u, metrics=fail)
+        assert not (tmp_path / "tiny-lti" / "trajectory.csv").exists()
         assert multiprocessing.active_children() == []
 
-    def test_nothing_prints_twice(self, tmp_path, cpus, capfd, monkeypatch):
+    def test_nothing_prints_twice(self, tmp_path, monkeypatch, capfd):
+        _set_cpus(monkeypatch, 2)
+
+        def metrics(keys):
+            print("metrics")
+            return dict.fromkeys(keys)
+
         # stdout block-buffered, as under a pipe: a child that inherited
         # unflushed text would write it again when it exits
         buffered = open(os.dup(1), "w", buffering=1 << 16, encoding="utf-8")
         monkeypatch.setattr(sys, "stdout", buffered)
         try:
-            print("before the split")
+            print("before the run")
             traj, u = _csv_table(3000)
-            self.write(tmp_path / "trajectory.csv", traj, u, meanwhile=lambda: print("meanwhile"))
-            print("after the split")
+            self.run_table(tmp_path, monkeypatch, traj, u, metrics=metrics)
+            print("after the run")
         finally:
             buffered.close()
         captured = capfd.readouterr()
-        assert captured.out == "before the split\nmeanwhile\nafter the split\n"
+        assert captured.out == "before the run\nmetrics\nafter the run\n"
         assert captured.err == ""
 
-    def test_one_usable_cpu_writes_in_process(self, tmp_path, cpus, monkeypatch):
-        cpus(1)
+    def writer_pid(self, tmp_path, monkeypatch) -> tuple[int, bool]:
+        """The process that wrote trajectory.csv, and whether the file was
+        there when the metrics were computed."""
+        path = tmp_path / "tiny-lti" / "trajectory.csv"
+        seen = []
 
-        def no_fork():
-            raise AssertionError("forked a child")
+        def metrics(keys):
+            seen.append(path.exists())
+            return dict.fromkeys(keys)
 
-        monkeypatch.setattr(cli, "_fork_context", no_fork)
-        traj, u = _csv_table(3000)
+        monkeypatch.setattr(
+            cli, "_write_trajectory_csv",
+            lambda path, *args: path.write_text(str(os.getpid()), encoding="utf-8"),
+        )
+        traj, u = _csv_table(3)
+        self.run_table(tmp_path, monkeypatch, traj, u, metrics=metrics)
+        return int(path.read_text(encoding="utf-8")), seen[0]
+
+    def test_one_usable_cpu_writes_in_process(self, tmp_path, monkeypatch):
+        _set_cpus(monkeypatch, 1)
+        pid, before_metrics = self.writer_pid(tmp_path, monkeypatch)
+        # in process the file comes after the metrics and plots
+        assert pid == os.getpid() and not before_metrics
+
+    def test_two_usable_cpus_write_in_a_child(self, tmp_path, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        assert self.writer_pid(tmp_path, monkeypatch)[0] != os.getpid()
+
+    def test_in_process_failure_leaves_no_file(self, tmp_path):
+        # u runs out after the first 4096-row slice, so the write fails
+        # halfway, with those rows already on disk
+        traj, u = _csv_table(5000)
         path = tmp_path / "trajectory.csv"
-        # in process, meanwhile runs before anything is written
-        assert self.write(path, traj, u, meanwhile=path.exists) is False
-        assert path.read_text(encoding="utf-8") == _csv_reference(traj, u)
-
-    def test_in_process_failure_leaves_no_file(self, tmp_path, cpus, monkeypatch):
-        cpus(1)
-        write_rows = cli._write_csv_rows
-
-        def fail_halfway(path, head, columns, lo, hi):
-            write_rows(path, head, columns, lo, (lo + hi) // 2)
-            raise OSError("disk full")
-
-        monkeypatch.setattr(cli, "_write_csv_rows", fail_halfway)
-        traj, u = _csv_table(3000)
-        with pytest.raises(OSError, match="disk full"):
-            self.write(tmp_path / "trajectory.csv", traj, u)
+        with pytest.raises(ValueError):
+            cli._write_trajectory_csv(path, traj, 4, 2, 2, u[:4096])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -828,6 +911,22 @@ class TestReportCommand:
         report = (tmp_path / "tree" / "report.csv").read_text()
         assert "doomed,u_abs_max,fail" in report
 
+    def test_check_on_an_empty_metric_fails(self, tmp_path, capsys):
+        # 0.5 s of lti-circle is too short for a period or a decay fit
+        doc = yaml.safe_load((cli._scenario_dir() / "lti-circle.yaml").read_text(encoding="utf-8"))
+        doc["t_span"] = [0.0, 0.5]
+        doc["checks"] = [c for c in doc["checks"] if c["metric"] != "orbital_dist_tail_max"]
+        path = write_scenario(tmp_path, doc)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "tree")]) == 0
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path / "tree")]) == 1
+        artifact = tmp_path / "tree" / "lti-circle"
+        assert capsys.readouterr().out.splitlines() == [
+            f"pass    {artifact} aborted (value=false)",
+            f"fail    {artifact} decay_rate (metric not available)",
+            f"fail    {artifact} period_est (metric not available)",
+        ]
+
     def test_checkless_artifacts_are_skipped(self, tmp_path, capsys):
         self.run_tiny(tmp_path, [], name="silent")
         rc = cli.main(["report", str(tmp_path / "tree")])
@@ -957,8 +1056,14 @@ class TestEvalCheck:
         assert _eval_check({"metric": "aborted", "equals": True}, self.METRICS)[0] == "fail"
 
     def test_skip_paths(self):
-        assert _eval_check({"metric": "bogus", "max": 1.0}, self.METRICS)[0] == "skipped"
-        assert _eval_check({"metric": "period_est", "max": 1.0}, self.METRICS)[0] == "skipped"
+        # a declared check on an empty metric fails; only an artifact with
+        # no checks declared reads skipped
+        assert _eval_check({"metric": "bogus", "max": 1.0}, self.METRICS) == (
+            "fail", "metric not available"
+        )
+        assert _eval_check({"metric": "period_est", "max": 1.0}, self.METRICS) == (
+            "fail", "metric not available"
+        )
 
     def test_check_without_comparison_is_malformed(self):
         with pytest.raises(ScenarioError, match="must hold exactly one of equals, max"):
