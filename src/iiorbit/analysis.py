@@ -181,7 +181,7 @@ def orbit_samples(
         )
 
     fine = integrate_fixed(field, anchor, 0.0, measured, measured / ORBIT_SAMPLES_PER_PERIOD)
-    samples = evaluate(bundle.immersion.pi, fine.states)
+    samples = evaluate(bundle.pi, fine.states)
     return OrbitSet(samples=samples, period=measured, angle_indices=bundle.angle_indices)
 
 

@@ -361,7 +361,7 @@ def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
     n = bundle.plant.n
     ok = admissible_mask(bundle, traj.states[:, :n])
     u = np.full((len(traj), bundle.plant.m), np.nan)
-    u[ok] = evaluate(bundle.controller.v, traj.states[ok, :n], traj.states[ok, n:])
+    u[ok] = evaluate(bundle.v, traj.states[ok, :n], traj.states[ok, n:])
     return u
 
 
@@ -482,7 +482,7 @@ def check_scenario(scn: Scenario) -> RunPlan:
     if not admissible_mask(bundle, x0):
         raise ParameterError(f"x0 {scn.x0} is outside the admissible set of bundle {bundle.name} "
                              f"(singularity margin {evaluate(bundle.singularity_margin, x0):.6g})")
-    y0 = np.concatenate([x0, evaluate(bundle.manifold.phi, x0)])
+    y0 = np.concatenate([x0, evaluate(bundle.phi, x0)])
     return RunPlan(bundle, y0, method, settings, plots)
 
 

@@ -1,4 +1,4 @@
-"""Plant/target/immersion/manifold types and the residual checks tying them
+"""Plant, target and design-bundle types and the residual checks tying them
 together.
 
 A bundle packages one complete design: a control-affine plant, a
@@ -71,37 +71,22 @@ class TargetDynamics:
 
 
 @dataclass(frozen=True)
-class ImmersionMap:
-    """Map pi from target space into plant space."""
-
-    pi: Callable
-
-
-@dataclass(frozen=True)
-class ImplicitManifold:
-    """Map phi whose zero set is the immersed manifold; z = phi(x) are the
-    off-manifold coordinates."""
-
-    phi: Callable
-
-
-@dataclass(frozen=True)
-class Controller:
-    """Feedback v(x, z)."""
-
-    v: Callable
-
-
-@dataclass(frozen=True)
 class IandIBundle:
     """One complete immersion-and-invariance design.
+
+    The design's three maps:
+      pi              the immersion xi -> x of target space into plant space
+      phi             the implicit manifold map x -> z, whose zero set is the
+                      immersed manifold; z = phi(x) are the off-manifold
+                      coordinates
+      v               the feedback u = v(x, z)
 
     Extra per-design knowledge used by simulation and metrics:
       z_dynamics      hand-derived off-manifold dynamics z' = h(x, z), which
                       the augmented field integrates (validate_bundle checks
                       it against Dphi (f + g v))
       closed_form_c   hand-derived on-manifold control (cross-checked against
-                      the pseudoinverse path)
+                      the least-squares c)
       xi_projection   indices of the p plant coordinates that realize the
                       target state (used by energy/orbit metrics)
       section_index   plant coordinate, one of xi_projection, whose zero
@@ -120,9 +105,9 @@ class IandIBundle:
     name: str
     plant: ControlAffineSystem
     target: TargetDynamics
-    immersion: ImmersionMap
-    manifold: ImplicitManifold
-    controller: Controller
+    pi: Callable
+    phi: Callable
+    v: Callable
     xi_sample_box: np.ndarray  # (p, 2) lower/upper
     x_sample_box: np.ndarray  # (n, 2)
     z_dynamics: Callable
@@ -194,7 +179,7 @@ def _immersed(bundle: IandIBundle, xi: Sequence[float]):
     """xi as a float array and x = pi(xi), which must be admissible at every
     point."""
     xi = np.asarray(xi, dtype=float)
-    x = evaluate(bundle.immersion.pi, xi)
+    x = evaluate(bundle.pi, xi)
     if not admissible_mask(bundle, x).all():
         raise FieldEvaluationError(f"pi(xi) leaves the admissible region of {bundle.name}")
     return xi, x
@@ -216,7 +201,7 @@ def _immersion(bundle: IandIBundle, xi: Sequence[float]):
             f"(smallest singular value {s[..., -1].min():.3e})"
         )
     Gt = np.swapaxes(G, -1, -2)
-    velocity = derivative(bundle.immersion.pi, xi, evaluate(bundle.target.alpha, xi))
+    velocity = derivative(bundle.pi, xi, evaluate(bundle.target.alpha, xi))
     rhs = velocity - evaluate(bundle.plant.f, x)
     try:
         c = np.linalg.solve(Gt @ G, Gt @ rhs[..., None])[..., 0]
@@ -247,13 +232,13 @@ def constraint_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
     """Boundary-condition residual v(pi(xi), 0) - c(pi(xi)) at a point or
     rows."""
     x, c, _ = _immersion(bundle, xi)
-    return evaluate(bundle.controller.v, x, np.zeros(c.shape[:-1] + (bundle.z_dim,))) - c
+    return evaluate(bundle.v, x, np.zeros(c.shape[:-1] + (bundle.z_dim,))) - c
 
 
 def manifold_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
     """phi(pi(xi)) at a point or rows; zero when the immersed manifold sits
     inside phi's zero set."""
-    return evaluate(bundle.manifold.phi, _immersed(bundle, xi)[1])
+    return evaluate(bundle.phi, _immersed(bundle, xi)[1])
 
 
 def _dot(row, u):
@@ -268,7 +253,7 @@ def _plant_rate(bundle: IandIBundle):
     term g_i[0] u[0] for one input, g_i[0] u[0] + g_i[1] u[1] written out for
     two, and the _dot fold for more. All three are the same left-to-right
     sum, so the result does not depend on which one runs."""
-    f, g, v = bundle.plant.f, bundle.plant.g, bundle.controller.v
+    f, g, v = bundle.plant.f, bundle.plant.g, bundle.v
     if bundle.plant.m > 2:
 
         def rate(x, z) -> tuple:
@@ -294,7 +279,7 @@ def _plant_rate(bundle: IandIBundle):
 
 def closed_loop_field(bundle: IandIBundle) -> Field:
     """The autonomous loop x' = f(x) + g(x) v(x, phi(x))."""
-    rate, phi = _plant_rate(bundle), bundle.manifold.phi
+    rate, phi = _plant_rate(bundle), bundle.phi
     return lambda x: rate(x, phi(x))
 
 
@@ -396,15 +381,15 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     xi_grid = _sample_box(rng, bundle.xi_sample_box, grid_size)
     x_grid = _sample_box(rng, bundle.x_sample_box, grid_size)
 
-    xi = xi_grid[admissible_mask(bundle, evaluate(bundle.immersion.pi, xi_grid))]
+    xi = xi_grid[admissible_mask(bundle, evaluate(bundle.pi, xi_grid))]
     pi_xi, c, fbi = _immersion(bundle, xi)
     z0 = np.zeros((len(xi), bundle.z_dim))
 
     x = x_grid[admissible_mask(bundle, x_grid)]
     g_margins = np.linalg.svd(evaluate(bundle.plant.g, x), compute_uv=False)[..., -1]
-    z = evaluate(bundle.manifold.phi, x)
+    z = evaluate(bundle.phi, x)
     xdot = evaluate(_plant_rate(bundle), x, z)
-    zdot = derivative(bundle.manifold.phi, x, xdot)
+    zdot = derivative(bundle.phi, x, xdot)
 
     return ValidationReport(
         bundle_name=bundle.name,
@@ -413,8 +398,8 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
         skipped_xi=grid_size - len(xi),
         skipped_x=grid_size - len(x),
         max_fbi=_max_abs(fbi),
-        max_manifold=_max_abs(evaluate(bundle.manifold.phi, pi_xi)),
-        max_constraint=_max_abs(evaluate(bundle.controller.v, pi_xi, z0) - c),
+        max_manifold=_max_abs(evaluate(bundle.phi, pi_xi)),
+        max_constraint=_max_abs(evaluate(bundle.v, pi_xi, z0) - c),
         min_g_margin=float(np.min(g_margins, initial=np.inf)),
         max_closed_form_c_err=_max_abs(c - evaluate(bundle.closed_form_c, xi)),
         max_z_consistency_err=_max_abs(evaluate(bundle.z_dynamics, x, z) - zdot),

@@ -21,15 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import (
-    Controller,
-    ControlAffineSystem,
-    IandIBundle,
-    ImmersionMap,
-    ImplicitManifold,
-    ParameterError,
-    TargetDynamics,
-)
+from .core import ControlAffineSystem, IandIBundle, ParameterError, TargetDynamics
 from .odesim import FieldEvaluationError
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -263,9 +255,9 @@ def make_lti(params: LtiParams) -> IandIBundle:
             alpha=lambda xi: (xi[1], -xi[0]),
             first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
         ),
-        immersion=ImmersionMap(pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0])),
-        manifold=ImplicitManifold(phi=lambda x: (x[2] - x[1], x[0] + x[3])),
-        controller=Controller(v=v),
+        pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0]),
+        phi=lambda x: (x[2] - x[1], x[0] + x[3]),
+        v=v,
         xi_sample_box=_box([[-2, 2], [-2, 2]]),
         x_sample_box=_box([[-2, 2]] * 4),
         closed_form_c=lambda xi: _matvec2(KT, xi),
@@ -286,7 +278,7 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     m, b, k = params.m, params.b, params.k
     g1, g2 = params.gamma1, params.gamma2
     a = params.a
-    immersion, manifold = _straight_manifold(k)
+    pi, phi = _straight_manifold(k)
     G = ((0.0,), (0.0,), (-b,), (1.0,))
     inv_den = 1.0 / (1.0 + k * b)
     km = k * m
@@ -304,9 +296,9 @@ def make_iwp(params: IwpParams) -> IandIBundle:
             alpha=lambda xi: (xi[1], -a * _sin(xi[0])),
             first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * _cos(xi[0]),
         ),
-        immersion=immersion,
-        manifold=manifold,
-        controller=Controller(v=v),
+        pi=pi,
+        phi=phi,
+        v=v,
         xi_sample_box=_box([[-3, 3], [-3, 3]]),
         x_sample_box=_box([[-3, 3]] * 4),
         closed_form_c=lambda xi: (-a * k * _sin(xi[0]),),
@@ -319,12 +311,12 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     return bundle
 
 
-def _straight_manifold(k: float) -> tuple[ImmersionMap, ImplicitManifold]:
+def _straight_manifold(k: float):
     """pi(xi) = (xi1, k xi1, xi2, k xi2) and the phi whose zero set is its
     image, x2 = k x1 and x4 = k x3."""
     return (
-        ImmersionMap(pi=lambda xi: (xi[0], k * xi[0], xi[1], k * xi[1])),
-        ImplicitManifold(phi=lambda x: (x[1] - k * x[0], x[3] - k * x[2])),
+        lambda xi: (xi[0], k * xi[0], xi[1], k * xi[1]),
+        lambda x: (x[1] - k * x[0], x[3] - k * x[2]),
     )
 
 
@@ -352,7 +344,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
     a1, a2, k = params.a1, params.a2, params.k
     g1, g2 = params.gamma1, params.gamma2
     beta_star = params.beta_star
-    immersion, manifold = _straight_manifold(k)
+    pi, phi = _straight_manifold(k)
     ka1, ka2 = k * a1, k * a2
     outside = f"x1 leaves the admissible cone (|x1| < {beta_star:.6f})"
     edge = f"x1 on the cone edge (|x1| = {beta_star:.6f}), where 1 + k a2 cos(x1) = 0"
@@ -390,9 +382,9 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
             alpha=lambda xi: (xi[1], alpha2(xi[0])),
             first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) + potential(xi[0]),
         ),
-        immersion=immersion,
-        manifold=manifold,
-        controller=Controller(v=v),
+        pi=pi,
+        phi=phi,
+        v=v,
         xi_sample_box=_box([[-s_lim, s_lim], [-1.5, 1.5]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-2, 2], [-3, 3]]),
         closed_form_c=lambda xi: (ka1 * _sin(xi[0]) / nonzero_denom(xi[0]),),
@@ -461,9 +453,9 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         name="cartpend-nonlinear",
         plant=_cartpend_plant(a1, a2),
         target=TargetDynamics(p=2, alpha=alpha, first_integral=first_integral),
-        immersion=ImmersionMap(pi=pi_map),
-        manifold=ImplicitManifold(phi=phi),
-        controller=Controller(v=v),
+        pi=pi_map,
+        phi=phi,
+        v=v,
         xi_sample_box=_box([[-s_lim, s_lim], [-1.0, 1.0]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-1.5, 1.5], [-3, 3]]),
         closed_form_c=lambda xi: (-on_manifold(xi[0], xi[1]) / a,),
@@ -544,9 +536,9 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         name="dcac",
         plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
         target=TargetDynamics(p=2, alpha=alpha),
-        immersion=ImmersionMap(pi=pi_map),
-        manifold=ImplicitManifold(phi=phi),
-        controller=Controller(v=v),
+        pi=pi_map,
+        phi=phi,
+        v=v,
         xi_sample_box=_box([[-1.25 * A, 1.25 * A]] * 2),
         x_sample_box=_box(
             [[-1.25 * A, 1.25 * A]] * 2 + [[-5.0 * A * C * omega, 5.0 * A * C * omega]] * 2

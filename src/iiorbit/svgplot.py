@@ -2,7 +2,9 @@
 
 Byte-identical output for identical input is a hard requirement for the
 artifact determinism check, so this module formats every coordinate with a
-fixed format string and never embeds timestamps or random ids.
+fixed format string and never embeds timestamps or random ids. Every text
+(title, axis and series labels) is XML-escaped, so a file parses as XML
+whatever the scenario is called.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return ticks
+
+
+def _escape(text: str) -> str:
+    """text with &, < and > written as XML entities; a plain function, since
+    importing html would load its entity table of more than 2,000 names
+    (about 0.5 MB of memory)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _tick_label(v: float) -> str:
@@ -118,9 +127,10 @@ def line_plot(
             f'<text x="{MARGIN_L - 7}" y="{Y}" {font} text-anchor="end" '
             f'dominant-baseline="middle">{_tick_label(t)}</text>'
         )
+    title, xlabel, ylabel = map(_escape, (title, xlabel, ylabel))
     if title:
         out.append(
-            f'<text x="{WIDTH // 2}" y="20" {font} font-size="14" '
+            f'<text x="{WIDTH // 2}" y="20" font-family="sans-serif" font-size="14" '
             f'text-anchor="middle">{title}</text>'
         )
     if xlabel:
@@ -148,7 +158,8 @@ def line_plot(
                 'stroke-width="2"/>'
             )
             out.append(
-                f'<text x="{MARGIN_L + pw - 83}" y="{ly}" {font}>{label}</text>'
+                f'<text x="{MARGIN_L + pw - 83}" y="{ly}" {font}>'
+                f"{_escape(label)}</text>"
             )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -77,7 +77,7 @@ def test_criterion_02_lti_spectrum_and_analytic_trajectory(bundles):
     assert np.max(np.abs(eigs - expected)) <= 1e-10
 
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    T = np.column_stack([bundle.immersion.pi(e) for e in np.eye(2)])
+    T = np.column_stack([bundle.pi(e) for e in np.eye(2)])
     xi0 = np.array([0.8, -0.6])
     traj = integrate_fixed(field, T @ xi0, 0.0, 4 * math.pi, 1e-3)
     worst = 0.0

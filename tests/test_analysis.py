@@ -322,7 +322,7 @@ class TestEnergyDrift:
         bundle = bundles["iwp-default"]
         field = bundle.target.alpha
         traj_xi = integrate_adaptive(field, [1.0, 0.0], 0.0, 40.0, rtol=1e-11, atol=1e-13)
-        states = np.array([bundle.immersion.pi(xi) for xi in traj_xi.states])
+        states = np.array([bundle.pi(xi) for xi in traj_xi.states])
         drift = energy_drift(bundle, Trajectory(traj_xi.times, states))
         assert drift < 1e-7
 
@@ -341,7 +341,7 @@ def closed_loop_link_motion(name: str, count: int = 2000, seed: int = 2026):
     box = bundle.x_sample_box
     x = np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(count, 4))
     x = x[admissible_mask(bundle, x)]
-    z = evaluate(bundle.manifold.phi, x)
+    z = evaluate(bundle.phi, x)
     rates = evaluate(augmented_field(bundle), np.hstack([x, z]))
     return x[:, 0], rates[:, 2], rates[:, 5]
 

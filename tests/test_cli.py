@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -63,6 +64,7 @@ BAD_CHECKS, BAD_CHECK_IDS = zip(
     ({"metric": "decay_rate", "within": [-1.0]}, "check-within-one-entry"),
     ("u_abs_max <= 0.001", "check-not-a-mapping"),
 )
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 IWP_PARAMS = {"m": 1.962, "b": 10.0, "k": -1.6, "gamma1": 2.0, "gamma2": 1.0}
 INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
 
@@ -279,7 +281,7 @@ def test_control_history_is_nan_outside_the_cone():
     assert np.isnan(u[~inside]).all()
     for row, value in zip(states[inside], u[inside, 0]):
         x, z = tuple(row[:4].tolist()), tuple(row[4:].tolist())
-        assert value == bundle.controller.v(x, z)[0]
+        assert value == bundle.v(x, z)[0]
 
 
 def test_sing_margin_min_reads_negative_after_a_cone_exit(tmp_path, capsys):
@@ -424,6 +426,22 @@ class TestRunCommand:
 
         printed = capsys.readouterr().out
         assert "period_est" in printed and str(outdir) in printed
+
+    @pytest.mark.parametrize("filename", ["tiny-lti.yaml", "a&b<c>.yaml"])
+    def test_every_svg_parses_and_keeps_its_title(self, tmp_path, filename):
+        # without a name key the scenario is named after its file, and a
+        # name is free text in the plot titles, so it must be escaped
+        doc = {k: v for k, v in TINY_LTI.items() if k != "name"}
+        scn = load_scenario(str(write_scenario(tmp_path, doc, filename)))
+        name = filename[: -len(".yaml")]
+        assert scn.name == name
+        cli.run_scenario(scn, tmp_path / "out")
+        titles = {}
+        for path in sorted((tmp_path / "out" / name).glob("*.svg")):
+            root = ElementTree.parse(path).getroot()
+            (title,) = [t.text for t in root.iter(SVG_TEXT) if t.get("font-size") == "14"]
+            titles[path.name] = title
+        assert titles == {"phase_x1_x2.svg": f"{name}: x2 vs x1", "timeseries_x1-z.svg": name}
 
     def test_runs_are_byte_deterministic(self, tmp_path):
         path = write_scenario(tmp_path, TINY_LTI)

@@ -8,10 +8,7 @@ import pytest
 
 from iiorbit.core import (
     ControlAffineSystem,
-    Controller,
     IandIBundle,
-    ImmersionMap,
-    ImplicitManifold,
     TargetDynamics,
     ValidationReport,
     admissible_mask,
@@ -44,10 +41,10 @@ def _grid_and_directions(bundle, which, count=200, seed=13):
     rng = np.random.default_rng(seed)
     if which == "pi":
         xi = rng.uniform(*bundle.xi_sample_box.T, size=(count, bundle.target.p))
-        return bundle.immersion.pi, xi, evaluate(bundle.target.alpha, xi)
+        return bundle.pi, xi, evaluate(bundle.target.alpha, xi)
     x = rng.uniform(*bundle.x_sample_box.T, size=(count, bundle.plant.n))
     x = x[admissible_mask(bundle, x)]
-    return bundle.manifold.phi, x, rng.normal(size=x.shape)
+    return bundle.phi, x, rng.normal(size=x.shape)
 
 
 class TestDerivative:
@@ -170,9 +167,9 @@ class TestImmersionResidual:
         bundle = _mistargeted(bundles[name], MISTARGETED[name])
         box = bundle.xi_sample_box
         xi = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(500, 2))
-        x = evaluate(bundle.immersion.pi, xi)
+        x = evaluate(bundle.pi, xi)
         mismatch = evaluate(bundle.plant.f, x) - derivative(
-            bundle.immersion.pi, xi, evaluate(bundle.target.alpha, xi)
+            bundle.pi, xi, evaluate(bundle.target.alpha, xi)
         )
         # orthonormal columns spanning the left null space of g
         null = np.linalg.svd(evaluate(bundle.plant.g, x))[0][..., bundle.plant.m:]
@@ -198,45 +195,25 @@ class TestValidateBundle:
         good = bundles["iwp-default"]
 
         def warped_pi(xi):
-            x = good.immersion.pi(xi)
+            x = good.pi(xi)
             return (x[0], x[1] + 0.01, x[2], x[3])
 
-        warped = ImmersionMap(pi=warped_pi)
-        bad = IandIBundle(
-            name=good.name,
-            plant=good.plant,
-            target=good.target,
-            immersion=warped,
-            manifold=good.manifold,
-            controller=good.controller,
-            xi_sample_box=good.xi_sample_box,
-            x_sample_box=good.x_sample_box,
-            closed_form_c=good.closed_form_c,
-            z_dynamics=good.z_dynamics,
-            xi_projection=good.xi_projection,
-            angle_indices=good.angle_indices,
-            section_index=good.section_index,
-            info=good.info,
-        )
+        bad = dataclasses.replace(good, pi=warped_pi)
         report = validate_bundle(bad, grid_size=50, seed=1)
         assert not report.passed
         assert any("manifold" in msg or "immersion" in msg for msg in report.failures())
 
     @pytest.mark.parametrize("name", ["iwp-default", "dcac-default"])
     @pytest.mark.parametrize(
-        "part,attr,named",
-        [
-            ("immersion", "pi", "immersion residual"),
-            ("manifold", "phi", "off-manifold dynamics mismatch"),
-        ],
+        "attr,named",
+        [("pi", "immersion residual"), ("phi", "off-manifold dynamics mismatch")],
     )
-    def test_kernel_dropping_the_imaginary_part_fails(self, bundles, name, part, attr, named):
+    def test_kernel_dropping_the_imaginary_part_fails(self, bundles, name, attr, named):
         # the same real values, but a zero complex-step derivative
         good = bundles[name]
-        record = getattr(good, part)
-        kernel = getattr(record, attr)
-        real = dataclasses.replace(record, **{attr: lambda y: tuple(map(np.real, kernel(y)))})
-        failures = validate_bundle(dataclasses.replace(good, **{part: real})).failures()
+        kernel = getattr(good, attr)
+        real = dataclasses.replace(good, **{attr: lambda y: tuple(map(np.real, kernel(y)))})
+        failures = validate_bundle(real).failures()
         assert failures and failures[0].startswith(named), failures
 
     @pytest.mark.parametrize(
@@ -283,7 +260,7 @@ class TestClosedLoop:
         for name, (t1, dt, x0) in cases.items():
             bundle = bundles[name]
             x0 = np.asarray(x0)
-            phi = bundle.manifold.phi
+            phi = bundle.phi
             y0 = np.concatenate([x0, np.atleast_1d(phi(x0))])
             traj = integrate_fixed(augmented_field(bundle), y0, 0.0, t1, dt)
             n = bundle.plant.n
@@ -308,10 +285,10 @@ class TestClosedLoop:
                 if not admissible_mask(bundle, x):
                     continue
                 tried += 1
-                z = np.atleast_1d(bundle.manifold.phi(x))
+                z = np.atleast_1d(bundle.phi(x))
                 y = np.concatenate([x, z])
                 ydot = fld(y)
-                zdot_literal = derivative(bundle.manifold.phi, x, ydot[:n])
+                zdot_literal = derivative(bundle.phi, x, ydot[:n])
                 assert np.max(np.abs(ydot[n:] - zdot_literal)) < 1e-9
 
     @pytest.mark.parametrize("name", plants.PRESETS)
@@ -319,7 +296,7 @@ class TestClosedLoop:
         # f_i + g_i u summed left to right, then the declared z dynamics, bit
         # for bit and with the sign of every zero
         bundle = bundles[name]
-        n, f, g, v = bundle.plant.n, bundle.plant.f, bundle.plant.g, bundle.controller.v
+        n, f, g, v = bundle.plant.n, bundle.plant.f, bundle.plant.g, bundle.v
 
         def reference(y):
             x, z = y[:n], y[n:]
@@ -348,7 +325,7 @@ class TestClosedLoop:
         rng = np.random.default_rng(23)
         X = rng.uniform(*(0.5 * bundle.x_sample_box.T), size=(20, bundle.plant.n))
         x = tuple(X[admissible_mask(bundle, X)][0].tolist())
-        z = tuple(np.atleast_1d(bundle.manifold.phi(x)).tolist())
+        z = tuple(np.atleast_1d(bundle.phi(x)).tolist())
         y = rk4_step(augmented_field(bundle), x + z, 1e-3)
         assert [type(c) for c in y] == [float] * len(y)
 
@@ -363,7 +340,7 @@ class TestClosedLoop:
 
 def _fold_rate(bundle, x, z):
     """f_i + g_i u with the row product written as the _dot fold."""
-    u = bundle.controller.v(x, z)
+    u = bundle.v(x, z)
     g = bundle.plant.g(x)
     return tuple(
         fi + functools.reduce(operator.add, map(operator.mul, gi, u))
@@ -384,7 +361,7 @@ def _three_input_bundle(template):
         template,
         name="three-input",
         plant=plant,
-        controller=Controller(v=lambda x, z: (0.1 * z[0], -0.3 * z[1], 0.7 * x[3])),
+        v=lambda x, z: (0.1 * z[0], -0.3 * z[1], 0.7 * x[3]),
     )
 
 
@@ -414,7 +391,7 @@ class TestPlantRate:
         bundle = bundles[name]
         rng = np.random.default_rng(29)
         X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.plant.n))
-        Z = evaluate(bundle.manifold.phi, X) + rng.normal(size=(1000, bundle.z_dim))
+        Z = evaluate(bundle.phi, X) + rng.normal(size=(1000, bundle.z_dim))
         got = evaluate(core._plant_rate(bundle), X, Z)
         want = as_array(_fold_rate(bundle, X.T, Z.T), (1000,))
         assert got.shape == (1000, bundle.plant.n)
@@ -458,9 +435,9 @@ class TestKernels:
             "g": (bundle.plant.g, X),
             "alpha": (bundle.target.alpha, Xi),
             "first_integral": (bundle.target.first_integral, Xi),
-            "pi": (bundle.immersion.pi, Xi),
-            "phi": (bundle.manifold.phi, X),
-            "v": (bundle.controller.v, X, Z),
+            "pi": (bundle.pi, Xi),
+            "phi": (bundle.phi, X),
+            "v": (bundle.v, X, Z),
             "closed_form_c": (bundle.closed_form_c, Xi),
             "z_dynamics": (bundle.z_dynamics, X, Z),
             "singularity_margin": (bundle.singularity_margin, X),
@@ -495,9 +472,9 @@ class TestAdmissibleMask:
         edge[:, 0] = _link_angles(beta_star)
         X = np.vstack([X, edge])
         z = (0.3, -0.2)
-        kernels = [bundle.controller.v]
+        kernels = [bundle.v]
         if name == "cartpend-nl-default":
-            kernels.append(lambda x, z: bundle.manifold.phi(x))
+            kernels.append(lambda x, z: bundle.phi(x))
         flags = []
         with np.errstate(invalid="ignore", divide="ignore"):
             for x in map(tuple, X.tolist()):
@@ -538,17 +515,14 @@ class TestBundleShape:
             g=lambda x: np.array([[0.0], [1.0]]),
         )
         target = TargetDynamics(p=1, alpha=lambda xi: np.zeros(1))
-        imm = ImmersionMap(pi=lambda xi: np.zeros(2))
-        man = ImplicitManifold(phi=lambda x: np.zeros(1))
-        ctl = Controller(v=lambda x, z: np.zeros(1))
         with pytest.raises(ValueError):
             IandIBundle(
                 name="bad",
                 plant=plant,
                 target=target,
-                immersion=imm,
-                manifold=man,
-                controller=ctl,
+                pi=lambda xi: np.zeros(2),
+                phi=lambda x: np.zeros(1),
+                v=lambda x, z: np.zeros(1),
                 xi_sample_box=np.zeros((3, 2)),
                 x_sample_box=np.zeros((2, 2)),
                 z_dynamics=lambda x, z: np.zeros(1),

@@ -294,7 +294,7 @@ class TestAdaptive:
             bundle = bundles[name]
             fld = augmented_field(bundle)
             x0 = np.asarray(x0)
-            y0 = np.concatenate([x0, np.atleast_1d(bundle.manifold.phi(x0))])
+            y0 = np.concatenate([x0, np.atleast_1d(bundle.phi(x0))])
             ref = integrate_fixed(fld, y0, 0.0, t1, dt)
             probe = integrate_adaptive(fld, y0, 0.0, t1, rtol=1e-10, atol=1e-12)
             diff = np.max(np.abs(ref.final_state - probe.final_state))

@@ -242,7 +242,7 @@ class TestPresetRegistry:
         preset = make_preset("iwp-default")
         assert inline.info["a"] == preset.info["a"]
         x = np.array([0.4, -0.3, 0.2, 0.1])
-        assert np.allclose(inline.manifold.phi(x), preset.manifold.phi(x))
+        assert np.allclose(inline.phi(x), preset.phi(x))
 
 
 class TestIwpBundle:
@@ -294,10 +294,10 @@ class TestCartPendLinearBundle:
         beta_star = bundle.info["beta_star"]
         x = np.array([beta_star + 0.01, 0.0, 0.0, 0.0])
         with pytest.raises(FieldEvaluationError, match="admissible cone"):
-            bundle.controller.v(x, np.zeros(2))
+            bundle.v(x, np.zeros(2))
         # and stays finite just inside
         x_in = np.array([beta_star - 0.01, 0.0, 0.0, 0.0])
-        assert np.all(np.isfinite(bundle.controller.v(x_in, np.zeros(2))))
+        assert np.all(np.isfinite(bundle.v(x_in, np.zeros(2))))
 
     def test_exact_cone_edge_raises_a_field_error(self):
         # 1 + k a2 cos(s) is exactly 0.0 at this float for k = -4, a2 = 1; a
@@ -310,7 +310,7 @@ class TestCartPendLinearBundle:
         with pytest.raises(FieldEvaluationError, match="cone edge"):
             bundle.closed_form_c((s, 0.0))
         with pytest.raises(FieldEvaluationError, match="admissible cone"):
-            bundle.controller.v((s, 0.0, 0.0, 0.0), (0.0, 0.0))
+            bundle.v((s, 0.0, 0.0, 0.0), (0.0, 0.0))
 
     def test_singularity_margin(self):
         # -(1 + k a2 cos(x1)), evaluated over a stack of states
@@ -370,7 +370,7 @@ class TestCartPendNonlinearBundle:
             with pytest.raises(FieldEvaluationError, match="outside"):
                 bundle.info["kfun"](s)
         with pytest.raises(FieldEvaluationError):
-            bundle.immersion.pi(np.array([1.6, 0.0]))
+            bundle.pi(np.array([1.6, 0.0]))
 
 
 class TestDcAcBundle:
@@ -385,14 +385,14 @@ class TestDcAcBundle:
         assert abs(expected - 0.4509256539391283) < 1e-12
         for theta in np.linspace(0.0, 2 * math.pi, 9):
             xi = p.A * np.array([math.cos(theta), math.sin(theta)])
-            u = bundle.controller.v(bundle.immersion.pi(xi), np.zeros(2))
+            u = bundle.v(bundle.pi(xi), np.zeros(2))
             assert abs(np.linalg.norm(u) - expected) < 1e-12
 
     def test_duty_cycle_within_limit_on_orbit(self):
         bundle = make_preset("dcac-default")
         assert bundle.info["u_limit"] == 1.0
         xi = np.array([12.0, 0.0])
-        u = bundle.controller.v(bundle.immersion.pi(xi), np.zeros(2))
+        u = bundle.v(bundle.pi(xi), np.zeros(2))
         assert np.max(np.abs(u)) < 1.0
 
     def test_target_circle_is_invariant(self):
