@@ -631,9 +631,16 @@ def expand_sweep(scn: Scenario) -> list[tuple[float, Scenario]]:
     return runs
 
 
+# about 0.45 GB of validation grids at ~0.4 KB per sample point; a larger
+# grid would end in numpy's memory or dimension errors
+MAX_GRID_SIZE = 1_000_000
+
+
 def cmd_validate(args) -> int:
-    if args.grid_size < 1:
-        raise ScenarioError(f"--grid-size must be at least 1, got {args.grid_size}")
+    if not 1 <= args.grid_size <= MAX_GRID_SIZE:
+        raise ScenarioError(
+            f"--grid-size must be between 1 and {MAX_GRID_SIZE}, got {args.grid_size}"
+        )
     if args.seed < 0:
         raise ScenarioError(f"--seed must be non-negative, got {args.seed}")
     target = args.target

@@ -8,9 +8,11 @@ feedback that renders the manifold invariant and attractive. The functions
 here evaluate the defining identities numerically and assemble the
 closed-loop and augmented vector fields for simulation. The immersion
 identity f(pi(xi)) + g(pi(xi)) c = Dpi(xi) alpha(xi) is solved once, in
-least squares, for the on-manifold control c; what is left of it is the
-immersion residual, and c feeds the boundary-condition and closed-form
-checks. Dpi alpha and Dphi x' are computed from pi and phi by derivative.
+least squares, for the on-manifold control c (see immersion); what is left
+of it is the immersion residual. The feedback states c a second time, since
+the boundary condition v(pi(xi), 0) = c(pi(xi)) makes it that control on
+the manifold, and the boundary-condition check compares the two. Dpi alpha
+and Dphi x' are computed from pi and phi by derivative.
 
 Every bundle callable is a kernel: it reads components by index and returns
 a tuple (of row tuples for a matrix), so it runs alike on one point and on a
@@ -37,9 +39,8 @@ from .odesim import Field, FieldEvaluationError
 
 FBI_TOL = 1e-9
 MANIFOLD_TOL = 1e-12
-CONSTRAINT_TOL = 1e-9
+CONSTRAINT_TOL = 1e-10
 RANK_MARGIN = 1e-10
-CLOSED_FORM_C_TOL = 1e-10
 Z_CONSISTENCY_TOL = 1e-9
 
 class ParameterError(ValueError):
@@ -79,14 +80,13 @@ class IandIBundle:
       phi             the implicit manifold map x -> z, whose zero set is the
                       immersed manifold; z = phi(x) are the off-manifold
                       coordinates
-      v               the feedback u = v(x, z)
+      v               the feedback u = v(x, z); on the manifold, v(pi(xi), 0)
+                      is the on-manifold control c (see immersion)
 
     Extra per-design knowledge used by simulation and metrics:
       z_dynamics      hand-derived off-manifold dynamics z' = h(x, z), which
                       the augmented field integrates (validate_bundle checks
                       it against Dphi (f + g v))
-      closed_form_c   hand-derived on-manifold control (cross-checked against
-                      the least-squares c)
       xi_projection   indices of the p plant coordinates that realize the
                       target state (used by energy/orbit metrics)
       section_index   plant coordinate, one of xi_projection, whose zero
@@ -111,7 +111,6 @@ class IandIBundle:
     xi_sample_box: np.ndarray  # (p, 2) lower/upper
     x_sample_box: np.ndarray  # (n, 2)
     z_dynamics: Callable
-    closed_form_c: Callable
     xi_projection: tuple[int, ...]
     section_index: int
     angle_indices: tuple[int, ...] = ()
@@ -175,24 +174,23 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", M, v)
 
 
-def _immersed(bundle: IandIBundle, xi: Sequence[float]):
-    """xi as a float array and x = pi(xi), which must be admissible at every
-    point."""
+def immersion(bundle: IandIBundle, xi: Sequence[float]):
+    """x = pi(xi), the least-squares on-manifold control c and the immersion
+    residual f(x) + g(x) c - Dpi(xi) alpha(xi), at a point xi (p,) or per
+    row of (N, p) points.
+
+    c solves the normal equations g'g c = g'(Dpi alpha - f). The residual is
+    zero for a correct design; it is the part of the velocity mismatch
+    f - Dpi alpha that no input can cancel, so its Euclidean norm is that of
+    the mismatch annihilated by g. The boundary-condition residual is
+    v(x, 0) - c and the manifold residual phi(x). Raises FieldEvaluationError
+    when some pi(xi) is not admissible, and ValueError when g is column-rank
+    deficient at some pi(xi).
+    """
     xi = np.asarray(xi, dtype=float)
     x = evaluate(bundle.pi, xi)
     if not admissible_mask(bundle, x).all():
         raise FieldEvaluationError(f"pi(xi) leaves the admissible region of {bundle.name}")
-    return xi, x
-
-
-def _immersion(bundle: IandIBundle, xi: Sequence[float]):
-    """x = pi(xi), the least-squares on-manifold control c and the immersion
-    residual f(x) + g(x) c - Dpi(xi) alpha(xi), at a point or rows.
-
-    c solves the normal equations g'g c = g'(Dpi alpha - f). Raises
-    ValueError when g is column-rank deficient at some pi(xi).
-    """
-    xi, x = _immersed(bundle, xi)
     G = evaluate(bundle.plant.g, x)
     s = np.linalg.svd(G, compute_uv=False)
     if np.any(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
@@ -208,37 +206,6 @@ def _immersion(bundle: IandIBundle, xi: Sequence[float]):
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"g'g singular at pi(xi) for {bundle.name}") from exc
     return x, c, _matvec(G, c) - rhs
-
-
-def fbi_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
-    """Immersion-condition residual f(pi(xi)) + g(pi(xi)) c - Dpi(xi) alpha(xi)
-    with the least-squares c: n plant components for one point xi (p,), or
-    per row of (N, p) points; identically zero for a correct design.
-
-    It is the part of the velocity mismatch f - Dpi alpha that no input can
-    cancel, so its Euclidean norm is that of the mismatch annihilated by g.
-    """
-    return _immersion(bundle, xi)[2]
-
-
-def on_manifold_control(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
-    """Least-squares input c(pi(xi)) holding the state on the manifold, from
-    the normal equations of g(pi(xi)) c = Dpi(xi) alpha(xi) - f(pi(xi)); xi
-    is a point or rows."""
-    return _immersion(bundle, xi)[1]
-
-
-def constraint_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
-    """Boundary-condition residual v(pi(xi), 0) - c(pi(xi)) at a point or
-    rows."""
-    x, c, _ = _immersion(bundle, xi)
-    return evaluate(bundle.v, x, np.zeros(c.shape[:-1] + (bundle.z_dim,))) - c
-
-
-def manifold_residual(bundle: IandIBundle, xi: Sequence[float]) -> np.ndarray:
-    """phi(pi(xi)) at a point or rows; zero when the immersed manifold sits
-    inside phi's zero set."""
-    return evaluate(bundle.phi, _immersed(bundle, xi)[1])
 
 
 def _dot(row, u):
@@ -302,8 +269,6 @@ RESIDUAL_MAXIMA = (
     ("max_fbi", "max_immersion_residual", "immersion residual", FBI_TOL),
     ("max_manifold", "max_manifold_residual", "manifold residual", MANIFOLD_TOL),
     ("max_constraint", "max_boundary_residual", "boundary-condition residual", CONSTRAINT_TOL),
-    ("max_closed_form_c_err", "max_closed_form_c_mismatch", "closed-form control mismatch",
-     CLOSED_FORM_C_TOL),
     ("max_z_consistency_err", "max_z_dynamics_mismatch", "off-manifold dynamics mismatch",
      Z_CONSISTENCY_TOL),
 )
@@ -323,7 +288,6 @@ class ValidationReport:
     max_constraint: float
     min_g_margin: float
     max_z_consistency_err: float
-    max_closed_form_c_err: float
 
     @property
     def passed(self) -> bool:
@@ -382,7 +346,7 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     x_grid = _sample_box(rng, bundle.x_sample_box, grid_size)
 
     xi = xi_grid[admissible_mask(bundle, evaluate(bundle.pi, xi_grid))]
-    pi_xi, c, fbi = _immersion(bundle, xi)
+    pi_xi, c, fbi = immersion(bundle, xi)
     z0 = np.zeros((len(xi), bundle.z_dim))
 
     x = x_grid[admissible_mask(bundle, x_grid)]
@@ -401,6 +365,5 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
         max_manifold=_max_abs(evaluate(bundle.phi, pi_xi)),
         max_constraint=_max_abs(evaluate(bundle.v, pi_xi, z0) - c),
         min_g_margin=float(np.min(g_margins, initial=np.inf)),
-        max_closed_form_c_err=_max_abs(c - evaluate(bundle.closed_form_c, xi)),
         max_z_consistency_err=_max_abs(evaluate(bundle.z_dynamics, x, z) - zdot),
     )

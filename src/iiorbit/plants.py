@@ -1,11 +1,12 @@
 """The five built-in designs, their parameter records, and the preset registry.
 
 Each make_* constructor validates its parameter inequalities, derives the
-closed forms (immersion, implicit map, feedback, on-manifold control,
-off-manifold dynamics), and returns an immutable bundle ready for residual
-checks and simulation. Every closed form is a kernel in the sense of
-iiorbit.core: components in by index, a tuple out, so one definition serves
-single points and whole stacks. Sines and cosines go through _sin and _cos,
+closed forms (immersion, implicit map, feedback, off-manifold dynamics),
+and returns an immutable bundle ready for residual checks and simulation.
+No design states its on-manifold control separately: v(pi(xi), 0) is that
+control. Every closed form is a kernel in the sense of iiorbit.core:
+components in by index, a tuple out, so one definition serves single points
+and whole stacks. Sines and cosines go through _sin and _cos,
 which keep one Python float a Python float (through math) and pass anything
 else to numpy with the same bits; np.log, np.tan and np.power stay numpy on
 every path, because math's versions differ from them in the last bit.
@@ -234,8 +235,6 @@ def make_lti(params: LtiParams) -> IandIBundle:
     R = np.asarray(params.R, dtype=float)
     if P.shape != (2, 2) or R.shape != (2, 2):
         raise ParameterError("P and R must be 2x2")
-    T = np.vstack([np.eye(2), _J])  # pi(xi) = T xi
-    KT = _rows(np.hstack([P, R + _J]) @ T)  # on-manifold control c(xi) = K T xi
     Pk, Rk, RJk = _rows(P), _rows(R), _rows(R + _J)
     G = _rows(np.vstack([np.zeros((2, 2)), np.eye(2)]))
 
@@ -260,7 +259,6 @@ def make_lti(params: LtiParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-2, 2], [-2, 2]]),
         x_sample_box=_box([[-2, 2]] * 4),
-        closed_form_c=lambda xi: _matvec2(KT, xi),
         z_dynamics=lambda x, z: (-z[0], -z[1]),
         xi_projection=(0, 1),
         section_index=1,
@@ -301,7 +299,6 @@ def make_iwp(params: IwpParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-3, 3], [-3, 3]]),
         x_sample_box=_box([[-3, 3]] * 4),
-        closed_form_c=lambda xi: (-a * k * _sin(xi[0]),),
         z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0, 1),
@@ -387,7 +384,6 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-s_lim, s_lim], [-1.5, 1.5]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-2, 2], [-3, 3]]),
-        closed_form_c=lambda xi: (ka1 * _sin(xi[0]) / nonzero_denom(xi[0]),),
         z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0,),
@@ -427,13 +423,9 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         k, kp, _ = slaving(x[0])
         return (x[1] - k, x[3] - kp * x[2])
 
-    def on_manifold(s, ds):
-        """-a times the feedback's z-free part at link angle s and rate ds."""
-        _, kp, kpp = slaving(s)
-        return kpp * (ds * ds) + a1 * kp * _sin(s)
-
     def v(x, z):
-        return (-(on_manifold(x[0], x[2]) - g2 * z[0] - g1 * z[1]) / a,)
+        _, kp, kpp = slaving(x[0])
+        return (-(kpp * (x[2] * x[2]) + a1 * kp * _sin(x[0]) - g2 * z[0] - g1 * z[1]) / a,)
 
     def alpha(xi):
         rho = -(a1 / a) * _sin(xi[0])
@@ -458,7 +450,6 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-s_lim, s_lim], [-1.0, 1.0]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-1.5, 1.5], [-3, 3]]),
-        closed_form_c=lambda xi: (-on_manifold(xi[0], xi[1]) / a,),
         z_dynamics=_pole_pair(g1, g2),
         xi_projection=(0, 2),
         angle_indices=(0,),
@@ -511,14 +502,13 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
             ),
         )
 
-    def on_manifold(x):
-        """The feedback's z-free part: x/E + (L/E) Dbeta(x) f0(x)."""
-        Jf = _matvec2(beta_jac(x[0], x[1]), f0(x))
-        return (x[0] / E + (L / E) * Jf[0], x[1] / E + (L / E) * Jf[1])
-
     def v(x, z):
-        c = on_manifold(x)
-        return (c[0] - gamma * z[0], c[1] - gamma * z[1])
+        """x/E + (L/E) Dbeta(x) f0(x) - gamma z."""
+        Jf = _matvec2(beta_jac(x[0], x[1]), f0(x))
+        return (
+            x[0] / E + (L / E) * Jf[0] - gamma * z[0],
+            x[1] / E + (L / E) * Jf[1] - gamma * z[1],
+        )
 
     def alpha(xi):
         r2 = xi[0] * xi[0] + xi[1] * xi[1] - A2
@@ -543,7 +533,6 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         x_sample_box=_box(
             [[-1.25 * A, 1.25 * A]] * 2 + [[-5.0 * A * C * omega, 5.0 * A * C * omega]] * 2
         ),
-        closed_form_c=lambda xi: on_manifold(pi_map(xi)),
         z_dynamics=lambda x, z: (-z_rate * z[0], -z_rate * z[1]),
         xi_projection=(0, 1),
         section_index=0,

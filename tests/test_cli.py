@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from iiorbit import analysis, cli, plants
 from iiorbit.cli import METRIC_KEYS, ScenarioError, _eval_check, load_scenario
+from iiorbit.core import validate_bundle
 from iiorbit.odesim import Trajectory
 
 TINY_LTI = {
@@ -74,6 +75,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
     [
         ("validate", ["--set", "k=abc"]),
         ("validate", ["--grid-size", "0"]),
+        ("validate", ["--grid-size", str(10**22)]),
+        ("validate", ["--grid-size", str(cli.MAX_GRID_SIZE + 1)]),
         ("run", ""),
         ("run", "- 1.0\n- 2.0\n"),
         ("run", scenario_text(integrator={"method": "fixed", "dt": "abc"})),
@@ -135,6 +138,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
     ids=[
         "validate-non-numeric-set",
         "validate-zero-grid-size",
+        "validate-grid-size-past-numpy-dimension-limit",
+        "validate-grid-size-above-maximum",
         "run-empty-file",
         "run-non-mapping",
         "run-non-numeric-dt",
@@ -401,6 +406,15 @@ class TestValidateCommand:
     def test_scenario_target(self, tmp_path):
         path = write_scenario(tmp_path, TINY_LTI)
         assert cli.main(["validate", str(path), "--grid-size", "50"]) == 0
+
+    def test_every_shipped_sweep_design_passes(self):
+        # each swept k, pole and x0 value's design, not only the presets
+        sweeps = [scn for scn in map(load_scenario, cli.shipped_scenarios()) if scn.sweep]
+        designs = [sub.bundle for scn in sweeps for _, sub in cli.expand_sweep(scn)]
+        assert (len(sweeps), len(designs)) == (4, 16)
+        for block in designs:
+            report = validate_bundle(cli.build_bundle(block))
+            assert report.passed, (block, report.failures())
 
 
 class TestRunCommand:

@@ -15,12 +15,9 @@ from iiorbit.core import (
     as_array,
     augmented_field,
     closed_loop_field,
-    constraint_residual,
     derivative,
     evaluate,
-    fbi_residual,
-    manifold_residual,
-    on_manifold_control,
+    immersion,
     validate_bundle,
 )
 from iiorbit.odesim import FieldEvaluationError, IntegrationAbort, integrate_fixed, rk4_step
@@ -111,22 +108,18 @@ class TestResiduals:
         for bundle in bundles.values():
             lo, hi = bundle.xi_sample_box[:, 0], bundle.xi_sample_box[:, 1]
             for _ in range(50):
-                xi = rng.uniform(lo, hi)
-                assert np.max(np.abs(fbi_residual(bundle, xi))) < 1e-9
-                assert np.max(np.abs(manifold_residual(bundle, xi))) < 1e-12
-                assert np.max(np.abs(constraint_residual(bundle, xi))) < 1e-9
+                x, _, residual = immersion(bundle, rng.uniform(lo, hi))
+                assert np.max(np.abs(residual)) < 1e-9
+                assert np.max(np.abs(evaluate(bundle.phi, x))) < 1e-12
 
     def test_pinv_matches_closed_form(self, bundles):
+        # the least-squares c is the feedback on the manifold, v(pi(xi), 0)
         rng = np.random.default_rng(11)
         for bundle in bundles.values():
-            if bundle.closed_form_c is None:
-                continue
             lo, hi = bundle.xi_sample_box[:, 0], bundle.xi_sample_box[:, 1]
             for _ in range(50):
-                xi = rng.uniform(lo, hi)
-                c_pinv = on_manifold_control(bundle, xi)
-                c_closed = np.atleast_1d(bundle.closed_form_c(xi))
-                assert np.max(np.abs(c_pinv - c_closed)) < 1e-10
+                x, c, _ = immersion(bundle, rng.uniform(lo, hi))
+                assert np.max(np.abs(evaluate(bundle.v, x, np.zeros(bundle.z_dim)) - c)) < 1e-10
 
     def test_rank_deficient_g_rejected(self, bundles):
         # the second column is zero, so g has rank one at every point
@@ -135,7 +128,7 @@ class TestResiduals:
         plant = dataclasses.replace(good.plant, g=lambda x: G)
         bad = dataclasses.replace(good, plant=plant)
         with pytest.raises(ValueError, match="smallest singular value 0.000e"):
-            fbi_residual(bad, [0.3, -0.2])
+            immersion(bad, [0.3, -0.2])
 
 
 def _mistargeted(bundle, make_alpha):
@@ -174,7 +167,7 @@ class TestImmersionResidual:
         # orthonormal columns spanning the left null space of g
         null = np.linalg.svd(evaluate(bundle.plant.g, x))[0][..., bundle.plant.m:]
         expected = np.linalg.norm(np.einsum("...ji,...j->...i", null, mismatch), axis=-1)
-        residual = fbi_residual(bundle, xi)
+        residual = immersion(bundle, xi)[2]
         assert residual.shape == (500, bundle.plant.n)
         np.testing.assert_allclose(np.linalg.norm(residual, axis=-1), expected, rtol=1e-9, atol=0.0)
 
@@ -217,11 +210,23 @@ class TestValidateBundle:
         assert failures and failures[0].startswith(named), failures
 
     @pytest.mark.parametrize(
+        "name,offset",
+        [*((name, 1e-6) for name in plants.PRESETS), ("lti-identity", 5e-10)],
+    )
+    def test_feedback_missing_c_fails_on_the_boundary_residual(self, bundles, name, offset):
+        # v(pi(xi), 0) off the least-squares c by a constant; pi, phi and the
+        # target are untouched, so the boundary check is the first to fail
+        good = bundles[name]
+        off = dataclasses.replace(good, v=lambda x, z: tuple(u + offset for u in good.v(x, z)))
+        failures = validate_bundle(off).failures()
+        assert failures and failures[0].startswith("boundary-condition residual"), failures
+
+    @pytest.mark.parametrize(
         "field,named",
         [
             ("max_fbi", "immersion residual"),
+            ("max_constraint", "boundary-condition residual"),
             ("max_z_consistency_err", "off-manifold dynamics mismatch"),
-            ("max_closed_form_c_err", "closed-form control mismatch"),
             ("min_g_margin", "input-matrix rank margin"),
         ],
     )
@@ -438,7 +443,6 @@ class TestKernels:
             "pi": (bundle.pi, Xi),
             "phi": (bundle.phi, X),
             "v": (bundle.v, X, Z),
-            "closed_form_c": (bundle.closed_form_c, Xi),
             "z_dynamics": (bundle.z_dynamics, X, Z),
             "singularity_margin": (bundle.singularity_margin, X),
         }
@@ -526,7 +530,6 @@ class TestBundleShape:
                 xi_sample_box=np.zeros((3, 2)),
                 x_sample_box=np.zeros((2, 2)),
                 z_dynamics=lambda x, z: np.zeros(1),
-                closed_form_c=lambda xi: np.zeros(1),
                 xi_projection=(0,),
                 section_index=0,
             )

@@ -307,8 +307,6 @@ class TestCartPendLinearBundle:
         assert 1.0 + (-4.0 * 1.0) * math.cos(s) == 0.0
         with pytest.raises(FieldEvaluationError, match="cone edge"):
             bundle.target.alpha((s, 0.0))
-        with pytest.raises(FieldEvaluationError, match="cone edge"):
-            bundle.closed_form_c((s, 0.0))
         with pytest.raises(FieldEvaluationError, match="admissible cone"):
             bundle.v((s, 0.0, 0.0, 0.0), (0.0, 0.0))
 
