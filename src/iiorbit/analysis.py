@@ -136,7 +136,7 @@ def orbit_samples(
         raise ValueError(f"xi0={xi0.tolist()} is not finite; no orbit passes through it")
     angles = [j for j, col in enumerate(bundle.xi_projection) if col in bundle.angle_indices]
     xi0[angles] = wrap_angle(xi0[angles])
-    field = bundle.target.alpha
+    field = bundle.alpha
     speed0 = float(np.max(np.abs(field(xi0))))
     if speed0 <= 1e-12 * max(1.0, float(np.max(np.abs(xi0)))):
         # an equilibrium never crosses the section transversally; without
@@ -284,7 +284,7 @@ TAIL_FRACTION = 0.2
 def energy_drift(bundle: IandIBundle, traj: Trajectory) -> float:
     """Relative spread of the target's first integral along the projected
     trajectory tail: (max - min) / max(|mean|, 1e-9)."""
-    H = bundle.target.first_integral
+    H = bundle.first_integral
     if H is None:
         raise ValueError(f"bundle {bundle.name} has no first integral")
     tail = traj.tail(TAIL_FRACTION)
@@ -326,17 +326,17 @@ def lemma1_check(
         raise ValueError("l1, l2, horizon, dt and x0 must be finite")
     if l1 < 0 or l2 <= 0 or horizon <= 0:
         raise ValueError("need l1 >= 0, l2 > 0, horizon > 0")
-    target = make_iwp(design).target
+    iwp = make_iwp(design)
     a = design.a
     eps = perturbation if perturbation is not None else (lambda tau: l1 * math.exp(-l2 * tau))
 
     def rhs(y):
-        rate, accel = target.alpha(y)
+        rate, accel = iwp.alpha(y)
         return (rate, accel + eps(y[2]), 1.0)
 
     traj = integrate_fixed(rhs, [x1_0, x3_0, 0.0], 0.0, horizon, dt)
-    r = evaluate(target.first_integral, traj.states[:, :2])
-    r0 = float(target.first_integral((x1_0, x3_0)))
+    r = evaluate(iwp.first_integral, traj.states[:, :2])
+    r0 = float(iwp.first_integral((x1_0, x3_0)))
     l3 = l1 * abs(x3_0)
     l4 = l1 * (a + l1)
     bound = r0 + l3 / l2 + l4 / l2**2
@@ -354,8 +354,8 @@ class Lemma2Setup:
     The motion w1'' = (a1 sin(w1) + eps(t)) / (1 + k a2 cos(w1)) is the
     design's target field plus eps over its control denominator, and lives
     in the angle cone (-beta_star, beta_star). Derived quantities:
-      bundle    = make_cartpend_linear(design), whose target and
-                  singularity margin the harness reads
+      bundle    = make_cartpend_linear(design), whose alpha,
+                  first_integral and singularity_margin the harness reads
       k0        = -2 k a2 / a1
       Hw_min    = (a1/(k a2)) ln(-1 - k a2), the potential's minimum
       beta_star = the design's cone half-width
@@ -385,7 +385,7 @@ class Lemma2Setup:
 
     def hw(self, w1: float, w2: float) -> float:
         """Energy 0.5 w2^2 + (a1/(k a2)) ln|1 + k a2 cos(w1)|."""
-        return float(self.bundle.target.first_integral((w1, w2))) + self.Hw_min
+        return float(self.bundle.first_integral((w1, w2))) + self.Hw_min
 
 
 def lemma2_F(setup: Lemma2Setup, r: float) -> float:
@@ -478,7 +478,7 @@ def lemma2_check(
         raise ValueError("l2, horizon and dt must be finite")
     if l2 <= 0 or horizon <= 0:
         raise ValueError("need l2 > 0 and horizon > 0")
-    alpha, sing_margin, l1 = setup.bundle.target.alpha, setup.bundle.singularity_margin, setup.l1
+    alpha, sing_margin, l1 = setup.bundle.alpha, setup.bundle.singularity_margin, setup.l1
 
     def rhs(y):
         # the singularity margin is minus the control denominator

@@ -34,7 +34,7 @@ from .core import (
     validate_bundle,
 )
 from .odesim import (
-    IntegrationAbort, Trajectory, estimate_period, integrate_adaptive, integrate_fixed
+    MAX_STEPS, IntegrationAbort, Trajectory, estimate_period, integrate_adaptive, integrate_fixed
 )
 
 METRIC_KEYS = (
@@ -228,10 +228,18 @@ def _flag(raw, what: str) -> bool:
     return raw
 
 
+def _tolerance(raw, what: str) -> float:
+    """raw as a finite float of at least zero, as a tolerance must be."""
+    value = _finite(raw, what)
+    if value < 0:
+        raise ScenarioError(f"{what} must not be negative, got {raw!r}")
+    return value
+
+
 def _target_tol(raw, what: str) -> tuple[float, float]:
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ScenarioError(f"{what} must be [target, tol], got {raw!r}")
-    return _finite(raw[0], f"{what} target"), _finite(raw[1], f"{what} tol")
+    return _finite(raw[0], f"{what} target"), _tolerance(raw[1], f"{what} tol")
 
 
 # Each comparison a check may hold: its bound reader, its test of a metric
@@ -240,7 +248,7 @@ COMPARISONS = {
     "equals": (_flag, lambda v, b: v == b, "value={shown}"),
     "max": (_finite, lambda v, b: float(v) <= b, "value={shown} max={raw}"),
     "min": (_finite, lambda v, b: float(v) >= b, "value={shown} min={raw}"),
-    "abs_max": (_finite, lambda v, b: abs(float(v)) <= b, "|value|={abs_value!r} abs_max={raw}"),
+    "abs_max": (_tolerance, lambda v, b: abs(float(v)) <= b, "|value|={abs_value!r} abs_max={raw}"),
     "within": (
         _target_tol,
         lambda v, b: abs(float(v) - b[0]) <= b[1],
@@ -358,9 +366,9 @@ def read_metrics_csv(path: Path) -> dict:
 
 def _control_history(bundle: IandIBundle, traj: Trajectory) -> np.ndarray:
     """The feedback along the stored states, NaN where it is not defined."""
-    n = bundle.plant.n
+    n = bundle.n
     ok = admissible_mask(bundle, traj.states[:, :n])
-    u = np.full((len(traj), bundle.plant.m), np.nan)
+    u = np.full((len(traj), bundle.m), np.nan)
     u[ok] = evaluate(bundle.v, traj.states[ok, :n], traj.states[ok, n:])
     return u
 
@@ -372,7 +380,7 @@ def compute_metrics(
     aborted: bool,
     abort_time: Optional[float],
 ) -> dict:
-    n = bundle.plant.n
+    n = bundle.n
     xpart = traj.restrict(range(n))
     zpart = traj.restrict(range(n, n + bundle.z_dim))
     metrics: dict = {key: None for key in METRIC_KEYS}
@@ -410,7 +418,7 @@ def compute_metrics(
 
 def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
     """The integrator method and its step settings, with dt kept within
-    the time span."""
+    the time span and a fixed grid of at most MAX_STEPS steps."""
     method = scn.integrator.get("method", "fixed")
     defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}
     if not (isinstance(method, str) and method in defaults):
@@ -422,8 +430,14 @@ def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
         settings[key] = _finite(raw, f"integrator.{key}")
         if settings[key] <= 0:
             raise ScenarioError(f"integrator.{key} must be positive, got {raw!r}")
-    if settings.get("dt", 0.0) > scn.t_span[1] - scn.t_span[0]:
+    span = scn.t_span[1] - scn.t_span[0]
+    if settings.get("dt", 0.0) > span:
         raise ScenarioError(f"integrator.dt {settings['dt']!r} exceeds the time span")
+    if "dt" in settings and span / settings["dt"] > MAX_STEPS:
+        raise ScenarioError(
+            f"integrator.dt {settings['dt']!r} takes {span / settings['dt']:.6g} steps "
+            f"over the time span, more than {MAX_STEPS}"
+        )
     return method, settings
 
 
@@ -432,7 +446,7 @@ def _plots(scn: Scenario, bundle: IandIBundle) -> list[tuple[str, list]]:
     outputs checked."""
     if not isinstance(scn.outputs, list):
         raise ScenarioError(f"outputs must be a list, got {scn.outputs!r}")
-    width = bundle.plant.n + bundle.z_dim
+    width = bundle.n + bundle.z_dim
     plots = []
     for item in scn.outputs:
         if item in ("trajectory_csv", "metrics_csv"):
@@ -475,9 +489,9 @@ def check_scenario(scn: Scenario) -> RunPlan:
     bundle = build_bundle(scn.bundle)
     plots = _plots(scn, bundle)
     x0 = np.asarray(scn.x0, dtype=float)
-    if x0.shape != (bundle.plant.n,):
+    if x0.shape != (bundle.n,):
         raise ScenarioError(
-            f"x0 has {x0.size} entries, bundle {bundle.name} needs {bundle.plant.n}"
+            f"x0 has {x0.size} entries, bundle {bundle.name} needs {bundle.n}"
         )
     if not admissible_mask(bundle, x0):
         raise ParameterError(f"x0 {scn.x0} is outside the admissible set of bundle {bundle.name} "
@@ -498,7 +512,7 @@ def _integrate(plan: RunPlan, t_span):
 
 
 def _plot_outputs(bundle: IandIBundle, name: str, plots: list, traj: Trajectory, outdir: Path):
-    n = bundle.plant.n
+    n = bundle.n
 
     def col(i):
         if i == "z":
@@ -550,7 +564,7 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
     traj, aborted, abort_time = _integrate(plan, scn.t_span)
     u = _control_history(bundle, traj)
     csv_path = outdir / "trajectory.csv" if "trajectory_csv" in scn.outputs else None
-    csv_args = (csv_path, traj, bundle.plant.n, bundle.z_dim, bundle.plant.m, u)
+    csv_args = (csv_path, traj, bundle.n, bundle.z_dim, bundle.m, u)
     fork = _fork_context() if csv_path is not None and _usable_cpus() > 1 else None
     writer = None
     if fork is not None:

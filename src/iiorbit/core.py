@@ -1,10 +1,10 @@
-"""Plant, target and design-bundle types and the residual checks tying them
-together.
+"""The design bundle and the residual checks tying its maps together.
 
-A bundle packages one complete design: a control-affine plant, a
-lower-dimensional target oscillator, an immersion of the target into the
-plant's state space, an implicit description of the immersed manifold, and a
-feedback that renders the manifold invariant and attractive. The functions
+A bundle is one complete design, the tuple (f, g, alpha, pi, phi, v): a
+control-affine plant x' = f(x) + g(x) u, a lower-dimensional target
+oscillator xi' = alpha(xi), an immersion pi of the target into the plant's
+state space, an implicit description phi of the immersed manifold, and a
+feedback v that renders the manifold invariant and attractive. The functions
 here evaluate the defining identities numerically and assemble the
 closed-loop and augmented vector fields for simulation. The immersion
 identity f(pi(xi)) + g(pi(xi)) c = Dpi(xi) alpha(xi) is solved once, in
@@ -48,34 +48,14 @@ class ParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class ControlAffineSystem:
-    """Plant x' = f(x) + g(x) u with n states and m < n inputs."""
-
-    n: int
-    m: int
-    f: Callable
-    g: Callable
-
-
-@dataclass(frozen=True)
-class TargetDynamics:
-    """Reduced-order dynamics xi' = alpha(xi) whose orbits the closed loop
-    should reproduce.
-
-    first_integral, when present, is constant along target solutions and is
-    used for drift diagnostics.
-    """
-
-    p: int
-    alpha: Callable
-    first_integral: Optional[Callable] = None
-
-
-@dataclass(frozen=True)
 class IandIBundle:
     """One complete immersion-and-invariance design.
 
-    The design's three maps:
+    The design's six maps, each a plain field:
+      f, g            the plant x' = f(x) + g(x) u with m < n inputs; n is
+                      the row count of x_sample_box, m the one declared size
+      alpha           the target xi' = alpha(xi), whose orbits the closed
+                      loop should reproduce; p < n is xi_sample_box's rows
       pi              the immersion xi -> x of target space into plant space
       phi             the implicit manifold map x -> z, whose zero set is the
                       immersed manifold; z = phi(x) are the off-manifold
@@ -94,6 +74,8 @@ class IandIBundle:
                       the run and of the target orbit
       angle_indices   plant coordinates living on the circle; metrics wrap
                       them, integration never does
+      first_integral  constant along target solutions, used for drift
+                      diagnostics; None when the target has none
       singularity_margin
                       signed, in the design's units: positive exactly where
                       the feedback is defined (its kernels raise elsewhere),
@@ -103,8 +85,10 @@ class IandIBundle:
     """
 
     name: str
-    plant: ControlAffineSystem
-    target: TargetDynamics
+    f: Callable
+    g: Callable
+    m: int
+    alpha: Callable
     pi: Callable
     phi: Callable
     v: Callable
@@ -114,23 +98,32 @@ class IandIBundle:
     xi_projection: tuple[int, ...]
     section_index: int
     angle_indices: tuple[int, ...] = ()
+    first_integral: Optional[Callable] = None
     singularity_margin: Optional[Callable] = None
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n, m, p = self.plant.n, self.plant.m, self.target.p
+        for label in ("xi_sample_box", "x_sample_box"):
+            shape = np.shape(getattr(self, label))
+            if len(shape) != 2 or shape[1] != 2:
+                raise ValueError(f"{label} must be (rows, 2), got shape {shape}")
+        n, m, p = self.n, self.m, self.p
         if not (0 < m < n and 0 < p < n):
-            raise ValueError("need 0 < m < n and 0 < p < n")
-        if self.xi_sample_box.shape != (p, 2):
-            raise ValueError("xi_sample_box must be (p, 2)")
-        if self.x_sample_box.shape != (n, 2):
-            raise ValueError("x_sample_box must be (n, 2)")
+            raise ValueError(f"need 0 < m < n and 0 < p < n (got n={n}, m={m}, p={p})")
         if len(self.xi_projection) != p or self.section_index not in self.xi_projection:
             raise ValueError("xi_projection must hold p indices, section_index among them")
 
     @property
+    def n(self) -> int:
+        return len(self.x_sample_box)
+
+    @property
+    def p(self) -> int:
+        return len(self.xi_sample_box)
+
+    @property
     def z_dim(self) -> int:
-        return self.plant.n - self.target.p
+        return self.n - self.p
 
     def project_xi(self, x: np.ndarray) -> np.ndarray:
         """Target coordinates read off a plant state."""
@@ -191,7 +184,7 @@ def immersion(bundle: IandIBundle, xi: Sequence[float]):
     x = evaluate(bundle.pi, xi)
     if not admissible_mask(bundle, x).all():
         raise FieldEvaluationError(f"pi(xi) leaves the admissible region of {bundle.name}")
-    G = evaluate(bundle.plant.g, x)
+    G = evaluate(bundle.g, x)
     s = np.linalg.svd(G, compute_uv=False)
     if np.any(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
         raise ValueError(
@@ -199,8 +192,8 @@ def immersion(bundle: IandIBundle, xi: Sequence[float]):
             f"(smallest singular value {s[..., -1].min():.3e})"
         )
     Gt = np.swapaxes(G, -1, -2)
-    velocity = derivative(bundle.pi, xi, evaluate(bundle.target.alpha, xi))
-    rhs = velocity - evaluate(bundle.plant.f, x)
+    velocity = derivative(bundle.pi, xi, evaluate(bundle.alpha, xi))
+    rhs = velocity - evaluate(bundle.f, x)
     try:
         c = np.linalg.solve(Gt @ G, Gt @ rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -220,8 +213,8 @@ def _plant_rate(bundle: IandIBundle):
     term g_i[0] u[0] for one input, g_i[0] u[0] + g_i[1] u[1] written out for
     two, and the _dot fold for more. All three are the same left-to-right
     sum, so the result does not depend on which one runs."""
-    f, g, v = bundle.plant.f, bundle.plant.g, bundle.v
-    if bundle.plant.m > 2:
+    f, g, v = bundle.f, bundle.g, bundle.v
+    if bundle.m > 2:
 
         def rate(x, z) -> tuple:
             u = v(x, z)
@@ -229,7 +222,7 @@ def _plant_rate(bundle: IandIBundle):
 
         return rate
 
-    if bundle.plant.m == 2:
+    if bundle.m == 2:
 
         def rate(x, z) -> tuple:
             u0, u1 = v(x, z)
@@ -253,7 +246,7 @@ def closed_loop_field(bundle: IandIBundle) -> Field:
 def augmented_field(bundle: IandIBundle) -> Field:
     """The pair (x, z) with x' = f + g v(x, z) and the bundle's off-manifold
     dynamics z' = h(x, z), meant to start from z(0) = phi(x(0))."""
-    n = bundle.plant.n
+    n = bundle.n
     rate, h = _plant_rate(bundle), bundle.z_dynamics
 
     def field(y) -> tuple:
@@ -350,7 +343,7 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     z0 = np.zeros((len(xi), bundle.z_dim))
 
     x = x_grid[admissible_mask(bundle, x_grid)]
-    g_margins = np.linalg.svd(evaluate(bundle.plant.g, x), compute_uv=False)[..., -1]
+    g_margins = np.linalg.svd(evaluate(bundle.g, x), compute_uv=False)[..., -1]
     z = evaluate(bundle.phi, x)
     xdot = evaluate(_plant_rate(bundle), x, z)
     zdot = derivative(bundle.phi, x, xdot)

@@ -148,13 +148,16 @@ def integrate_fixed(
 
     Raises IntegrationAbort (with the partial trajectory attached) if the
     field raises FieldEvaluationError or produces a non-finite value (a
-    Python float overflow counts as one).
+    Python float overflow counts as one), and ValueError, before anything
+    is built, for a grid of more than MAX_STEPS steps.
     """
     _require_finite(t0=t0, t1=t1, dt=dt)
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
     if dt <= 0 or dt > t1 - t0:
         raise ValueError("dt must be positive and at most t1 - t0")
+    if (t1 - t0) / dt > MAX_STEPS:
+        raise ValueError(f"dt={dt!r} takes {(t1 - t0) / dt:.6g} steps, more than {MAX_STEPS}")
     x0 = _initial_state(x0, field)
 
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
@@ -207,9 +210,10 @@ _DP_B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _DP_E = tuple([b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4)])
 
-# Step attempts before integrate_adaptive gives up, and its smallest step
-# as a fraction of the time span.
-ADAPTIVE_MAX_STEPS = 10_000_000
+# The most steps integrate_fixed takes and the most step attempts
+# integrate_adaptive makes, and the latter's smallest step as a fraction of
+# the time span.
+MAX_STEPS = 10_000_000
 ADAPTIVE_MIN_STEP_FACTOR = 1e-12
 
 
@@ -299,7 +303,7 @@ def integrate_adaptive(
         f_scale = max(float(np.max(np.abs(np.asarray(k1, dtype=float)))), 1e-9)
         h = max(min(span / 10.0, 0.01 * y_scale / f_scale), h_min)
 
-        for _ in range(ADAPTIVE_MAX_STEPS):
+        for _ in range(MAX_STEPS):
             if t >= t1:
                 break
             h = min(h, t1 - t)
@@ -332,7 +336,7 @@ def integrate_adaptive(
             factor = 0.9 * (err**-0.2) if err > 0 else 5.0
             h = h * min(5.0, max(0.2, factor))
         else:
-            raise abort(f"{ADAPTIVE_MAX_STEPS} step attempts exhausted at t={t!r}", t)
+            raise abort(f"{MAX_STEPS} step attempts exhausted at t={t!r}", t)
     return Trajectory(np.asarray(times), np.asarray(states))
 
 

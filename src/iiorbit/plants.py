@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import ControlAffineSystem, IandIBundle, ParameterError, TargetDynamics
+from .core import IandIBundle, ParameterError
 from .odesim import FieldEvaluationError
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -246,14 +246,12 @@ def make_lti(params: LtiParams) -> IandIBundle:
         px, rx = _matvec2(Pk, x[:2]), _matvec2(RJk, x[2:])
         return (px[0] + rx[0] - z[0], px[1] + rx[1] - z[1])
 
-    bundle = IandIBundle(
+    return IandIBundle(
         name="lti",
-        plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
-        target=TargetDynamics(
-            p=2,
-            alpha=lambda xi: (xi[1], -xi[0]),
-            first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
-        ),
+        f=f,
+        g=lambda x: G,
+        m=2,
+        alpha=lambda xi: (xi[1], -xi[0]),
         pi=lambda xi: (xi[0], xi[1], xi[1], -xi[0]),
         phi=lambda x: (x[2] - x[1], x[0] + x[3]),
         v=v,
@@ -262,9 +260,9 @@ def make_lti(params: LtiParams) -> IandIBundle:
         z_dynamics=lambda x, z: (-z[0], -z[1]),
         xi_projection=(0, 1),
         section_index=1,
+        first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
         info={"z_rate": 1.0},
     )
-    return bundle
 
 
 def make_iwp(params: IwpParams) -> IandIBundle:
@@ -284,16 +282,12 @@ def make_iwp(params: IwpParams) -> IandIBundle:
     def v(x, z):
         return (inv_den * (-g1 * z[1] - g2 * z[0] + km * _sin(x[0])),)
 
-    bundle = IandIBundle(
+    return IandIBundle(
         name="iwp",
-        plant=ControlAffineSystem(
-            n=4, m=1, f=lambda x: (x[2], x[3], m * _sin(x[0]), 0.0), g=lambda x: G
-        ),
-        target=TargetDynamics(
-            p=2,
-            alpha=lambda xi: (xi[1], -a * _sin(xi[0])),
-            first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * _cos(xi[0]),
-        ),
+        f=lambda x: (x[2], x[3], m * _sin(x[0]), 0.0),
+        g=lambda x: G,
+        m=1,
+        alpha=lambda xi: (xi[1], -a * _sin(xi[0])),
         pi=pi,
         phi=phi,
         v=v,
@@ -303,9 +297,9 @@ def make_iwp(params: IwpParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0, 1),
         section_index=2,
+        first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * _cos(xi[0]),
         info={"a": a, "z_rate": _slow_pole_rate(g1, g2)},
     )
-    return bundle
 
 
 def _straight_manifold(k: float):
@@ -322,13 +316,13 @@ def _pole_pair(g1: float, g2: float):
     return lambda x, z: (z[1], -g2 * z[0] - g1 * z[1])
 
 
-def _cartpend_plant(a1: float, a2: float) -> ControlAffineSystem:
-    return ControlAffineSystem(
-        n=4,
-        m=1,
-        f=lambda x: (x[2], x[3], a1 * _sin(x[0]), 0.0),
-        g=lambda x: ((0.0,), (0.0,), (-a2 * _cos(x[0]),), (1.0,)),
-    )
+def _cartpend_plant(a1: float, a2: float) -> dict:
+    """The f, g and m that both cart-pendulum designs share."""
+    return {
+        "f": lambda x: (x[2], x[3], a1 * _sin(x[0]), 0.0),
+        "g": lambda x: ((0.0,), (0.0,), (-a2 * _cos(x[0]),), (1.0,)),
+        "m": 1,
+    }
 
 
 def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
@@ -371,14 +365,10 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
     # the sample boxes keep clear of the cone edge by 0.05, or by half of
     # beta_star when that is below 0.1, so a narrow cone keeps a box
     s_lim = beta_star - min(0.05, beta_star / 2)
-    bundle = IandIBundle(
+    return IandIBundle(
         name="cartpend-linear",
-        plant=_cartpend_plant(a1, a2),
-        target=TargetDynamics(
-            p=2,
-            alpha=lambda xi: (xi[1], alpha2(xi[0])),
-            first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) + potential(xi[0]),
-        ),
+        **_cartpend_plant(a1, a2),
+        alpha=lambda xi: (xi[1], alpha2(xi[0])),
         pi=pi,
         phi=phi,
         v=v,
@@ -388,10 +378,10 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
+        first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) + potential(xi[0]),
         singularity_margin=lambda x: -denom(x[0]),
         info={"beta_star": beta_star, "z_rate": _slow_pole_rate(g1, g2)},
     )
-    return bundle
 
 
 def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
@@ -441,10 +431,10 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         return 0.5 * np.power(np.abs(c), exp_m) * (xi[1] * xi[1]) + u_scale * np.power(c, exp_u)
 
     s_lim = half_pi - 0.05
-    bundle = IandIBundle(
+    return IandIBundle(
         name="cartpend-nonlinear",
-        plant=_cartpend_plant(a1, a2),
-        target=TargetDynamics(p=2, alpha=alpha, first_integral=first_integral),
+        **_cartpend_plant(a1, a2),
+        alpha=alpha,
         pi=pi_map,
         phi=phi,
         v=v,
@@ -454,6 +444,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
+        first_integral=first_integral,
         singularity_margin=lambda x: half_pi - abs(x[0]),
         info={
             "kfun": lambda s: slaving(s)[0],
@@ -462,7 +453,6 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
             "z_rate": _slow_pole_rate(g1, g2),
         },
     )
-    return bundle
 
 
 def make_dcac(params: DcAcParams) -> IandIBundle:
@@ -522,10 +512,12 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         return (x[2] - b[0], x[3] - b[1])
 
     z_rate = gamma * E / L
-    bundle = IandIBundle(
+    return IandIBundle(
         name="dcac",
-        plant=ControlAffineSystem(n=4, m=2, f=f, g=lambda x: G),
-        target=TargetDynamics(p=2, alpha=alpha),
+        f=f,
+        g=lambda x: G,
+        m=2,
+        alpha=alpha,
         pi=pi_map,
         phi=phi,
         v=v,
@@ -538,7 +530,6 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         section_index=0,
         info={"A": A, "omega": omega, "z_rate": z_rate, "u_limit": 1.0},
     )
-    return bundle
 
 
 _PRESET_PARAMS = {

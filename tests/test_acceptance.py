@@ -31,7 +31,7 @@ ROTATION = lambda y: np.array([y[1], -y[0]])
 def sample_xi(bundle, count, seed):
     rng = np.random.default_rng(seed)
     lo, hi = bundle.xi_sample_box[:, 0], bundle.xi_sample_box[:, 1]
-    return lo + (hi - lo) * rng.random((count, bundle.target.p))
+    return lo + (hi - lo) * rng.random((count, bundle.p))
 
 
 def read_trajectory(path: Path):

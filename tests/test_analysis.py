@@ -320,7 +320,7 @@ class TestFitDecay:
 class TestEnergyDrift:
     def test_target_trajectory_conserves(self, bundles):
         bundle = bundles["iwp-default"]
-        field = bundle.target.alpha
+        field = bundle.alpha
         traj_xi = integrate_adaptive(field, [1.0, 0.0], 0.0, 40.0, rtol=1e-11, atol=1e-13)
         states = np.array([bundle.pi(xi) for xi in traj_xi.states])
         drift = energy_drift(bundle, Trajectory(traj_xi.times, states))
@@ -540,7 +540,7 @@ class TestLemma2:
         # reported up to its first sample outside; an in-cone run over all
         # of its samples, as before
         s = Lemma2Setup(CARTPEND_LIN, l1=l1, w0=(0.3, 0.0))
-        alpha, margin_of = s.bundle.target.alpha, s.bundle.singularity_margin
+        alpha, margin_of = s.bundle.alpha, s.bundle.singularity_margin
 
         def rhs(y):
             rate, accel = alpha(y)

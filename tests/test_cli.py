@@ -63,6 +63,8 @@ BAD_CHECKS, BAD_CHECK_IDS = zip(
     ({"metric": "u_abs_max", "max": 1.0, "min": 0.0}, "check-two-comparisons"),
     ({"metric": "u_abs_max", "max": "abc"}, "check-non-numeric-bound"),
     ({"metric": "decay_rate", "within": [-1.0]}, "check-within-one-entry"),
+    ({"metric": "decay_rate", "within": [0.0, -1.0]}, "check-within-negative-tol"),
+    ({"metric": "u_abs_max", "abs_max": -1.0}, "check-negative-abs-max"),
     ("u_abs_max <= 0.001", "check-not-a-mapping"),
 )
 SVG_TEXT = "{http://www.w3.org/2000/svg}text"
@@ -83,6 +85,7 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("run", scenario_text(integrator={"method": "fixed", "dt": -1})),
         ("run", scenario_text(integrator={"method": "adaptive", "rtol": 0.0})),
         ("run", scenario_text(t_span=[1.0, 0.0])),
+        ("run", scenario_text(t_span=[0.0, 1.0e10], integrator={"method": "fixed", "dt": 1.0e-320})),
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=3))),
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=[]))),
         ("sweep", scenario_text(sweep=SWEEP_X0, integrator={"method": "fixed", "dt": "abc"})),
@@ -146,6 +149,7 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "run-negative-dt",
         "run-non-positive-rtol",
         "run-reversed-t-span",
+        "run-fixed-grid-step-count-overflows",
         "sweep-scalar-values",
         "sweep-empty-values",
         "sweep-non-numeric-dt",
@@ -325,7 +329,7 @@ def test_orbit_distance_metric_matches_library_path(tmp_path):
     scn = load_scenario("iwp-transient")
     artifact = cli.run_scenario(dataclasses.replace(scn, outputs=["metrics_csv"]), tmp_path)
     bundle = cli.build_bundle(scn.bundle)
-    xpart = artifact.trajectory.restrict(range(bundle.plant.n))
+    xpart = artifact.trajectory.restrict(range(bundle.n))
     seed = bundle.project_xi(xpart.final_state)
     orbit = analysis.orbit_samples(bundle, seed, artifact.metrics["period_est"])
     expected = analysis.orbital_distance_tail(xpart, orbit)
@@ -418,6 +422,19 @@ class TestValidateCommand:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_grid_over_the_step_limit_exits_2_before_any_artifact(
+        self, tmp_path, monkeypatch, capsys, verb
+    ):
+        # with the limit cut to 1000, TINY_LTI's 2000 steps are too many; a
+        # regression that ran anyway would build only a small grid
+        monkeypatch.setattr(cli, "MAX_STEPS", 1000)
+        path = write_scenario(tmp_path, dict(TINY_LTI, sweep=SWEEP_X0))
+        assert cli.main([verb, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: integrator.dt 0.001 takes 2000 steps over the time span, more than 1000\n"
+        assert not (tmp_path / "out").exists()
+
     def test_artifact_layout(self, tmp_path, capsys):
         path = write_scenario(tmp_path, TINY_LTI)
         rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from iiorbit.core import (
-    ControlAffineSystem,
     IandIBundle,
-    TargetDynamics,
     ValidationReport,
     admissible_mask,
     as_array,
@@ -37,9 +35,9 @@ def _grid_and_directions(bundle, which, count=200, seed=13):
     along alpha and phi's along random directions."""
     rng = np.random.default_rng(seed)
     if which == "pi":
-        xi = rng.uniform(*bundle.xi_sample_box.T, size=(count, bundle.target.p))
-        return bundle.pi, xi, evaluate(bundle.target.alpha, xi)
-    x = rng.uniform(*bundle.x_sample_box.T, size=(count, bundle.plant.n))
+        xi = rng.uniform(*bundle.xi_sample_box.T, size=(count, bundle.p))
+        return bundle.pi, xi, evaluate(bundle.alpha, xi)
+    x = rng.uniform(*bundle.x_sample_box.T, size=(count, bundle.n))
     x = x[admissible_mask(bundle, x)]
     return bundle.phi, x, rng.normal(size=x.shape)
 
@@ -87,7 +85,7 @@ class TestDerivative:
         bundle, h = bundles[name], 2.0**-100
         field = augmented_field(bundle)
         rng = np.random.default_rng(17)
-        x = rng.uniform(*bundle.x_sample_box.T, size=(40, bundle.plant.n))
+        x = rng.uniform(*bundle.x_sample_box.T, size=(40, bundle.n))
         x = x[admissible_mask(bundle, x)]
         y = np.hstack([x, rng.uniform(-0.5, 0.5, size=(len(x), bundle.z_dim))])
         v = rng.normal(size=y.shape)
@@ -125,25 +123,22 @@ class TestResiduals:
         # the second column is zero, so g has rank one at every point
         good = bundles["lti-identity"]
         G = ((1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (0.0, 0.0))
-        plant = dataclasses.replace(good.plant, g=lambda x: G)
-        bad = dataclasses.replace(good, plant=plant)
+        bad = dataclasses.replace(good, g=lambda x: G)
         with pytest.raises(ValueError, match="smallest singular value 0.000e"):
             immersion(bad, [0.3, -0.2])
 
 
 def _mistargeted(bundle, make_alpha):
-    """The bundle with its target field replaced; plant, immersion, manifold
-    and feedback are unchanged."""
-    return dataclasses.replace(
-        bundle, target=dataclasses.replace(bundle.target, alpha=make_alpha(bundle))
-    )
+    """The bundle with its target field alpha replaced; f, g, pi, phi and v
+    are unchanged."""
+    return dataclasses.replace(bundle, alpha=make_alpha(bundle))
 
 
 # design errors that leave pi and phi consistent: the iwp target's
 # restoring term and the whole dcac target field slightly off
 MISTARGETED = {
     "iwp-default": lambda b: lambda xi: (xi[1], -1.001 * b.info["a"] * plants._sin(xi[0])),
-    "dcac-default": lambda b: lambda xi: tuple(1.0001 * c for c in b.target.alpha(xi)),
+    "dcac-default": lambda b: lambda xi: tuple(1.0001 * c for c in b.alpha(xi)),
 }
 
 
@@ -161,14 +156,12 @@ class TestImmersionResidual:
         box = bundle.xi_sample_box
         xi = np.random.default_rng(5).uniform(box[:, 0], box[:, 1], size=(500, 2))
         x = evaluate(bundle.pi, xi)
-        mismatch = evaluate(bundle.plant.f, x) - derivative(
-            bundle.pi, xi, evaluate(bundle.target.alpha, xi)
-        )
+        mismatch = evaluate(bundle.f, x) - derivative(bundle.pi, xi, evaluate(bundle.alpha, xi))
         # orthonormal columns spanning the left null space of g
-        null = np.linalg.svd(evaluate(bundle.plant.g, x))[0][..., bundle.plant.m:]
+        null = np.linalg.svd(evaluate(bundle.g, x))[0][..., bundle.m:]
         expected = np.linalg.norm(np.einsum("...ji,...j->...i", null, mismatch), axis=-1)
         residual = immersion(bundle, xi)[2]
-        assert residual.shape == (500, bundle.plant.n)
+        assert residual.shape == (500, bundle.n)
         np.testing.assert_allclose(np.linalg.norm(residual, axis=-1), expected, rtol=1e-9, atol=0.0)
 
 
@@ -268,7 +261,7 @@ class TestClosedLoop:
             phi = bundle.phi
             y0 = np.concatenate([x0, np.atleast_1d(phi(x0))])
             traj = integrate_fixed(augmented_field(bundle), y0, 0.0, t1, dt)
-            n = bundle.plant.n
+            n = bundle.n
             worst = 0.0
             for row in traj.states[:: max(1, len(traj) // 500)]:
                 worst = max(worst, float(np.max(np.abs(row[n:] - phi(row[:n])))))
@@ -280,7 +273,7 @@ class TestClosedLoop:
         rng = np.random.default_rng(9)
         for bundle in bundles.values():
             fld = augmented_field(bundle)
-            n = bundle.plant.n
+            n = bundle.n
             lo, hi = bundle.x_sample_box[:, 0], bundle.x_sample_box[:, 1]
             tried = 0
             for _ in range(200):
@@ -301,7 +294,7 @@ class TestClosedLoop:
         # f_i + g_i u summed left to right, then the declared z dynamics, bit
         # for bit and with the sign of every zero
         bundle = bundles[name]
-        n, f, g, v = bundle.plant.n, bundle.plant.f, bundle.plant.g, bundle.v
+        n, f, g, v = bundle.n, bundle.f, bundle.g, bundle.v
 
         def reference(y):
             x, z = y[:n], y[n:]
@@ -328,7 +321,7 @@ class TestClosedLoop:
         # sum run in numpy's slower scalar arithmetic
         bundle = bundles[name]
         rng = np.random.default_rng(23)
-        X = rng.uniform(*(0.5 * bundle.x_sample_box.T), size=(20, bundle.plant.n))
+        X = rng.uniform(*(0.5 * bundle.x_sample_box.T), size=(20, bundle.n))
         x = tuple(X[admissible_mask(bundle, X)][0].tolist())
         z = tuple(np.atleast_1d(bundle.phi(x)).tolist())
         y = rk4_step(augmented_field(bundle), x + z, 1e-3)
@@ -346,26 +339,22 @@ class TestClosedLoop:
 def _fold_rate(bundle, x, z):
     """f_i + g_i u with the row product written as the _dot fold."""
     u = bundle.v(x, z)
-    g = bundle.plant.g(x)
+    g = bundle.g(x)
     return tuple(
         fi + functools.reduce(operator.add, map(operator.mul, gi, u))
-        for fi, gi in zip(bundle.plant.f(x), g)
+        for fi, gi in zip(bundle.f(x), g)
     )
 
 
 def _three_input_bundle(template):
     """A toy plant with three inputs: x' = (x2, -x1 + u1 + u2 + u3, u1 - u2,
     u3 x1), the other parts borrowed from a two-input design."""
-    plant = ControlAffineSystem(
-        n=4,
-        m=3,
-        f=lambda x: (x[1], -x[0], 0.0, 0.0),
-        g=lambda x: ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (0.0, 0.0, x[0])),
-    )
     return dataclasses.replace(
         template,
         name="three-input",
-        plant=plant,
+        f=lambda x: (x[1], -x[0], 0.0, 0.0),
+        g=lambda x: ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, -1.0, 0.0), (0.0, 0.0, x[0])),
+        m=3,
         v=lambda x, z: (0.1 * z[0], -0.3 * z[1], 0.7 * x[3]),
     )
 
@@ -380,7 +369,7 @@ class TestPlantRate:
         monkeypatch.setattr(core, "_dot", lambda row, u: folds.append(1))
         rate = core._plant_rate(bundle)
         rng = np.random.default_rng(23)
-        X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.plant.n))
+        X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.n))
         Z = rng.normal(size=(1000, bundle.z_dim))
         Z[:2] = [[0.0, -0.0], [-0.0, -0.0]]
         for x, z in zip(map(tuple, X.tolist()), map(tuple, Z.tolist())):
@@ -395,11 +384,11 @@ class TestPlantRate:
         # the (n, N) stack validate_bundle passes
         bundle = bundles[name]
         rng = np.random.default_rng(29)
-        X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.plant.n))
+        X = rng.uniform(*bundle.x_sample_box.T, size=(1000, bundle.n))
         Z = evaluate(bundle.phi, X) + rng.normal(size=(1000, bundle.z_dim))
         got = evaluate(core._plant_rate(bundle), X, Z)
         want = as_array(_fold_rate(bundle, X.T, Z.T), (1000,))
-        assert got.shape == (1000, bundle.plant.n)
+        assert got.shape == (1000, bundle.n)
         assert np.array_equal(got, want)
 
     def test_three_inputs_run_through_the_fold(self, bundles, monkeypatch):
@@ -435,25 +424,30 @@ class TestKernels:
         X = X[admissible_mask(bundle, X)]
         Z = rng.normal(size=(len(X), bundle.z_dim))
         Xi = grid(bundle.xi_sample_box)
+        # n and p are the sample boxes' row counts: a box with a wrong row
+        # count gives some kernel an output of the wrong shape
+        n, m, p, z_dim = bundle.n, bundle.m, bundle.p, bundle.z_dim
         kernels = {
-            "f": (bundle.plant.f, X),
-            "g": (bundle.plant.g, X),
-            "alpha": (bundle.target.alpha, Xi),
-            "first_integral": (bundle.target.first_integral, Xi),
-            "pi": (bundle.pi, Xi),
-            "phi": (bundle.phi, X),
-            "v": (bundle.v, X, Z),
-            "z_dynamics": (bundle.z_dynamics, X, Z),
-            "singularity_margin": (bundle.singularity_margin, X),
+            "f": (bundle.f, (n,), X),
+            "g": (bundle.g, (n, m), X),
+            "alpha": (bundle.alpha, (p,), Xi),
+            "first_integral": (bundle.first_integral, (), Xi),
+            "pi": (bundle.pi, (n,), Xi),
+            "phi": (bundle.phi, (z_dim,), X),
+            "v": (bundle.v, (m,), X, Z),
+            "z_dynamics": (bundle.z_dynamics, (z_dim,), X, Z),
+            "singularity_margin": (bundle.singularity_margin, (), X),
         }
-        for label, (kernel, *args) in kernels.items():
+        for label, (kernel, shape, *args) in kernels.items():
             if kernel is None:
                 continue
+            stack = evaluate(kernel, *args)
+            assert stack.shape == (len(args[0]), *shape), f"{name}: {label}"
             rows = [
                 as_array(kernel(*(tuple(a[i].tolist()) for a in args)))
                 for i in range(len(args[0]))
             ]
-            assert np.array_equal(evaluate(kernel, *args), np.array(rows)), f"{name}: {label}"
+            assert np.array_equal(stack, np.array(rows)), f"{name}: {label}"
 
 
 def _link_angles(beta_star: float) -> list:
@@ -508,31 +502,31 @@ class TestBundleShape:
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(bundle.project_xi(x), [1.0, 3.0])
 
-    def test_zdim(self, bundles):
-        for bundle in bundles.values():
-            assert bundle.z_dim == bundle.plant.n - bundle.target.p
-
     def test_bad_box_shape_rejected(self):
-        plant = ControlAffineSystem(
-            n=2, m=1,
-            f=lambda x: np.zeros(2),
-            g=lambda x: np.array([[0.0], [1.0]]),
-        )
-        target = TargetDynamics(p=1, alpha=lambda xi: np.zeros(1))
-        with pytest.raises(ValueError):
-            IandIBundle(
-                name="bad",
-                plant=plant,
-                target=target,
-                pi=lambda xi: np.zeros(2),
-                phi=lambda x: np.zeros(1),
-                v=lambda x, z: np.zeros(1),
-                xi_sample_box=np.zeros((3, 2)),
-                x_sample_box=np.zeros((2, 2)),
-                z_dynamics=lambda x, z: np.zeros(1),
-                xi_projection=(0,),
-                section_index=0,
-            )
+        # a target box with more rows than the plant's, a 1-D box and a
+        # 3-column box
+        cases = [
+            (np.zeros((3, 2)), np.zeros((2, 2)), "0 < p < n"),
+            (np.zeros((1, 2)), np.zeros(2), r"x_sample_box must be \(rows, 2\)"),
+            (np.zeros((1, 3)), np.zeros((2, 2)), r"xi_sample_box must be \(rows, 2\)"),
+        ]
+        for xi_box, x_box, message in cases:
+            with pytest.raises(ValueError, match=message):
+                IandIBundle(
+                    name="bad",
+                    f=lambda x: np.zeros(2),
+                    g=lambda x: np.array([[0.0], [1.0]]),
+                    m=1,
+                    alpha=lambda xi: np.zeros(1),
+                    pi=lambda xi: np.zeros(2),
+                    phi=lambda x: np.zeros(1),
+                    v=lambda x, z: np.zeros(1),
+                    xi_sample_box=xi_box,
+                    x_sample_box=x_box,
+                    z_dynamics=lambda x, z: np.zeros(1),
+                    xi_projection=(0,),
+                    section_index=0,
+                )
 
     @pytest.mark.parametrize(
         "projection,section",

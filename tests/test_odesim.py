@@ -117,6 +117,18 @@ class TestFixedStep:
             integrate_fixed(lambda y: calls.append(y) or DECAY(y), [1.0], **args)
         assert calls == []
 
+    def test_grid_over_the_step_limit_rejected_before_any_step(self, monkeypatch):
+        # the limit is cut to 4 so that a regression builds a small grid,
+        # not one of MAX_STEPS points
+        monkeypatch.setattr(odesim, "MAX_STEPS", 4)
+        assert len(integrate_fixed(DECAY, [1.0], 0.0, 1.0, 0.25)) == 5
+        calls = []
+        with pytest.raises(ValueError, match="takes 5 steps, more than 4"):
+            integrate_fixed(lambda y: calls.append(y) or DECAY(y), [1.0], 0.0, 1.0, 0.2)
+        assert calls == []
+        with pytest.raises(ValueError, match="takes inf steps"):
+            integrate_fixed(DECAY, [1.0], 0.0, 1e10, 1e-320)
+
 
 class TestAdaptive:
     @pytest.mark.parametrize(
@@ -187,7 +199,7 @@ class TestAdaptive:
         # the new state gets no weight from the field there, so a NaN in that
         # last stage shows only in the error estimate; it must shrink the
         # step like a non-finite state, not be retried with a larger one
-        monkeypatch.setattr(odesim, "ADAPTIVE_MAX_STEPS", 20_000)
+        monkeypatch.setattr(odesim, "MAX_STEPS", 20_000)
         field = lambda y: (math.nan if y[0] > 0.5 else 1.0,)
         with pytest.raises(IntegrationAbort, match="non-finite state near t=") as info:
             integrate_adaptive(field, [0.0], 0.0, 2.0)

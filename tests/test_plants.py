@@ -249,7 +249,7 @@ class TestIwpBundle:
     def test_first_integral_values(self):
         # pendulum energy 0.5 xi2^2 - a cos(xi1)
         p = IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
-        H = plants.make_iwp(p).target.first_integral
+        H = plants.make_iwp(p).first_integral
         assert H(np.array([0.0, 0.0])) == -p.a
         assert abs(H(np.array([math.pi / 2, 1.0])) - 0.5) < 1e-15
         expected = 0.5 * 0.4**2 - p.a * math.cos(0.7)
@@ -259,7 +259,7 @@ class TestIwpBundle:
         bundle = make_preset("iwp-default")
         a = bundle.info["a"]
         for s in np.linspace(-3.0, 3.0, 11):
-            xdd = bundle.target.alpha(np.array([s, 0.0]))[1]
+            xdd = bundle.alpha(np.array([s, 0.0]))[1]
             assert abs(xdd + a * math.sin(s)) < 1e-15
 
 
@@ -268,7 +268,7 @@ class TestCartPendLinearBundle:
         # the first integral at zero velocity is the on-manifold potential V,
         # which must vanish at the upright and satisfy -V'(s) = alpha2(s)
         bundle = make_preset("cartpend-lin-default")
-        H, alpha = bundle.target.first_integral, bundle.target.alpha
+        H, alpha = bundle.first_integral, bundle.alpha
         assert H(np.array([0.0, 0.0])) == 0.0
         h = 1e-6
         s_max = bundle.info["beta_star"] - 0.1
@@ -283,8 +283,8 @@ class TestCartPendLinearBundle:
         a1, a2, k = params.a1, params.a2, params.k
         h = 1e-7
         slope = (
-            bundle.target.alpha(np.array([h, 0.0]))[1]
-            - bundle.target.alpha(np.array([-h, 0.0]))[1]
+            bundle.alpha(np.array([h, 0.0]))[1]
+            - bundle.alpha(np.array([-h, 0.0]))[1]
         ) / (2 * h)
         assert abs(slope - a1 / (1.0 + k * a2)) < 1e-6
         assert abs(slope + 9.8 / 3.0) < 1e-6
@@ -306,7 +306,7 @@ class TestCartPendLinearBundle:
         s = 1.318116071652818
         assert 1.0 + (-4.0 * 1.0) * math.cos(s) == 0.0
         with pytest.raises(FieldEvaluationError, match="cone edge"):
-            bundle.target.alpha((s, 0.0))
+            bundle.alpha((s, 0.0))
         with pytest.raises(FieldEvaluationError, match="admissible cone"):
             bundle.v((s, 0.0, 0.0, 0.0), (0.0, 0.0))
 
@@ -398,12 +398,12 @@ class TestDcAcBundle:
         A = bundle.info["A"]
         for theta in (0.1, 1.7, 3.0, 5.5):
             xi = A * np.array([math.cos(theta), math.sin(theta)])
-            radial = float(xi @ bundle.target.alpha(xi))
+            radial = float(xi @ bundle.alpha(xi))
             assert abs(radial) < 1e-9 * A * A
 
     def test_no_first_integral_recorded(self):
         bundle = make_preset("dcac-default")
-        assert bundle.target.first_integral is None
+        assert bundle.first_integral is None
 
 
 def test_import_does_not_load_scipy():
