@@ -353,12 +353,12 @@ class Lemma2Setup:
 
     The motion w1'' = (a1 sin(w1) + eps(t)) / (1 + k a2 cos(w1)) is the
     design's target field plus eps over its control denominator, and lives
-    in the angle cone (-beta_star, beta_star). Derived quantities:
-      bundle    = make_cartpend_linear(design), whose alpha,
-                  first_integral and singularity_margin the harness reads
-      k0        = -2 k a2 / a1
-      Hw_min    = (a1/(k a2)) ln(-1 - k a2), the potential's minimum
-      beta_star = the design's cone half-width
+    in the angle cone (-design.beta_star, design.beta_star). Derived
+    quantities:
+      bundle = make_cartpend_linear(design), whose alpha, first_integral
+               and singularity_margin the harness reads
+      k0     = -2 k a2 / a1
+      Hw_min = (a1/(k a2)) ln(-1 - k a2), the potential's minimum
     The energy hw is the target's first integral, which is zero at rest at
     the bottom, plus Hw_min.
     """
@@ -377,10 +377,9 @@ class Lemma2Setup:
         self.bundle = make_cartpend_linear(d)
         self.k0 = -2.0 * d.k * d.a2 / d.a1
         self.Hw_min = (d.a1 / (d.k * d.a2)) * math.log(-1.0 - d.k * d.a2)
-        self.beta_star = d.beta_star
-        if abs(self.w0[0]) >= self.beta_star:
+        if abs(self.w0[0]) >= d.beta_star:
             raise ParameterError(
-                f"w0[0]={self.w0[0]} outside the cone (-{self.beta_star}, {self.beta_star})"
+                f"w0[0]={self.w0[0]} outside the cone (-{d.beta_star}, {d.beta_star})"
             )
 
     def hw(self, w1: float, w2: float) -> float:
@@ -491,7 +490,7 @@ def lemma2_check(
     except IntegrationAbort as exc:
         traj = exc.trajectory
         aborted = True
-    margin = setup.beta_star - np.abs(traj.states[:, 0])
+    margin = setup.design.beta_star - np.abs(traj.states[:, 0])
     # past the first sample outside the cone the design is undefined, so the
     # report describes the motion up to that sample only
     outside = np.flatnonzero(margin <= 0.0)

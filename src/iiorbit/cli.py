@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -59,9 +59,9 @@ class Scenario:
     x0: list
     t_span: tuple[float, float]
     integrator: dict
-    outputs: list = field(default_factory=lambda: ["trajectory_csv", "metrics_csv"])
-    sweep: Optional[dict] = None
-    checks: list = field(default_factory=list)
+    outputs: list
+    sweep: Optional[dict]
+    checks: list
 
     @staticmethod
     def from_dict(raw: dict, fallback_name: str = "scenario") -> "Scenario":
@@ -213,12 +213,15 @@ def _finite(raw, what: str) -> float:
 
 
 def _time_span(raw) -> tuple[float, float]:
-    """raw as (t0, t1), two finite numbers with t1 > t0."""
+    """raw as (t0, t1), two finite numbers with t1 > t0 and a finite
+    length t1 - t0."""
     if not (isinstance(raw, list) and len(raw) == 2):
         raise ScenarioError(f"t_span must be two numbers [t0, t1], got {raw!r}")
     t0, t1 = _finite(raw[0], "t_span[0]"), _finite(raw[1], "t_span[1]")
     if not t1 > t0:
         raise ScenarioError(f"t_span [{t0!r}, {t1!r}] must end after it starts")
+    if not math.isfinite(t1 - t0):
+        raise ScenarioError(f"t_span [{t0!r}, {t1!r}] is longer than a float holds")
     return t0, t1
 
 
@@ -604,7 +607,7 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
         bundle=bundle,
     )
 
-    limit = bundle.info.get("u_limit")
+    limit = bundle.u_limit
     if limit is not None and metrics["u_abs_max"] is not None and metrics["u_abs_max"] > limit:
         print(
             f"warning: max |u| = {metrics['u_abs_max']:.4g} exceeds the "

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,8 +80,9 @@ class IandIBundle:
                       signed, in the design's units: positive exactly where
                       the feedback is defined (its kernels raise elsewhere),
                       one per point; None when it is defined everywhere
-      info            derived scalars worth reporting (e.g. the effective
-                      restoring coefficient, the analytic z decay rate)
+      u_limit         bound on every input's magnitude that a run reports
+                      exceeding on stderr; monitored, never enforced; None
+                      when the design has none
     """
 
     name: str
@@ -100,7 +101,7 @@ class IandIBundle:
     angle_indices: tuple[int, ...] = ()
     first_integral: Optional[Callable] = None
     singularity_margin: Optional[Callable] = None
-    info: dict = field(default_factory=dict)
+    u_limit: Optional[float] = None
 
     def __post_init__(self):
         for label in ("xi_sample_box", "x_sample_box"):

@@ -56,7 +56,6 @@ class Trajectory:
             raise ValueError("times and states must have the same length")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        self.dimension = self.states.shape[1]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -72,9 +71,6 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def component(self, index: int) -> np.ndarray:
-        return self.states[:, index]
 
     def restrict(self, columns: Sequence[int]) -> "Trajectory":
         """A view-like copy keeping only the given state columns."""
@@ -269,11 +265,14 @@ def integrate_adaptive(
     of the previous accepted step, or of the same state after a rejection.
     Accepted states are stored; step size underflow (below
     ADAPTIVE_MIN_STEP_FACTOR*(t1-t0)) raises IntegrationAbort, which usually
-    signals stiffness or an approach to a singularity.
+    signals stiffness or an approach to a singularity. A span t1 - t0 that
+    overflows a float raises ValueError before the field is called.
     """
     _require_finite(t0=t0, t1=t1, rtol=rtol, atol=atol)
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"the span t1 - t0 = {t1 - t0!r} is not finite")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
     x0 = _initial_state(x0, field)

@@ -28,12 +28,6 @@ from .odesim import FieldEvaluationError
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _slow_pole_rate(gamma1: float, gamma2: float) -> float:
-    """Decay rate of the slowest root of s^2 + gamma1 s + gamma2."""
-    roots = np.roots([1.0, gamma1, gamma2])
-    return float(-np.max(roots.real))
-
-
 def _box(rows) -> np.ndarray:
     return np.array(rows, dtype=float)
 
@@ -206,7 +200,8 @@ class DcAcParams:
     R (ohm), C (farad), L (henry), E (DC source, volt); A and omega set the
     amplitude and angular frequency of the target orbit; gamma scales the
     off-manifold feedback. The duty-cycle inputs should stay inside [-1, 1]:
-    the bundle records that limit for monitoring, it is never enforced.
+    the bundle's u_limit records that limit for monitoring, it is never
+    enforced.
     """
 
     R: float
@@ -261,7 +256,6 @@ def make_lti(params: LtiParams) -> IandIBundle:
         xi_projection=(0, 1),
         section_index=1,
         first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
-        info={"z_rate": 1.0},
     )
 
 
@@ -298,7 +292,6 @@ def make_iwp(params: IwpParams) -> IandIBundle:
         angle_indices=(0, 1),
         section_index=2,
         first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) - a * _cos(xi[0]),
-        info={"a": a, "z_rate": _slow_pole_rate(g1, g2)},
     )
 
 
@@ -380,7 +373,6 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         section_index=2,
         first_integral=lambda xi: 0.5 * (xi[1] * xi[1]) + potential(xi[0]),
         singularity_margin=lambda x: -denom(x[0]),
-        info={"beta_star": beta_star, "z_rate": _slow_pole_rate(g1, g2)},
     )
 
 
@@ -446,12 +438,6 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         section_index=2,
         first_integral=first_integral,
         singularity_margin=lambda x: half_pi - abs(x[0]),
-        info={
-            "kfun": lambda s: slaving(s)[0],
-            "kprime": lambda s: slaving(s)[1],
-            "ksecond": lambda s: slaving(s)[2],
-            "z_rate": _slow_pole_rate(g1, g2),
-        },
     )
 
 
@@ -459,8 +445,8 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
     """Averaged inverter driven onto a circular voltage/current orbit.
 
     The target has a single attractive orbit |xi| = A, so no first integral
-    is recorded. The duty-cycle magnitude limit |u| <= 1 is exposed through
-    info["u_limit"] for monitoring.
+    is recorded. The duty-cycle magnitude limit |u| <= 1 is the bundle's
+    u_limit, monitored and never enforced.
     """
     R, C, L, E = params.R, params.C, params.L, params.E
     A, omega, gamma = params.A, params.omega, params.gamma
@@ -528,7 +514,7 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         z_dynamics=lambda x, z: (-z_rate * z[0], -z_rate * z[1]),
         xi_projection=(0, 1),
         section_index=0,
-        info={"A": A, "omega": omega, "z_rate": z_rate, "u_limit": 1.0},
+        u_limit=1.0,
     )
 
 

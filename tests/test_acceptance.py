@@ -152,9 +152,10 @@ def test_criterion_07_cartpend_nonlinear_design(tmp_path, bundles):
     assert np.all(np.isfinite(data))
     x1 = data[:, 1]
     assert np.max(np.abs(x1)) <= math.pi / 2 - 1e-3
-    kprime = bundles["cartpend-nl-default"].info["kprime"]
+    pi = bundles["cartpend-nl-default"].pi
     for s in x1[::100]:
-        assert abs(1.0 + kprime(s) * math.cos(s) + 2.0) <= 1e-12
+        kprime = pi((s, 1.0))[3]  # k'(s), the slope of the slaving curve
+        assert abs(1.0 + kprime * math.cos(s) + 2.0) <= 1e-12
 
 
 def test_criterion_08_converter_steady_state(tmp_path):

@@ -81,7 +81,7 @@ class TestOrbitSamples:
         # radius A, so the scouting pass may start well inside it
         bundle = bundles["dcac-default"]
         orb = orbit_samples(bundle, [3.0, 0.0])
-        A = bundle.info["A"]
+        A = preset_params("dcac-default").A
         radii = np.linalg.norm(orb.samples[:, :2], axis=1)
         assert np.max(np.abs(radii - A)) < 1e-6
         assert abs(orb.period - 0.02) < 1e-9
@@ -196,7 +196,7 @@ def dcac_unhinted(bundles):
     """The converter target sampled without a period hint, from a seed on
     its circle of radius A."""
     bundle = bundles["dcac-default"]
-    seed = [bundle.info["A"], 0.0]
+    seed = [preset_params("dcac-default").A, 0.0]
     return SimpleNamespace(seed=seed, orbit=orbit_samples(bundle, seed))
 
 
@@ -435,7 +435,7 @@ class TestLemma2:
         s = lemma2_setup
         assert s.k0 == -2.0 * (-4.0) * 1.0 / 9.8
         assert s.Hw_min == -2.45 * math.log(3.0)
-        assert s.beta_star == math.acos(0.25)
+        assert s.design.beta_star == math.acos(0.25)
         # the recorded energy minimum is the energy at rest at the bottom
         assert abs(s.hw(0.0, 0.0) - s.Hw_min) < 1e-15
 
@@ -547,7 +547,7 @@ class TestLemma2:
             return (rate, accel - l1 * math.exp(-l2 * y[2]) / margin_of(y), 1.0)
 
         traj = integrate_fixed(rhs, [0.3, 0.0, 0.0], 0.0, 20.0, 1e-3)
-        margin = s.beta_star - np.abs(traj.states[:, 0])
+        margin = s.design.beta_star - np.abs(traj.states[:, 0])
         outside = np.flatnonzero(margin <= 0.0)
         assert bool(len(outside)) == escapes
         end = outside[0] + 1 if escapes else len(traj)

@@ -90,6 +90,12 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, values=[]))),
         ("sweep", scenario_text(sweep=SWEEP_X0, integrator={"method": "fixed", "dt": "abc"})),
         ("sweep", scenario_text(sweep=SWEEP_X0, t_span=[1.0, 0.0])),
+        *[
+            (verb, scenario_text(t_span=[-1.0e308, 1.0e308], integrator=integrator,
+                                 **({"sweep": SWEEP_X0} if verb == "sweep" else {})))
+            for verb in ("run", "sweep")
+            for integrator in ({"method": "adaptive"}, {"method": "fixed", "dt": 1.0})
+        ],
         ("run", scenario_text(bundle={"preset": "nope"})),
         ("run", scenario_text(bundle={"kind": "foo"})),
         ("run", scenario_text(bundle=dict(INLINE_IWP, params=dict(IWP_PARAMS, q=1.0)))),
@@ -154,6 +160,10 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "sweep-empty-values",
         "sweep-non-numeric-dt",
         "sweep-reversed-t-span",
+        *[
+            f"{verb}-{method}-t-span-length-overflows"
+            for verb in ("run", "sweep") for method in ("adaptive", "fixed")
+        ],
         "run-unknown-preset",
         "run-unknown-kind",
         "run-unknown-inline-param",
@@ -219,7 +229,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, verb, content):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     # nothing written under out or beside it
     assert [p.name for p in tmp_path.iterdir()] == ([] if isinstance(content, list) else ["bad.yaml"])
 
@@ -280,7 +290,7 @@ def test_control_history_is_nan_outside_the_cone():
     # the link angle sweeps across the cone edge; u holds v's exact value on
     # the rows inside and NaN on the rows outside
     bundle = plants.make_preset("cartpend-lin-default")
-    beta_star = bundle.info["beta_star"]
+    beta_star = plants.preset_params("cartpend-lin-default").beta_star
     rng = np.random.default_rng(4)
     states = rng.uniform(-1.0, 1.0, size=(200, 6))
     states[:, 0] = np.linspace(beta_star - 0.2, beta_star + 0.2, 200)
@@ -291,6 +301,26 @@ def test_control_history_is_nan_outside_the_cone():
     for row, value in zip(states[inside], u[inside, 0]):
         x, z = tuple(row[:4].tolist()), tuple(row[4:].tolist())
         assert value == bundle.v(x, z)[0]
+
+
+@pytest.mark.parametrize(
+    "overrides,warning",
+    [({"E": 5.0}, "warning: max |u| = 2.457 exceeds the monitored limit 1\n"), ({}, "")],
+    ids=["low-source-voltage", "preset"],
+)
+def test_u_limit_is_monitored_not_enforced(tmp_path, capsys, overrides, warning):
+    # a 5 V source needs duty cycles past the converter's |u| <= 1 to hold
+    # the 12 V orbit; the run still completes and only warns
+    doc = {
+        "name": "u-limit",
+        "bundle": {"preset": "dcac-default", "overrides": overrides},
+        "x0": [12.0, 0.0, 0.0, 0.0],
+        "t_span": [0.0, 0.005],
+        "integrator": {"method": "fixed", "dt": 1.0e-5},
+    }
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == warning
 
 
 def test_sing_margin_min_reads_negative_after_a_cone_exit(tmp_path, capsys):

@@ -137,7 +137,9 @@ def _mistargeted(bundle, make_alpha):
 # design errors that leave pi and phi consistent: the iwp target's
 # restoring term and the whole dcac target field slightly off
 MISTARGETED = {
-    "iwp-default": lambda b: lambda xi: (xi[1], -1.001 * b.info["a"] * plants._sin(xi[0])),
+    "iwp-default": lambda b: lambda xi: (
+        xi[1], -1.001 * plants.preset_params("iwp-default").a * plants._sin(xi[0])
+    ),
     "dcac-default": lambda b: lambda xi: tuple(1.0001 * c for c in b.alpha(xi)),
 }
 
@@ -213,6 +215,18 @@ class TestValidateBundle:
         off = dataclasses.replace(good, v=lambda x, z: tuple(u + offset for u in good.v(x, z)))
         failures = validate_bundle(off).failures()
         assert failures and failures[0].startswith("boundary-condition residual"), failures
+
+    def test_slaving_curve_curvature_error_fails(self, bundles):
+        # the curved cart-pendulum feedback carries -k''(x1) x3^2 / a, and k''
+        # appears nowhere else; adding 1e-6 x3^2 to v is an error in k''
+        good = bundles["cartpend-nl-default"]
+        bad = dataclasses.replace(
+            good, v=lambda x, z: (good.v(x, z)[0] + 1e-6 * (x[2] * x[2]),)
+        )
+        failures = validate_bundle(bad).failures()
+        assert [msg for msg in failures if msg.startswith("off-manifold dynamics mismatch")], (
+            failures
+        )
 
     @pytest.mark.parametrize(
         "field,named",
@@ -501,6 +515,15 @@ class TestBundleShape:
         bundle = bundles["iwp-default"]
         x = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.array_equal(bundle.project_xi(x), [1.0, 3.0])
+
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_projection_inverts_the_immersion(self, bundles, name):
+        # orbit sampling and energy drift read xi off x through xi_projection,
+        # so it must give back exactly the xi that pi immersed
+        bundle = bundles[name]
+        box = bundle.xi_sample_box
+        xi = np.random.default_rng(11).uniform(box[:, 0], box[:, 1], size=(500, bundle.p))
+        assert np.array_equal(bundle.project_xi(evaluate(bundle.pi, xi)), xi)
 
     def test_bad_box_shape_rejected(self):
         # a target box with more rows than the plant's, a 1-D box and a

@@ -34,9 +34,9 @@ class TestTrajectory:
     def test_restrict_and_component(self):
         traj = Trajectory([0.0, 1.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         sub = traj.restrict([2, 0])
-        assert sub.dimension == 2
+        assert sub.states.shape == (2, 2)
         assert np.array_equal(sub.states[0], [3.0, 1.0])
-        assert np.array_equal(traj.component(1), [2.0, 5.0])
+        assert np.array_equal(traj.states[:, 1], [2.0, 5.0])
 
     def test_tail_keeps_final_fraction(self):
         times = np.linspace(0.0, 10.0, 101)
@@ -143,6 +143,14 @@ class TestAdaptive:
         args = {"t0": 0.0, "t1": 1.0, "rtol": 1e-8, "atol": 1e-10, name: value}
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             integrate_adaptive(lambda y: calls.append(y) or DECAY(y), [1.0], **args)
+        assert calls == []
+
+    def test_overflowing_span_rejected(self):
+        # t0 and t1 are finite, but t1 - t0 is inf, and so would be the
+        # minimum step; the step loop then retried until MAX_STEPS ran out
+        calls = []
+        with pytest.raises(ValueError, match="t1 - t0 = inf is not finite"):
+            integrate_adaptive(lambda y: calls.append(y) or DECAY(y), [1.0], -1e308, 1e308)
         assert calls == []
 
     def test_rotation_oracle(self):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from iiorbit import plants
-from iiorbit.core import ParameterError
+from iiorbit.core import ParameterError, derivative
 from iiorbit.odesim import FieldEvaluationError
 from iiorbit.plants import (
     CartPendLinearParams,
@@ -195,8 +195,10 @@ class TestPresetRegistry:
             make_inline("pendulum-on-a-train")
 
     def test_override_rebuilds_derived_values(self):
+        # a = -m/(1 + b k) is the target's restoring coefficient, and
+        # sin(pi/2) is 1.0 in floats, so alpha there reads -a
         bundle = make_preset("iwp-default", k=-1.8)
-        assert abs(bundle.info["a"] - 1.962 / 17.0) < 1e-15
+        assert abs(bundle.alpha((math.pi / 2, 0.0))[1] + 1.962 / 17.0) < 1e-15
 
     def test_override_runs_validation(self):
         with pytest.raises(ParameterError, match="k must satisfy"):
@@ -240,7 +242,8 @@ class TestPresetRegistry:
     def test_inline_matches_preset(self):
         inline = make_inline("iwp", m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
         preset = make_preset("iwp-default")
-        assert inline.info["a"] == preset.info["a"]
+        xi = (math.pi / 2, 0.3)
+        assert inline.alpha(xi) == preset.alpha(xi)
         x = np.array([0.4, -0.3, 0.2, 0.1])
         assert np.allclose(inline.phi(x), preset.phi(x))
 
@@ -257,7 +260,7 @@ class TestIwpBundle:
 
     def test_target_is_pendulum(self):
         bundle = make_preset("iwp-default")
-        a = bundle.info["a"]
+        a = preset_params("iwp-default").a
         for s in np.linspace(-3.0, 3.0, 11):
             xdd = bundle.alpha(np.array([s, 0.0]))[1]
             assert abs(xdd + a * math.sin(s)) < 1e-15
@@ -271,7 +274,7 @@ class TestCartPendLinearBundle:
         H, alpha = bundle.first_integral, bundle.alpha
         assert H(np.array([0.0, 0.0])) == 0.0
         h = 1e-6
-        s_max = bundle.info["beta_star"] - 0.1
+        s_max = preset_params("cartpend-lin-default").beta_star - 0.1
         for s in np.linspace(-s_max, s_max, 61):
             dV = (H(np.array([s + h, 0.0])) - H(np.array([s - h, 0.0]))) / (2 * h)
             want = alpha(np.array([s, 0.0]))[1]
@@ -291,7 +294,7 @@ class TestCartPendLinearBundle:
 
     def test_control_raises_outside_cone(self):
         bundle = make_preset("cartpend-lin-default")
-        beta_star = bundle.info["beta_star"]
+        beta_star = preset_params("cartpend-lin-default").beta_star
         x = np.array([beta_star + 0.01, 0.0, 0.0, 0.0])
         with pytest.raises(FieldEvaluationError, match="admissible cone"):
             bundle.v(x, np.zeros(2))
@@ -313,7 +316,7 @@ class TestCartPendLinearBundle:
     def test_singularity_margin(self):
         # -(1 + k a2 cos(x1)), evaluated over a stack of states
         bundle = make_preset("cartpend-lin-default")
-        beta_star = bundle.info["beta_star"]
+        beta_star = preset_params("cartpend-lin-default").beta_star
         X = np.array([[0.0, 0.0, 0.0, 0.0], [beta_star, 0.0, 0.0, 0.0]])
         margins = bundle.singularity_margin(X.T)
         assert margins.shape == (2,)
@@ -327,34 +330,34 @@ class TestCartPendLinearBundle:
 
 
 class TestCartPendNonlinearBundle:
+    # pi(xi) = (xi1, k(xi1), xi2, k'(xi1) xi2), so the slaving curve k(s) is
+    # pi((s, 0))[1] and its slope k'(s) is pi((s, 1))[3], both exactly; k''
+    # lives only inside v, and TestValidateBundle pins it with a mutant
+
     def test_slaving_curve_flattens_denominator(self):
         # 1 + a2 k'(s) cos(s) must collapse to the constant -a for every s
         bundle = make_preset("cartpend-nl-default")
-        kprime = bundle.info["kprime"]
         a2 = 1.0
         for s in np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 101):
-            assert abs(1.0 + a2 * kprime(s) * math.cos(s) + 2.0) < 1e-12
+            kprime = bundle.pi((s, 1.0))[3]
+            assert abs(1.0 + a2 * kprime * math.cos(s) + 2.0) < 1e-12
 
     def test_slaving_curve_through_offset(self):
         bundle = make_preset("cartpend-nl-default")
-        assert bundle.info["kfun"](0.0) == 0.0
+        assert bundle.pi((0.0, 0.0))[1] == 0.0
         shifted = make_inline(
             "cartpend-nonlinear", a1=9.8, a2=1.0, a=2.0, a0=0.7, gamma1=1.0,
             gamma2=1.0,
         )
-        assert shifted.info["kfun"](0.0) == 0.7
+        assert shifted.pi((0.0, 0.0))[1] == 0.7
 
     def test_slaving_curve_derivative_consistency(self):
+        # the complex-step derivative of k(s) = pi((s, .))[1] is k'(s)
         bundle = make_preset("cartpend-nl-default")
-        kfun, kprime, ksecond = (
-            bundle.info["kfun"], bundle.info["kprime"], bundle.info["ksecond"],
-        )
-        h = 1e-6
         for s in (-1.2, -0.5, 0.0, 0.3, 1.1):
-            fd1 = (kfun(s + h) - kfun(s - h)) / (2 * h)
-            fd2 = (kprime(s + h) - kprime(s - h)) / (2 * h)
-            assert abs(fd1 - kprime(s)) < 1e-7 * max(1.0, abs(kprime(s)))
-            assert abs(fd2 - ksecond(s)) < 1e-5 * max(1.0, abs(ksecond(s)))
+            kprime = bundle.pi((s, 1.0))[3]
+            slope = derivative(bundle.pi, (s, 1.0), (1.0, 0.0))[1]
+            assert abs(slope - kprime) < 1e-13 * max(1.0, abs(kprime))
 
     def test_singularity_margin(self):
         # distance of the link angle from the domain edge pi/2
@@ -366,7 +369,7 @@ class TestCartPendNonlinearBundle:
         bundle = make_preset("cartpend-nl-default")
         for s in (math.pi / 2, math.pi / 2 + 0.1, -math.pi / 2):
             with pytest.raises(FieldEvaluationError, match="outside"):
-                bundle.info["kfun"](s)
+                bundle.pi((s, 0.0))
         with pytest.raises(FieldEvaluationError):
             bundle.pi(np.array([1.6, 0.0]))
 
@@ -388,14 +391,14 @@ class TestDcAcBundle:
 
     def test_duty_cycle_within_limit_on_orbit(self):
         bundle = make_preset("dcac-default")
-        assert bundle.info["u_limit"] == 1.0
+        assert bundle.u_limit == 1.0
         xi = np.array([12.0, 0.0])
         u = bundle.v(bundle.pi(xi), np.zeros(2))
         assert np.max(np.abs(u)) < 1.0
 
     def test_target_circle_is_invariant(self):
         bundle = make_preset("dcac-default")
-        A = bundle.info["A"]
+        A = preset_params("dcac-default").A
         for theta in (0.1, 1.7, 3.0, 5.5):
             xi = A * np.array([math.cos(theta), math.sin(theta)])
             radial = float(xi @ bundle.alpha(xi))
