@@ -34,7 +34,8 @@ from .core import (
     validate_bundle,
 )
 from .odesim import (
-    MAX_STEPS, IntegrationAbort, Trajectory, estimate_period, integrate_adaptive, integrate_fixed
+    MAX_STEPS, IntegrationAbort, Trajectory, estimate_period, integrate_adaptive, integrate_dense,
+    integrate_fixed,
 )
 
 METRIC_KEYS = (
@@ -421,9 +422,11 @@ def compute_metrics(
 
 def _integrator_settings(scn: Scenario) -> tuple[str, dict]:
     """The integrator method and its step settings, with dt kept within
-    the time span and a fixed grid of at most MAX_STEPS steps."""
+    the time span and a dt grid (fixed or dense) of at most MAX_STEPS steps."""
     method = scn.integrator.get("method", "fixed")
-    defaults = {"fixed": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}}
+    defaults = {
+        "fixed": {"dt": 1e-3}, "dense": {"dt": 1e-3}, "adaptive": {"rtol": 1e-8, "atol": 1e-10}
+    }
     if not (isinstance(method, str) and method in defaults):
         raise ScenarioError(f"unknown integrator method {method!r}")
     _known_keys(scn.integrator, ["method", *defaults[method]], f"the {method} integrator block")
@@ -507,9 +510,10 @@ def _integrate(plan: RunPlan, t_span):
     fld = augmented_field(plan.bundle)
     t0, t1 = t_span
     try:
-        if plan.method == "fixed":
-            return integrate_fixed(fld, plan.y0, t0, t1, plan.settings["dt"]), False, None
-        return integrate_adaptive(fld, plan.y0, t0, t1, **plan.settings), False, None
+        integrate = {
+            "fixed": integrate_fixed, "dense": integrate_dense, "adaptive": integrate_adaptive
+        }[plan.method]
+        return integrate(fld, plan.y0, t0, t1, **plan.settings), False, None
     except IntegrationAbort as exc:
         return exc.trajectory, True, exc.abort_time
 

@@ -185,6 +185,11 @@ def immersion(bundle: IandIBundle, xi: Sequence[float]):
     x = evaluate(bundle.pi, xi)
     if not admissible_mask(bundle, x).all():
         raise FieldEvaluationError(f"pi(xi) leaves the admissible region of {bundle.name}")
+    return (x, *_control_and_residual(bundle, xi, x))
+
+
+def _control_and_residual(bundle: IandIBundle, xi: np.ndarray, x: np.ndarray):
+    """immersion's c and residual at xi, given its admissible x = pi(xi)."""
     G = evaluate(bundle.g, x)
     s = np.linalg.svd(G, compute_uv=False)
     if np.any(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
@@ -199,7 +204,7 @@ def immersion(bundle: IandIBundle, xi: Sequence[float]):
         c = np.linalg.solve(Gt @ G, Gt @ rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"g'g singular at pi(xi) for {bundle.name}") from exc
-    return x, c, _matvec(G, c) - rhs
+    return c, _matvec(G, c) - rhs
 
 
 def _dot(row, u):
@@ -339,8 +344,10 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     xi_grid = _sample_box(rng, bundle.xi_sample_box, grid_size)
     x_grid = _sample_box(rng, bundle.x_sample_box, grid_size)
 
-    xi = xi_grid[admissible_mask(bundle, evaluate(bundle.pi, xi_grid))]
-    pi_xi, c, fbi = immersion(bundle, xi)
+    pi_grid = evaluate(bundle.pi, xi_grid)
+    kept = admissible_mask(bundle, pi_grid)
+    xi, pi_xi = xi_grid[kept], pi_grid[kept]
+    c, fbi = _control_and_residual(bundle, xi, pi_xi)
     z0 = np.zeros((len(xi), bundle.z_dim))
 
     x = x_grid[admissible_mask(bundle, x_grid)]

@@ -1,13 +1,14 @@
 """Initial-value-problem integration, trajectory storage, and section crossings.
 
 All fields are autonomous: time-dependent terms are handled upstream by
-augmenting the state with a clock coordinate. Two integrators are provided,
-a classical fixed-step RK4 (the default for reproducible runs) and an
-embedded Dormand-Prince 5(4) pair with adaptive step size. Both advance the
-state as a tuple of Python floats and hand the field that tuple. The
-adaptive pair reuses its last stage as the next step's first and sums its
-stage terms in a fixed left-to-right order, so its output does not depend on
-the BLAS build.
+augmenting the state with a clock coordinate. Three integrators are
+provided: a classical fixed-step RK4 (the default for reproducible runs),
+an embedded Dormand-Prince 5(4) pair with adaptive step size, and fixed
+Dormand-Prince steps of DENSE_STEPS grid intervals whose dense output fills
+the RK4 grid. All advance the state as a tuple of Python floats and hand
+the field that tuple. The Dormand-Prince steps reuse their last stage as
+the next step's first and sum their stage terms in a fixed left-to-right
+order, so their output does not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class IntegrationAbort(RuntimeError):
 
 
 # An autonomous vector field x' = F(x): state components in, one component
-# per coordinate out. Both integrators pass the state as a tuple of floats.
+# per coordinate out. Every integrator passes the state as a tuple of floats.
 Field = Callable[[Sequence[float]], Sequence[float]]
 
 
@@ -213,16 +214,15 @@ MAX_STEPS = 10_000_000
 ADAPTIVE_MIN_STEP_FACTOR = 1e-12
 
 
-def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float, atol: float):
-    """One Dormand-Prince attempt of size h from the state y, a tuple of
-    floats whose field value is k1. Returns the new state (a tuple), the
-    field there (k7) and the RMS of the error estimate scaled by
-    atol + rtol * max(|y|, |y_new|) per component. Every stage sum runs left
-    to right over the nonzero weights, so the result does not depend on the
-    BLAS build or the Python version."""
+def _dp_stages(field: Field, y: tuple, k1: Sequence[float], h: float) -> tuple:
+    """The stages of one Dormand-Prince step of size h from the state y, a
+    tuple of floats whose field value is k1. Returns the new state (a tuple)
+    and the stages k3, k4, k5, k6 and k7, the field at the new state; k2
+    has no weight in the new state, the error estimate or the dense output.
+    Every stage sum runs left to right over the nonzero weights, so the
+    result does not depend on the BLAS build or the Python version."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
     b1, b3, b4, b5, b6 = _DP_B5
-    e1, e3, e4, e5, e6, e7 = _DP_E
     k2 = field(tuple([a + h * (a21 * c1) for a, c1 in zip(y, k1)]))
     k3 = field(tuple([a + h * (a31 * c1 + a32 * c2) for a, c1, c2 in zip(y, k1, k2)]))
     k4 = field(tuple([
@@ -240,7 +240,16 @@ def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float,
         a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
         for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
     ])
-    k7 = field(y_new)
+    return y_new, k3, k4, k5, k6, field(y_new)
+
+
+def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float, atol: float):
+    """One Dormand-Prince attempt of size h from the state y, a tuple of
+    floats whose field value is k1. Returns the new state (a tuple), the
+    field there (k7) and the RMS of the error estimate scaled by
+    atol + rtol * max(|y|, |y_new|) per component, summed left to right."""
+    e1, e3, e4, e5, e6, e7 = _DP_E
+    y_new, k3, k4, k5, k6, k7 = _dp_stages(field, y, k1, h)
     total = 0.0
     for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
         q = h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7) / (
@@ -337,6 +346,133 @@ def integrate_adaptive(
         else:
             raise abort(f"{MAX_STEPS} step attempts exhausted at t={t!r}", t)
     return Trajectory(np.asarray(times), np.asarray(states))
+
+
+# Dense output of the Dormand-Prince pair: the weights d1, d3, ..., d7 of
+# Hairer's dopri5 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6; d2
+# is zero). A dense step is DENSE_STEPS grid intervals long, and its
+# interpolant is evaluated _DENSE_CHUNK grid rows at a time.
+_DP_D = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
+DENSE_STEPS = 5
+_DENSE_CHUNK = 4096
+
+
+def _grid(t0: float, t1: float, dt: float) -> list:
+    """The times t0, t0+dt, ... of integrate_fixed, with t1 last, after the
+    same argument checks."""
+    _require_finite(t0=t0, t1=t1, dt=dt)
+    if t1 <= t0:
+        raise ValueError("t1 must exceed t0")
+    if dt <= 0 or dt > t1 - t0:
+        raise ValueError("dt must be positive and at most t1 - t0")
+    if (t1 - t0) / dt > MAX_STEPS:
+        raise ValueError(f"dt={dt!r} takes {(t1 - t0) / dt:.6g} steps, more than {MAX_STEPS}")
+    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
+    times = [t0 + i * dt for i in range(n_full + 1)]
+    if times[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+        times.append(t1)
+    else:
+        times[-1] = t1
+    return times
+
+
+def _dense_rows(times: np.ndarray, knots: np.ndarray, data: np.ndarray, q: int) -> np.ndarray:
+    """Grid rows 0 to knots[q] from integrate_dense's knot data. A knot row
+    is its stored state; a row between knots is the continuous extension
+    (Hairer's contd5) of the step it falls in, evaluated with elementwise
+    operations in a fixed order, _DENSE_CHUNK rows at a time."""
+    out = np.empty((knots[q] + 1, data.shape[2]))
+    for start in range(0, len(out) if q else 0, _DENSE_CHUNK):
+        rows = np.arange(start, min(start + _DENSE_CHUNK, len(out)))
+        j = np.minimum(rows // DENSE_STEPS, q - 1)
+        ta = times[knots[j]]
+        h = times[knots[j + 1]] - ta
+        theta = ((times[rows] - ta) / h)[:, None]
+        h = h[:, None]
+        y0, k1, dsum = data[j, 0], data[j, 1], data[j, 2]
+        y1, k7 = data[j + 1, 0], data[j + 1, 1]
+        ydiff = y1 - y0
+        bspl = h * k1 - ydiff
+        theta1 = 1.0 - theta
+        out[rows] = y0 + theta * (
+            ydiff + theta1 * (bspl + theta * ((ydiff - h * k7 - bspl) + theta1 * (h * dsum)))
+        )
+    out[knots[: q + 1]] = data[: q + 1, 0]
+    return out
+
+
+def integrate_dense(
+    field: Field,
+    x0: Sequence[float],
+    t0: float,
+    t1: float,
+    dt: float,
+) -> Trajectory:
+    """Fixed Dormand-Prince steps of H = DENSE_STEPS * dt, with every row of
+    integrate_fixed's grid (the same times, bit for bit) filled from the
+    steps' dense output.
+
+    Knots fall every DENSE_STEPS grid rows and on the last row, so the last
+    step may be shorter. A step evaluates the field six times: its first
+    stage is the last stage of the step before. A knot row is the step's
+    state, and the rows between knots come from the fourth-order continuous
+    extension of their step.
+
+    Raises IntegrationAbort with the rows up to the start knot of the
+    failing step: its abort_time is that knot when the field raises
+    FieldEvaluationError, and the step's end knot when the step's data is
+    not finite (a Python float overflow counts as non-finite), as
+    integrate_fixed does per RK4 step. Raises ValueError, before anything
+    is built, for a grid of more than MAX_STEPS steps.
+    """
+    times = _grid(t0, t1, dt)
+    x0 = _initial_state(x0, field)
+    knots = np.array([*range(0, len(times) - 1, DENSE_STEPS), len(times) - 1])
+    # per knot: the state, the field there, and the d-weighted stage sum of
+    # the step that starts there (not set at the last knot)
+    data = np.empty((len(knots), 3, len(x0)))
+    data[0, 0] = x0
+    d1, d3, d4, d5, d6, d7 = _DP_D
+    y = tuple(x0.tolist())
+    k1 = None
+    for j, (a, b) in enumerate(zip(knots.tolist(), knots[1:].tolist())):
+        try:
+            if k1 is None:
+                k1 = data[0, 1] = field(y)
+            y_new, k3, k4, k5, k6, k7 = _dp_stages(field, y, k1, times[b] - times[a])
+            dsum = tuple([
+                d1 * c1 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7
+                for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)
+            ])
+            # d7 is nonzero, so a non-finite k7 shows in dsum
+            finite = all(map(math.isfinite, y_new)) and all(map(math.isfinite, dsum))
+        except OverflowError:
+            finite = False
+        except FieldEvaluationError as exc:
+            raise IntegrationAbort(
+                f"field evaluation failed at t={times[a]!r}: {exc}",
+                Trajectory(times[: a + 1], _dense_rows(np.asarray(times), knots, data, j)),
+                times[a],
+            ) from exc
+        if not finite:
+            raise IntegrationAbort(
+                f"non-finite state at t={times[b]!r}",
+                Trajectory(times[: a + 1], _dense_rows(np.asarray(times), knots, data, j)),
+                times[b],
+            )
+        data[j, 2] = dsum
+        data[j + 1, 0] = y_new
+        data[j + 1, 1] = k7
+        y, k1 = y_new, k7
+    times = np.asarray(times)
+    return Trajectory(times, _dense_rows(times, knots, data, len(knots) - 1))
 
 
 def detect_crossings(

@@ -94,7 +94,9 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
             (verb, scenario_text(t_span=[-1.0e308, 1.0e308], integrator=integrator,
                                  **({"sweep": SWEEP_X0} if verb == "sweep" else {})))
             for verb in ("run", "sweep")
-            for integrator in ({"method": "adaptive"}, {"method": "fixed", "dt": 1.0})
+            for integrator in (
+                {"method": "adaptive"}, {"method": "fixed", "dt": 1.0}, {"method": "dense", "dt": 1.0}
+            )
         ],
         ("run", scenario_text(bundle={"preset": "nope"})),
         ("run", scenario_text(bundle={"kind": "foo"})),
@@ -137,6 +139,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("run", scenario_text(bundle={"preset": "lti-identity", "params": {"gamma1": 3.0}})),
         ("run", scenario_text(integrator={"method": "fixed", "dtt": 0.1})),
         ("run", scenario_text(integrator={"method": "adaptive", "dt": 0.01})),
+        ("run", scenario_text(integrator={"method": "dense", "dt": "abc"})),
+        ("run", scenario_text(integrator={"method": "dense", "dt": 0.01, "rtol": 1e-8})),
         ("sweep", scenario_text(sweep=dict(SWEEP_X0, valuse=[3.0]))),
         ("run", scenario_text(sweep=dict(SWEEP_X0, valuse=[3.0]))),
         *[
@@ -162,7 +166,7 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "sweep-reversed-t-span",
         *[
             f"{verb}-{method}-t-span-length-overflows"
-            for verb in ("run", "sweep") for method in ("adaptive", "fixed")
+            for verb in ("run", "sweep") for method in ("adaptive", "fixed", "dense")
         ],
         "run-unknown-preset",
         "run-unknown-kind",
@@ -205,6 +209,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "run-params-beside-preset",
         "run-unknown-fixed-integrator-key",
         "run-dt-for-adaptive-integrator",
+        "run-dense-non-numeric-dt",
+        "run-rtol-for-dense-integrator",
         "sweep-unknown-sweep-key",
         "run-unknown-sweep-key",
         *[f"{verb}-{name}" for verb in ("run", "sweep") for name in BAD_CHECK_IDS],

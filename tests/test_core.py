@@ -191,6 +191,19 @@ class TestValidateBundle:
         assert not report.passed
         assert any("manifold" in msg or "immersion" in msg for msg in report.failures())
 
+    def test_pi_is_evaluated_once_on_the_xi_grid(self, bundles):
+        # one real evaluation masks the grid and serves the immersion check;
+        # the complex-step derivative of pi is the only other call
+        good = bundles["cartpend-nl-default"]
+        kinds = []
+
+        def counted_pi(xi):
+            kinds.append(np.iscomplexobj(xi))
+            return good.pi(xi)
+
+        assert validate_bundle(dataclasses.replace(good, pi=counted_pi), grid_size=50).passed
+        assert sorted(kinds) == [False, True]
+
     @pytest.mark.parametrize("name", ["iwp-default", "dcac-default"])
     @pytest.mark.parametrize(
         "attr,named",

@@ -13,6 +13,7 @@ from iiorbit.odesim import (
     detect_crossings,
     estimate_period,
     integrate_adaptive,
+    integrate_dense,
     integrate_fixed,
 )
 
@@ -319,6 +320,106 @@ class TestAdaptive:
             probe = integrate_adaptive(fld, y0, 0.0, t1, rtol=1e-10, atol=1e-12)
             diff = np.max(np.abs(ref.final_state - probe.final_state))
             assert diff < 1e-6, f"{name}: adaptive vs fixed differ by {diff}"
+
+
+def vdp(y, mu=2.0):
+    return (y[1], mu * (1.0 - y[0] * y[0]) * y[1] - y[0])
+
+
+class TestDense:
+    def test_knots_are_a_chain_of_dp_steps(self):
+        # every DENSE_STEPS-th row, and the last, is the state of a chain of
+        # Dormand-Prince steps between the knot times, bit for bit
+        traj = integrate_dense(vdp, [1.5, -0.25], 0.0, 1.037, 0.01)
+        knots = [*range(0, len(traj) - 1, odesim.DENSE_STEPS), len(traj) - 1]
+        assert knots[-1] - knots[-2] == 4
+        y = (1.5, -0.25)
+        k1 = vdp(y)
+        for a, b in zip(knots, knots[1:]):
+            y, *_, k1 = odesim._dp_stages(vdp, y, k1, float(traj.times[b] - traj.times[a]))
+            assert tuple(traj.states[b].tolist()) == y
+
+    @pytest.mark.parametrize(
+        "t0,t1,dt", [(0.0, 1.037, 0.01), (0.3, 2.0, 0.07), (-1.0, 0.5, 0.0123), (0.0, 0.2, 1e-5)]
+    )
+    def test_times_match_fixed(self, t0, t1, dt):
+        fixed = integrate_fixed(DECAY, [1.0], t0, t1, dt)
+        dense = integrate_dense(DECAY, [1.0], t0, t1, dt)
+        assert np.array_equal(dense.times, fixed.times)
+
+    def test_fifth_order_on_rotation(self):
+        # knot states and dense rows alike: halving dt divides the grid
+        # error by about 2^5
+        errs = []
+        for dt in (4e-2, 2e-2, 1e-2):
+            traj = integrate_dense(ROTATION, [1.0, 0.0], 0.0, 2 * math.pi, dt)
+            exact = np.column_stack((np.cos(traj.times), -np.sin(traj.times)))
+            errs.append(np.max(np.abs(traj.states - exact)))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 26.0 < coarse / fine < 38.0
+
+    def test_field_gets_a_tuple_of_floats(self):
+        seen = set()
+
+        def field(y):
+            seen.add((type(y), *map(type, y)))
+            return (y[1], -y[0])
+
+        assert len(integrate_dense(field, [1.0, 0.0], 0.0, 3.0, 0.01)) == 301
+        assert seen == {(tuple, float, float)}
+
+    def test_six_evaluations_per_step(self):
+        # two at x0 (the shape check and the first stage), then six per step
+        calls = []
+        traj = integrate_dense(lambda y: calls.append(y) or DECAY(y), [1.0], 0.0, 1.0, 0.01)
+        assert len(traj) == 101
+        assert len(calls) == 2 + 6 * 20
+
+    def test_grid_over_the_step_limit_rejected_before_any_step(self, monkeypatch):
+        monkeypatch.setattr(odesim, "MAX_STEPS", 4)
+        assert len(integrate_dense(DECAY, [1.0], 0.0, 1.0, 0.25)) == 5
+        calls = []
+        with pytest.raises(ValueError, match="takes 5 steps, more than 4"):
+            integrate_dense(lambda y: calls.append(y) or DECAY(y), [1.0], 0.0, 1.0, 0.2)
+        assert calls == []
+
+    @staticmethod
+    def guarded(kind):
+        """y' = 1 from 0, failing once a stage passes 0.52: the step from
+        the knot t = 0.5 to t = 0.55 (dt = 0.01) is the first to fail."""
+
+        def field(y):
+            if y[0] > 0.52:
+                if kind == "field":
+                    raise FieldEvaluationError("left the admissible region")
+                if kind == "overflow":
+                    math.exp(1e4)
+                return (math.nan,)
+            return (1.0,)
+
+        return field
+
+    @pytest.mark.parametrize("kind,end", [("field", 50), ("overflow", 55), ("nan", 55)])
+    def test_abort_stores_no_row_past_the_last_step(self, kind, end):
+        # the rows up to the failing step's start knot, as a run that does
+        # not fail stores them; the abort time is that knot for a field
+        # error and the step's end knot for a non-finite state
+        full = integrate_dense(lambda y: (1.0,), [0.0], 0.0, 1.0, 0.01)
+        with pytest.raises(IntegrationAbort) as info:
+            integrate_dense(self.guarded(kind), [0.0], 0.0, 1.0, 0.01)
+        traj = info.value.trajectory
+        assert np.array_equal(traj.times, full.times[:51])
+        assert np.array_equal(traj.states, full.states[:51])
+        assert info.value.abort_time == full.times[end]
+
+    def test_field_error_at_x0_keeps_x0(self):
+        def broken(y):
+            raise FieldEvaluationError("nowhere admissible")
+
+        with pytest.raises(IntegrationAbort) as info:
+            integrate_dense(broken, [0.5], 1.0, 2.0, 0.1)
+        assert info.value.abort_time == 1.0
+        assert info.value.trajectory.states.tolist() == [[0.5]]
 
 
 class TestSections:
