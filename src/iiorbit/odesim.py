@@ -133,6 +133,28 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite (got {value!r})")
 
 
+def _grid(t0: float, t1: float, dt: float) -> list:
+    """The grid times t0, t0+dt, ..., with t1 last, of integrate_fixed and
+    integrate_dense: the last interval is shortened to land exactly on t1.
+    Raises ValueError for a non-finite or empty span, a dt outside
+    (0, t1 - t0], or a grid of more than MAX_STEPS steps."""
+    _require_finite(t0=t0, t1=t1, dt=dt)
+    if t1 <= t0:
+        raise ValueError("t1 must exceed t0")
+    if dt <= 0 or dt > t1 - t0:
+        raise ValueError("dt must be positive and at most t1 - t0")
+    if (t1 - t0) / dt > MAX_STEPS:
+        raise ValueError(f"dt={dt!r} takes {(t1 - t0) / dt:.6g} steps, more than {MAX_STEPS}")
+    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
+    # append t1 when the last full step falls short of it
+    times = [t0 + i * dt for i in range(n_full + 1)]
+    if times[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
+        times.append(t1)
+    else:
+        times[-1] = t1
+    return times
+
+
 def integrate_fixed(
     field: Field,
     x0: Sequence[float],
@@ -148,23 +170,8 @@ def integrate_fixed(
     Python float overflow counts as one), and ValueError, before anything
     is built, for a grid of more than MAX_STEPS steps.
     """
-    _require_finite(t0=t0, t1=t1, dt=dt)
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    if dt <= 0 or dt > t1 - t0:
-        raise ValueError("dt must be positive and at most t1 - t0")
-    if (t1 - t0) / dt > MAX_STEPS:
-        raise ValueError(f"dt={dt!r} takes {(t1 - t0) / dt:.6g} steps, more than {MAX_STEPS}")
+    times = _grid(t0, t1, dt)
     x0 = _initial_state(x0, field)
-
-    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
-    # grid times; append t1 when the last full step falls short of it
-    times = [t0 + i * dt for i in range(n_full + 1)]
-    if times[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-        times.append(t1)
-    else:
-        times[-1] = t1
-
     out = np.empty((len(times), len(x0)))
     out[0] = x0
     y = tuple(x0.tolist())
@@ -362,25 +369,6 @@ _DP_D = (
 )
 DENSE_STEPS = 5
 _DENSE_CHUNK = 4096
-
-
-def _grid(t0: float, t1: float, dt: float) -> list:
-    """The times t0, t0+dt, ... of integrate_fixed, with t1 last, after the
-    same argument checks."""
-    _require_finite(t0=t0, t1=t1, dt=dt)
-    if t1 <= t0:
-        raise ValueError("t1 must exceed t0")
-    if dt <= 0 or dt > t1 - t0:
-        raise ValueError("dt must be positive and at most t1 - t0")
-    if (t1 - t0) / dt > MAX_STEPS:
-        raise ValueError(f"dt={dt!r} takes {(t1 - t0) / dt:.6g} steps, more than {MAX_STEPS}")
-    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
-    times = [t0 + i * dt for i in range(n_full + 1)]
-    if times[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-        times.append(t1)
-    else:
-        times[-1] = t1
-    return times
 
 
 def _dense_rows(times: np.ndarray, knots: np.ndarray, data: np.ndarray, q: int) -> np.ndarray:

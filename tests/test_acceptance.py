@@ -7,6 +7,7 @@ control designs, then the two energy-bound harnesses, then infrastructure.
 
 import csv
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -219,8 +220,18 @@ def test_criterion_11_integrator_oracles():
 
 
 def test_criterion_12_rerun_is_byte_identical(lift_artifact, tmp_path):
+    # iwp-lift takes the dense path; a 10 s copy of cartpend-lin-swing keeps
+    # a fixed-step RK4 rerun under the same check
     scn = cli.load_scenario("iwp-lift")
     rerun = cli.run_scenario(scn, tmp_path)
     first = lift_artifact.trajectory_csv.read_bytes()
     second = rerun.trajectory_csv.read_bytes()
     assert first == second, "identical scenario produced different trajectory bytes"
+
+    swing = cli.load_scenario("cartpend-lin-swing")
+    assert swing.integrator["method"] == "fixed"
+    swing = replace(swing, t_span=(0.0, 10.0), outputs=["trajectory_csv"])
+    first, second = (
+        cli.run_scenario(swing, tmp_path / f"swing-{i}").trajectory_csv.read_bytes() for i in (1, 2)
+    )
+    assert first == second, "identical RK4 scenario produced different trajectory bytes"
