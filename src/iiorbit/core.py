@@ -64,9 +64,10 @@ class IandIBundle:
                       is the on-manifold control c (see immersion)
 
     Extra per-design knowledge used by simulation and metrics:
-      z_dynamics      hand-derived off-manifold dynamics z' = h(x, z), which
-                      the augmented field integrates (validate_bundle checks
-                      it against Dphi (f + g v))
+      z_matrix        the off-manifold dynamics z' = Lambda z as Lambda's
+                      z_dim rows of Python floats, zeros written 0.0; it
+                      must be Hurwitz. The augmented field integrates it,
+                      and validate_bundle checks it against Dphi (f + g v)
       xi_projection   indices of the p plant coordinates that realize the
                       target state (used by energy/orbit metrics)
       section_index   plant coordinate, one of xi_projection, whose zero
@@ -95,7 +96,7 @@ class IandIBundle:
     v: Callable
     xi_sample_box: np.ndarray  # (p, 2) lower/upper
     x_sample_box: np.ndarray  # (n, 2)
-    z_dynamics: Callable
+    z_matrix: tuple[tuple[float, ...], ...]
     xi_projection: tuple[int, ...]
     section_index: int
     angle_indices: tuple[int, ...] = ()
@@ -111,8 +112,27 @@ class IandIBundle:
         n, m, p = self.n, self.m, self.p
         if not (0 < m < n and 0 < p < n):
             raise ValueError(f"need 0 < m < n and 0 < p < n (got n={n}, m={m}, p={p})")
-        if len(self.xi_projection) != p or self.section_index not in self.xi_projection:
-            raise ValueError("xi_projection must hold p indices, section_index among them")
+        proj = set(self.xi_projection)
+        if not len(self.xi_projection) == len(proj) == p or self.section_index not in proj:
+            raise ValueError("xi_projection must hold p distinct indices, section_index among them")
+        if not proj | set(self.angle_indices) <= set(range(n)):
+            raise ValueError(f"xi_projection and angle_indices must lie in 0..{n - 1}")
+        # Python floats keep the integrators' stage sums out of numpy scalars
+        z_dim = self.z_dim
+        if len(self.z_matrix) != z_dim or any(
+            len(row) != z_dim or any(type(entry) is not float for entry in row)
+            for row in self.z_matrix
+        ):
+            raise ValueError(f"z_matrix must hold {z_dim} rows of {z_dim} Python floats")
+        Lam = np.array(self.z_matrix, dtype=float)
+        if not np.isfinite(Lam).all():
+            raise ParameterError(f"z_matrix of {self.name} is not finite: {self.z_matrix}")
+        eig = np.linalg.eigvals(Lam)
+        if not eig.real.max() < 0.0:
+            raise ParameterError(
+                f"z_matrix of {self.name} is not Hurwitz: eigenvalues "
+                f"{', '.join(f'{e:.6g}' for e in eig)}, need every real part < 0"
+            )
 
     @property
     def n(self) -> int:
@@ -243,6 +263,17 @@ def _plant_rate(bundle: IandIBundle):
     return rate
 
 
+def _z_rate(bundle: IandIBundle):
+    """The off-manifold rate z' = Lambda z, row by row. Each row is the
+    left-to-right sum over all of its entries, zeros included: written out
+    for z_dim = 2, every design's size, and the _dot fold otherwise."""
+    Lam = bundle.z_matrix
+    if bundle.z_dim == 2:
+        (a, b), (c, d) = Lam
+        return lambda z: (a * z[0] + b * z[1], c * z[0] + d * z[1])
+    return lambda z: tuple([_dot(row, z) for row in Lam])
+
+
 def closed_loop_field(bundle: IandIBundle) -> Field:
     """The autonomous loop x' = f(x) + g(x) v(x, phi(x))."""
     rate, phi = _plant_rate(bundle), bundle.phi
@@ -251,13 +282,13 @@ def closed_loop_field(bundle: IandIBundle) -> Field:
 
 def augmented_field(bundle: IandIBundle) -> Field:
     """The pair (x, z) with x' = f + g v(x, z) and the bundle's off-manifold
-    dynamics z' = h(x, z), meant to start from z(0) = phi(x(0))."""
+    dynamics z' = Lambda z, meant to start from z(0) = phi(x(0))."""
     n = bundle.n
-    rate, h = _plant_rate(bundle), bundle.z_dynamics
+    rate, z_rate = _plant_rate(bundle), _z_rate(bundle)
 
     def field(y) -> tuple:
         x, z = y[:n], y[n:]
-        return rate(x, z) + h(x, z)
+        return rate(x, z) + z_rate(z)
 
     return field
 
@@ -366,5 +397,5 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
         max_manifold=_max_abs(evaluate(bundle.phi, pi_xi)),
         max_constraint=_max_abs(evaluate(bundle.v, pi_xi, z0) - c),
         min_g_margin=float(np.min(g_margins, initial=np.inf)),
-        max_z_consistency_err=_max_abs(evaluate(bundle.z_dynamics, x, z) - zdot),
+        max_z_consistency_err=_max_abs(evaluate(_z_rate(bundle), z) - zdot),
     )

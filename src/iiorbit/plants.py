@@ -1,8 +1,10 @@
 """The five built-in designs, their parameter records, and the preset registry.
 
 Each make_* constructor validates its parameter inequalities, derives the
-closed forms (immersion, implicit map, feedback, off-manifold dynamics),
+closed forms (immersion, implicit map, feedback) and the off-manifold matrix,
 and returns an immutable bundle ready for residual checks and simulation.
+The gains need no inequality of their own: the bundle rejects a matrix that
+is not Hurwitz.
 No design states its on-manifold control separately: v(pi(xi), 0) is that
 control. Every closed form is a kernel in the sense of iiorbit.core:
 components in by index, a tuple out, so one definition serves single points
@@ -116,8 +118,6 @@ class IwpParams:
         _finite_fields(self)
         if self.m <= 0 or self.b <= 0:
             raise ParameterError("m and b must be positive")
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ParameterError("gamma1 and gamma2 must be positive")
         # 1 + b k is what a and the feedback divide by; it rounds to zero
         # for some k just below -1/b, so it is checked as computed
         if self.k >= -1.0 / self.b or 1.0 + self.b * self.k >= 0.0:
@@ -151,8 +151,6 @@ class CartPendLinearParams:
         _finite_fields(self)
         if self.a1 <= 0 or self.a2 <= 0:
             raise ParameterError("a1 and a2 must be positive")
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ParameterError("gamma1 and gamma2 must be positive")
         # the potential divides by 1 + k a2, which rounds to zero for some
         # k just below -1/a2, so it is checked as computed
         if self.k >= -1.0 / self.a2 or 1.0 + self.k * self.a2 >= 0.0:
@@ -189,8 +187,6 @@ class CartPendNonlinearParams:
             raise ParameterError("a1 and a2 must be positive")
         if self.a <= 0:
             raise ParameterError(f"a must be positive (got {self.a})")
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ParameterError("gamma1 and gamma2 must be positive")
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ class DcAcParams:
 
     def __post_init__(self):
         _finite_fields(self)
-        for name in ("R", "C", "L", "E", "A", "omega", "gamma"):
+        for name in ("R", "C", "L", "E", "A", "omega"):
             if getattr(self, name) <= 0:
                 raise ParameterError(f"{name} must be positive")
 
@@ -252,7 +248,7 @@ def make_lti(params: LtiParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-2, 2], [-2, 2]]),
         x_sample_box=_box([[-2, 2]] * 4),
-        z_dynamics=lambda x, z: (-z[0], -z[1]),
+        z_matrix=((-1.0, 0.0), (0.0, -1.0)),
         xi_projection=(0, 1),
         section_index=1,
         first_integral=lambda xi: 0.5 * (xi[0] * xi[0] + xi[1] * xi[1]),
@@ -287,7 +283,7 @@ def make_iwp(params: IwpParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-3, 3], [-3, 3]]),
         x_sample_box=_box([[-3, 3]] * 4),
-        z_dynamics=_pole_pair(g1, g2),
+        z_matrix=((0.0, 1.0), (-g2, -g1)),
         xi_projection=(0, 2),
         angle_indices=(0, 1),
         section_index=2,
@@ -302,11 +298,6 @@ def _straight_manifold(k: float):
         lambda xi: (xi[0], k * xi[0], xi[1], k * xi[1]),
         lambda x: (x[1] - k * x[0], x[3] - k * x[2]),
     )
-
-
-def _pole_pair(g1: float, g2: float):
-    """Off-manifold dynamics z1' = z2, z2' = -g2 z1 - g1 z2."""
-    return lambda x, z: (z[1], -g2 * z[0] - g1 * z[1])
 
 
 def _cartpend_plant(a1: float, a2: float) -> dict:
@@ -367,7 +358,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-s_lim, s_lim], [-1.5, 1.5]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-2, 2], [-3, 3]]),
-        z_dynamics=_pole_pair(g1, g2),
+        z_matrix=((0.0, 1.0), (-g2, -g1)),
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
@@ -432,7 +423,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         v=v,
         xi_sample_box=_box([[-s_lim, s_lim], [-1.0, 1.0]]),
         x_sample_box=_box([[-s_lim, s_lim], [-3, 3], [-1.5, 1.5], [-3, 3]]),
-        z_dynamics=_pole_pair(g1, g2),
+        z_matrix=((0.0, 1.0), (-g2, -g1)),
         xi_projection=(0, 2),
         angle_indices=(0,),
         section_index=2,
@@ -511,7 +502,7 @@ def make_dcac(params: DcAcParams) -> IandIBundle:
         x_sample_box=_box(
             [[-1.25 * A, 1.25 * A]] * 2 + [[-5.0 * A * C * omega, 5.0 * A * C * omega]] * 2
         ),
-        z_dynamics=lambda x, z: (-z_rate * z[0], -z_rate * z[1]),
+        z_matrix=((-z_rate, 0.0), (0.0, -z_rate)),
         xi_projection=(0, 1),
         section_index=0,
         u_limit=1.0,

@@ -8,6 +8,7 @@ import pytest
 
 from iiorbit.core import (
     IandIBundle,
+    ParameterError,
     ValidationReport,
     admissible_mask,
     as_array,
@@ -241,6 +242,16 @@ class TestValidateBundle:
             failures
         )
 
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_scaled_z_matrix_fails(self, bundles, name):
+        # 1.05 Lambda is still Hurwitz, so the bundle builds, but it no
+        # longer matches Dphi (f + g v) off the manifold
+        good = bundles[name]
+        scaled = tuple(tuple(1.05 * entry for entry in row) for row in good.z_matrix)
+        failures = validate_bundle(dataclasses.replace(good, z_matrix=scaled)).failures()
+        assert len(failures) == 1, failures
+        assert failures[0].startswith("off-manifold dynamics mismatch"), failures
+
     @pytest.mark.parametrize(
         "field,named",
         [
@@ -318,17 +329,20 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("name", plants.PRESETS)
     def test_augmented_field_matches_reference_composition(self, bundles, name):
-        # f_i + g_i u summed left to right, then the declared z dynamics, bit
-        # for bit and with the sign of every zero
+        # f_i + g_i u summed left to right, then each row of the z matrix
+        # times z summed left to right, bit for bit and with the sign of
+        # every zero
         bundle = bundles[name]
         n, f, g, v = bundle.n, bundle.f, bundle.g, bundle.v
+
+        def fold(row, u):
+            return functools.reduce(operator.add, map(operator.mul, row, u))
 
         def reference(y):
             x, z = y[:n], y[n:]
             u = v(x, z)
-            xdot = [fi + functools.reduce(operator.add, map(operator.mul, gi, u))
-                    for fi, gi in zip(f(x), g(x))]
-            return xdot + list(bundle.z_dynamics(x, z))
+            xdot = [fi + fold(gi, u) for fi, gi in zip(f(x), g(x))]
+            return xdot + [fold(row, z) for row in bundle.z_matrix]
 
         rng = np.random.default_rng(17)
         X = rng.uniform(*bundle.x_sample_box.T, size=(300, n))
@@ -341,6 +355,31 @@ class TestClosedLoop:
             got, want = np.array(fld(y), dtype=float), np.array(reference(y), dtype=float)
             assert np.array_equal(got, want), y
             assert np.array_equal(np.signbit(got), np.signbit(want)), y
+
+    @pytest.mark.parametrize(
+        "z_matrix",
+        [((-2.0,),), ((-1.0, 0.5, 0.25), (0.0, -2.0, 1.0), (0.0, 0.0, -3.0))],
+        ids=["z_dim-1", "z_dim-3"],
+    )
+    def test_other_z_sizes_run_through_the_fold(self, bundles, z_matrix, monkeypatch):
+        # every design has z_dim = 2; another size sums each row with _dot,
+        # at a point and on a stack alike
+        z_dim = len(z_matrix)
+        bundle = dataclasses.replace(
+            bundles["iwp-default"], x_sample_box=np.zeros((2 + z_dim, 2)),
+            f=lambda x: (0.0,) * (2 + z_dim), g=lambda x: ((1.0,),) * (2 + z_dim),
+            v=lambda x, z: (0.0,), z_matrix=z_matrix,
+        )
+        folds = []
+        dot = core._dot
+        monkeypatch.setattr(core, "_dot", lambda row, u: folds.append(1) or dot(row, u))
+        z = (0.3, -0.7, 1.1)[:z_dim]
+        want = tuple(functools.reduce(operator.add, map(operator.mul, row, z)) for row in z_matrix)
+        assert augmented_field(bundle)((0.0,) * (2 + z_dim) + z)[2 + z_dim:] == want
+        assert len(folds) == z_dim
+        Z = np.random.default_rng(3).normal(size=(50, z_dim))
+        rows = np.array([core._z_rate(bundle)(tuple(zk)) for zk in Z.tolist()])
+        assert np.array_equal(evaluate(core._z_rate(bundle), Z), rows)
 
     @pytest.mark.parametrize("name", plants.PRESETS)
     def test_rk4_step_stays_in_python_floats(self, bundles, name):
@@ -462,7 +501,6 @@ class TestKernels:
             "pi": (bundle.pi, (n,), Xi),
             "phi": (bundle.phi, (z_dim,), X),
             "v": (bundle.v, (m,), X, Z),
-            "z_dynamics": (bundle.z_dynamics, (z_dim,), X, Z),
             "singularity_margin": (bundle.singularity_margin, (), X),
         }
         for label, (kernel, shape, *args) in kernels.items():
@@ -559,10 +597,53 @@ class TestBundleShape:
                     v=lambda x, z: np.zeros(1),
                     xi_sample_box=xi_box,
                     x_sample_box=x_box,
-                    z_dynamics=lambda x, z: np.zeros(1),
+                    z_matrix=((-1.0,),),
                     xi_projection=(0,),
                     section_index=0,
                 )
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"xi_projection": (0, 9), "section_index": 0}, "must lie in 0..3"),
+            ({"xi_projection": (-1, 2), "section_index": 2}, "must lie in 0..3"),
+            ({"xi_projection": (2, 2), "section_index": 2}, "must hold p distinct indices"),
+            ({"angle_indices": (7,)}, "must lie in 0..3"),
+            ({"angle_indices": (0, -1)}, "must lie in 0..3"),
+            ({"z_matrix": ((-1.0, 0.0),)}, "z_matrix must hold 2 rows of 2 Python floats"),
+            ({"z_matrix": ((-1.0,), (-1.0,))}, "z_matrix must hold 2 rows of 2 Python floats"),
+            ({"z_matrix": ((-1.0, 0.0, 0.0),) * 2}, "z_matrix must hold 2 rows of 2 Python floats"),
+            ({"z_matrix": -np.eye(2)}, "z_matrix must hold 2 rows of 2 Python floats"),
+            ({"z_matrix": ((-1, 0), (0, -1))}, "z_matrix must hold 2 rows of 2 Python floats"),
+        ],
+        ids=[
+            "projection-out-of-range", "projection-negative", "projection-repeated",
+            "angle-out-of-range", "angle-negative",
+            "z-one-row", "z-short-rows", "z-long-rows", "z-numpy-floats", "z-ints",
+        ],
+    )
+    def test_bad_index_or_z_shape_rejected(self, bundles, changes, message):
+        # each would build and fail later, if at all: an IndexError in
+        # project_xi, a period of a meaningless orbit, a wrap of no
+        # coordinate, or integrator stages in numpy scalars
+        with pytest.raises(ValueError, match=message) as caught:
+            dataclasses.replace(bundles["iwp-default"], **changes)
+        assert not isinstance(caught.value, ParameterError)
+
+    @pytest.mark.parametrize(
+        "z_matrix,message",
+        [
+            (((0.0, 1.0), (-1.0, 0.0)), r"not Hurwitz: eigenvalues -?0\+1j, -?0-1j,"),
+            (((0.0, 1.0), (-1.0, 1.0)), r"not Hurwitz: eigenvalues 0.5\+0.866025j, 0.5-0.866025j,"),
+            (((-1.0, 0.0), (0.0, 0.0)), "not Hurwitz: eigenvalues -1, 0,"),
+            (((math.nan, 0.0), (0.0, -1.0)), "not finite"),
+            (((-math.inf, 0.0), (0.0, -1.0)), "not finite"),
+        ],
+        ids=["centre", "unstable-focus", "zero-eigenvalue", "nan", "inf"],
+    )
+    def test_non_hurwitz_z_matrix_rejected(self, bundles, z_matrix, message):
+        with pytest.raises(ParameterError, match=f"^z_matrix of iwp is {message}"):
+            dataclasses.replace(bundles["iwp-default"], z_matrix=z_matrix)
 
     @pytest.mark.parametrize(
         "projection,section",

@@ -16,7 +16,6 @@ from iiorbit.odesim import FieldEvaluationError
 from iiorbit.plants import (
     CartPendLinearParams,
     CartPendNonlinearParams,
-    DcAcParams,
     IwpParams,
     make_inline,
     make_preset,
@@ -131,9 +130,12 @@ class TestParameterRecords:
             IwpParams(m=1.962, b=10.0, k=-0.05, gamma1=2.0, gamma2=1.0)
 
     def test_iwp_rejects_nonpositive_gains(self):
-        with pytest.raises(ParameterError):
-            IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=0.0, gamma2=1.0)
-        with pytest.raises(ParameterError):
+        # the gains are judged where they become the z matrix, when the
+        # bundle is built: gamma1 = 0 leaves its poles on the imaginary axis
+        IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=0.0, gamma2=1.0)
+        with pytest.raises(ParameterError, match="not Hurwitz"):
+            make_inline("iwp", m=1.962, b=10.0, k=-1.6, gamma1=0.0, gamma2=1.0)
+        with pytest.raises(ParameterError, match="m and b must be positive"):
             IwpParams(m=-1.0, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
 
     def test_cartpend_linear_rejects_shallow_slope(self):
@@ -170,8 +172,10 @@ class TestParameterRecords:
         for field in good:
             bad = dict(good)
             bad[field] = 0.0
-            with pytest.raises(ParameterError, match="must be positive"):
-                DcAcParams(**bad)
+            # gamma = 0 makes the z matrix zero, which the bundle rejects
+            message = "not Hurwitz" if field == "gamma" else "must be positive"
+            with pytest.raises(ParameterError, match=message):
+                make_inline("dcac", **bad)
 
 
 class TestPresetRegistry:
@@ -203,6 +207,44 @@ class TestPresetRegistry:
     def test_override_runs_validation(self):
         with pytest.raises(ParameterError, match="k must satisfy"):
             make_preset("iwp-default", k=-0.05)
+
+    @pytest.mark.parametrize(
+        "name,overrides,eigenvalues",
+        [
+            ("iwp-default", {"gamma1": -1.0}, r"0.5\+0.866025j, 0.5-0.866025j"),
+            ("cartpend-lin-default", {"gamma1": -3.0, "gamma2": 2.0}, "(1, 2|2, 1)"),
+            ("cartpend-nl-default", {"gamma1": 0.0}, r"-?0\+1j, -?0-1j"),
+            ("dcac-default", {"gamma": -0.01}, "240, 240"),
+        ],
+    )
+    def test_non_hurwitz_gains_raise(self, name, overrides, eigenvalues):
+        # no record checks its gains; the bundle's Hurwitz check does
+        kind = make_preset(name).name
+        with pytest.raises(ParameterError, match=f"^z_matrix of {kind} is not Hurwitz: "
+                                                 f"eigenvalues {eigenvalues},"):
+            make_preset(name, **overrides)
+
+    def test_non_hurwitz_run_is_a_constraint_violation(self, tmp_path):
+        # a fresh interpreter, so an uncaught exception shows up as a traceback
+        path = tmp_path / "unstable.yaml"
+        path.write_text(
+            "name: unstable\n"
+            "bundle: {preset: iwp-default, overrides: {gamma1: -1.0}}\n"
+            "x0: [0.1, -0.16, 0.0, 0.0]\n"
+            "t_span: [0.0, 0.1]\n"
+            "integrator: {method: fixed, dt: 0.01}\n",
+            encoding="utf-8",
+        )
+        src = Path(plants.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "iiorbit.cli", "run", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("constraint violated: z_matrix of iwp is not Hurwitz"), (
+            proc.stderr
+        )
 
     def test_unknown_override_field_raises(self):
         # the record's own constructor rejects the name, as on the inline path
