@@ -337,17 +337,6 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, n: int, z_dim: int, m: i
         raise
 
 
-def _write_trajectory_csv_in_child(failure, *args) -> None:
-    """The forked writer: _write_trajectory_csv(*args), sending the OSError
-    that stops it to the parent through failure and exiting 1 without a
-    traceback."""
-    try:
-        _write_trajectory_csv(*args)
-    except OSError as exc:
-        failure.send(exc)
-        sys.exit(1)
-
-
 def _write_metrics_csv(path: Path, metrics: dict) -> None:
     lines = ["key,value"]
     for key in METRIC_KEYS:
@@ -494,6 +483,9 @@ def check_scenario(scn: Scenario) -> RunPlan:
     method, settings = _integrator_settings(scn)
     bundle = build_bundle(scn.bundle)
     plots = _plots(scn, bundle)
+    if scn.checks and "metrics_csv" not in scn.outputs:
+        # report evaluates checks against metrics.csv, and never sees a run without one
+        raise ScenarioError("a scenario that declares checks needs metrics_csv in its outputs")
     x0 = np.asarray(scn.x0, dtype=float)
     if x0.shape != (bundle.n,):
         raise ScenarioError(
@@ -555,8 +547,8 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
     """Check one scenario, write its copy into the artifact directory, then
     integrate it and write the rest; an unwritable directory is malformed
     (ScenarioError) and stops before the integration. An artifact that
-    cannot be written raises its OSError, and a failed run leaves no
-    trajectory.csv."""
+    cannot be written raises its OSError; trajectory.csv is written last,
+    and a failed write leaves none."""
     plan = check_scenario(scn)
     bundle = plan.bundle
     outdir = out_root / (subdir or scn.name)
@@ -571,41 +563,14 @@ def run_scenario(scn: Scenario, out_root: Path, subdir: Optional[str] = None) ->
     traj, aborted, abort_time = _integrate(plan, scn.t_span)
     u = _control_history(bundle, traj)
     csv_path = outdir / "trajectory.csv" if "trajectory_csv" in scn.outputs else None
-    csv_args = (csv_path, traj, bundle.n, bundle.z_dim, bundle.m, u)
-    fork = _fork_context() if csv_path is not None and _usable_cpus() > 1 else None
-    writer = None
-    if fork is not None:
-        # a forked child writes trajectory.csv while this process computes
-        # the metrics and plots; multiprocessing flushes stdout and stderr
-        # before it forks, and its child leaves by os._exit
-        failure, report = fork.Pipe(duplex=False)
-        writer = fork.Process(target=_write_trajectory_csv_in_child, args=(report, *csv_args))
-        writer.start()
-    done = False
-    try:
-        metrics = compute_metrics(bundle, traj, u, aborted, abort_time)
-        if "metrics_csv" in scn.outputs:
-            _write_metrics_csv(outdir / "metrics.csv", metrics)
-        _plot_outputs(bundle, scn.name, plan.plots, traj, outdir)
-        if writer is None and csv_path is not None:
-            # in process the file comes last: the other order raised the
-            # peak RSS of a 40 s iwp-lift run by about 1 MB
-            _write_trajectory_csv(*csv_args)
-        done = True
-    finally:
-        if writer is not None:
-            writer.join()
-            # the OSError a failed writer sends fits the pipe's buffer, so
-            # the join cannot wait on it being read
-            with failure, report:
-                error = failure.recv() if failure.poll() else None
-            if not done or writer.exitcode != 0:
-                with contextlib.suppress(OSError):
-                    csv_path.unlink(missing_ok=True)
-    if writer is not None and writer.exitcode != 0:
-        raise error or RuntimeError(
-            f"the process writing {csv_path} exited with code {writer.exitcode}"
-        )
+    metrics = compute_metrics(bundle, traj, u, aborted, abort_time)
+    if "metrics_csv" in scn.outputs:
+        _write_metrics_csv(outdir / "metrics.csv", metrics)
+    _plot_outputs(bundle, scn.name, plan.plots, traj, outdir)
+    if csv_path is not None:
+        # the file comes last: the other order raised the peak RSS of a
+        # 40 s iwp-lift run by about 1 MB
+        _write_trajectory_csv(csv_path, traj, bundle.n, bundle.z_dim, bundle.m, u)
     artifact = RunArtifact(
         directory=outdir, metrics=metrics, trajectory=traj, trajectory_csv=csv_path,
         bundle=bundle,

@@ -6,7 +6,6 @@ import errno
 import filecmp
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -109,6 +108,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         ("run", scenario_text(outputs="trajectory_csv")),
         ("sweep", scenario_text(sweep=SWEEP_X0, outputs=[{"phase_plot": [0, 9]}])),
         ("sweep", scenario_text(sweep=SWEEP_X0, outputs="trajectory_csv")),
+        ("run", scenario_text(outputs=["trajectory_csv"])),
+        ("sweep", scenario_text(sweep=SWEEP_X0, outputs=["trajectory_csv"])),
         ("run", scenario_text(x0="1234")),
         ("run", scenario_text(x0=[1.0, 0.0, float("nan"), -1.0])),
         ("run", scenario_text(t_span="12")),
@@ -179,6 +180,8 @@ INLINE_IWP = {"kind": "iwp", "params": IWP_PARAMS}
         "run-outputs-string",
         "sweep-phase-plot-column-out-of-range",
         "sweep-outputs-string",
+        "run-checks-without-metrics-csv",
+        "sweep-checks-without-metrics-csv",
         "run-x0-string",
         "run-x0-nan",
         "run-t-span-string",
@@ -597,24 +600,21 @@ def _csv_reference(traj: Trajectory, u: np.ndarray, n: int) -> bytes:
 
 
 def _set_cpus(monkeypatch, count: int):
-    """Set the usable CPU count a run sees; with one, a fork fails the test."""
+    """Set the usable CPU count a run sees; a fork fails the test."""
     def no_fork():
         raise AssertionError("forked a child")
 
     monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
-    if count == 1:
-        monkeypatch.setattr(cli, "_fork_context", no_fork)
+    monkeypatch.setattr(cli, "_fork_context", no_fork)
 
 
-@pytest.mark.skipif(cli._fork_context() is None, reason="needs the fork start method")
 class TestTrajectoryCsvWriter:
-    """trajectory.csv written whole by a forked writer while the run computes
-    its metrics and plots, or in process after them."""
+    """trajectory.csv written whole in the run's own process, after its
+    metrics and plots, on any number of usable CPUs."""
 
-    @pytest.fixture(params=["forked", "in-process"])
-    def writer(self, request, monkeypatch):
-        _set_cpus(monkeypatch, 2 if request.param == "forked" else 1)
-        return request.param
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        _set_cpus(monkeypatch, 2)
 
     @staticmethod
     def run_table(tmp_path, monkeypatch, traj, u, metrics=None):
@@ -626,22 +626,19 @@ class TestTrajectoryCsvWriter:
         monkeypatch.setattr(
             cli, "compute_metrics", lambda *args: (metrics or dict.fromkeys)(METRIC_KEYS)
         )
-        scn = cli.Scenario.from_dict(dict(TINY_LTI, outputs=["trajectory_csv"]))
+        scn = cli.Scenario.from_dict(dict(TINY_LTI, outputs=["trajectory_csv"], checks=[]))
         return cli.run_scenario(scn, tmp_path)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4095, 4096, 4097, 40001])
-    def test_bytes_equal_the_reference(self, tmp_path, monkeypatch, writer, rows):
-        import multiprocessing
-
+    def test_bytes_equal_the_reference(self, tmp_path, monkeypatch, rows):
         traj, u = _csv_table(rows)
         artifact = self.run_table(tmp_path, monkeypatch, traj, u)
-        assert multiprocessing.active_children() == []
         assert artifact.trajectory_csv.read_bytes() == _csv_reference(traj, u, 4)
         assert sorted(p.name for p in artifact.directory.iterdir()) == [
             "scenario.yaml", "trajectory.csv"
         ]
 
-    def test_aborted_run_matches_the_reference(self, tmp_path, writer):
+    def test_aborted_run_matches_the_reference(self, tmp_path):
         # the cone-exit run: its last stored state is outside the cone, so u
         # ends in NaN
         doc = {
@@ -660,9 +657,7 @@ class TestTrajectoryCsvWriter:
             "metrics.csv", "scenario.yaml", "trajectory.csv"
         ]
 
-    def test_unwritable_trajectory_csv_is_one_error_line(self, tmp_path, capfd, writer):
-        import multiprocessing
-
+    def test_unwritable_trajectory_csv_is_one_error_line(self, tmp_path, capfd):
         blocker = tmp_path / "out" / "tiny-lti" / "trajectory.csv"
         blocker.mkdir(parents=True)
         path = write_scenario(tmp_path, TINY_LTI)
@@ -672,51 +667,8 @@ class TestTrajectoryCsvWriter:
         assert err.startswith(f"error: cannot write artifacts: [Errno {errno.EISDIR}] ")
         assert str(blocker) in err
         assert blocker.is_dir() and list(blocker.iterdir()) == []
-        assert multiprocessing.active_children() == []
-
-    def test_child_failure_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        _set_cpus(monkeypatch, 2)
-        parent = os.getpid()
-
-        def fail_in_child(path, *args):
-            assert os.getpid() != parent
-            path.write_text("t,x1,x2,x3,x4,z1,z2,u1,u2\n0.0,", encoding="utf-8")
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(cli, "_write_trajectory_csv", fail_in_child)
-        traj, u = _csv_table(3000)
-        with pytest.raises(OSError, match="No space left on device") as caught:
-            self.run_table(tmp_path, monkeypatch, traj, u)
-        assert caught.value.errno == errno.ENOSPC
-        assert not (tmp_path / "tiny-lti" / "trajectory.csv").exists()
-        assert multiprocessing.active_children() == []
-
-    def test_killed_child_raises_and_leaves_no_file(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        _set_cpus(monkeypatch, 2)
-        parent = os.getpid()
-
-        def killed_in_child(path, *args):
-            path.write_text("t,x1,x2,x3,x4,z1,z2,u1,u2\n0.0,", encoding="utf-8")
-            if os.getpid() != parent:  # never the test process itself
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise AssertionError("wrote in the parent")
-
-        monkeypatch.setattr(cli, "_write_trajectory_csv", killed_in_child)
-        traj, u = _csv_table(3000)
-        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}"):
-            self.run_table(tmp_path, monkeypatch, traj, u)
-        assert not (tmp_path / "tiny-lti" / "trajectory.csv").exists()
-        assert multiprocessing.active_children() == []
 
     def test_parent_failure_waits_and_leaves_no_file(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        _set_cpus(monkeypatch, 2)
-
         def fail(keys):
             raise ValueError("metrics failed")
 
@@ -724,29 +676,6 @@ class TestTrajectoryCsvWriter:
         with pytest.raises(ValueError, match="metrics failed"):
             self.run_table(tmp_path, monkeypatch, traj, u, metrics=fail)
         assert not (tmp_path / "tiny-lti" / "trajectory.csv").exists()
-        assert multiprocessing.active_children() == []
-
-    def test_nothing_prints_twice(self, tmp_path, monkeypatch, capfd):
-        _set_cpus(monkeypatch, 2)
-
-        def metrics(keys):
-            print("metrics")
-            return dict.fromkeys(keys)
-
-        # stdout block-buffered, as under a pipe: a child that inherited
-        # unflushed text would write it again when it exits
-        buffered = open(os.dup(1), "w", buffering=1 << 16, encoding="utf-8")
-        monkeypatch.setattr(sys, "stdout", buffered)
-        try:
-            print("before the run")
-            traj, u = _csv_table(3000)
-            self.run_table(tmp_path, monkeypatch, traj, u, metrics=metrics)
-            print("after the run")
-        finally:
-            buffered.close()
-        captured = capfd.readouterr()
-        assert captured.out == "before the run\nmetrics\nafter the run\n"
-        assert captured.err == ""
 
     def writer_pid(self, tmp_path, monkeypatch) -> tuple[int, bool]:
         """The process that wrote trajectory.csv, and whether the file was
@@ -772,9 +701,22 @@ class TestTrajectoryCsvWriter:
         # in process the file comes after the metrics and plots
         assert pid == os.getpid() and not before_metrics
 
-    def test_two_usable_cpus_write_in_a_child(self, tmp_path, monkeypatch):
-        _set_cpus(monkeypatch, 2)
-        assert self.writer_pid(tmp_path, monkeypatch)[0] != os.getpid()
+    def test_two_usable_cpus_write_in_process_after_the_rest(self, tmp_path, monkeypatch):
+        # the real TINY_LTI run: when trajectory.csv is written, metrics.csv
+        # and both SVGs are already there
+        write = cli._write_trajectory_csv
+        seen = []
+
+        def recorded(path, *args):
+            seen.append((os.getpid(), sorted(p.name for p in path.parent.iterdir())))
+            write(path, *args)
+
+        monkeypatch.setattr(cli, "_write_trajectory_csv", recorded)
+        artifact = cli.run_scenario(cli.Scenario.from_dict(TINY_LTI), tmp_path)
+        assert seen == [(os.getpid(), [
+            "metrics.csv", "phase_x1_x2.svg", "scenario.yaml", "timeseries_x1-z.svg"
+        ])]
+        assert artifact.trajectory_csv.is_file()
 
     def test_in_process_failure_leaves_no_file(self, tmp_path):
         # u runs out after the first 4096-row slice, so the write fails
@@ -786,15 +728,23 @@ class TestTrajectoryCsvWriter:
         assert list(tmp_path.iterdir()) == []
 
 
-def test_import_does_not_load_process_pools():
+def test_import_does_not_load_process_pools(tmp_path):
+    # neither importing the package nor a run loads them; only a sweep does
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, iiorbit; print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    path = write_scenario(tmp_path, dict(TINY_LTI, t_span=[0.0, 0.1]))
+    pools = "print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
+    run = f"cli.main(['run', {str(path)!r}, '--out', {str(tmp_path / 'out')!r}])"
+    for code in (
+        f"import sys, iiorbit; {pools}",
+        f"import sys; from iiorbit import cli; assert {run} == 0; {pools}",
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", code
+    assert (tmp_path / "out" / "tiny-lti" / "trajectory.csv").is_file()
 
 
 class TestSweepCommand:
