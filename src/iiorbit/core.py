@@ -29,6 +29,7 @@ complex input, which derivative steps them through.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -188,6 +189,63 @@ def _matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", M, v)
 
 
+def _singular_values(G) -> np.ndarray:
+    """The singular values of one n x m matrix (n >= m), or of each matrix
+    in a (..., n, m) stack, largest first.
+
+    Cyclic one-sided Jacobi (Hestenes 1958), vectorised over the stack: a
+    sweep visits every column pair (i, j) and rotates, in the matrices where
+    the pair's inner product gamma exceeds eps sqrt(alpha beta) in
+    magnitude (alpha, beta the squared column norms), by Rutishauser's
+    t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), zeta = (beta - alpha) /
+    (2 gamma), written as 2 gamma / (d + sign(d) hypot(d, 2 gamma)) with
+    d = beta - alpha so that nothing overflows. Sweeps stop when one
+    rotates nothing (or after 30), and the column norms are then the
+    singular values (Demmel & Veselic, "Jacobi's method is more accurate
+    than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992). One column makes no
+    rotation and gives its norm.
+
+    Each matrix is first scaled by the power of two that brings its largest
+    entry below 1, which is exact, so no square overflows. A matrix with a
+    NaN or infinite entry gives NaN values, and a value beyond the float
+    range reads inf, as LAPACK's does; neither raises a floating-point
+    warning.
+    """
+    A = np.asarray(G, dtype=float)
+    stack, (n, m) = A.shape[:-2], A.shape[-2:]
+    # column k of every matrix as one (n, N) block C[k], so that a column
+    # sum is n adds of N values
+    C = A.reshape(-1, n, m).transpose(2, 1, 0).copy()
+    amax = np.abs(C).max(axis=(0, 1))
+    finite = np.isfinite(amax)
+    C[..., ~finite] = 0.0
+    exp = np.frexp(amax)[1]
+    np.ldexp(C, -exp, out=C)
+    eps = np.finfo(float).eps
+    for _ in range(30):  # the sweep cap of LAPACK's dgesvj
+        rotated = False
+        for i, j in itertools.combinations(range(m), 2):
+            ai, aj = C[i], C[j]
+            alpha, beta, gamma = (ai * ai).sum(0), (aj * aj).sum(0), (ai * aj).sum(0)
+            rot = np.abs(gamma) > eps * np.sqrt(alpha * beta)
+            if not rot.any():
+                continue
+            rotated = True
+            d, e = beta[rot] - alpha[rot], 2.0 * gamma[rot]
+            t = e / (d + np.copysign(np.hypot(d, e), d))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            bi, bj = ai[:, rot], aj[:, rot]
+            ai[:, rot], aj[:, rot] = c * bi - s * bj, s * bi + c * bj
+        if not rotated:
+            break
+    norms = np.sqrt((C * C).sum(axis=1))
+    with np.errstate(over="ignore"):
+        values = np.ldexp(np.sort(norms.T, axis=-1)[:, ::-1], exp[:, None])
+    values[~finite] = np.nan
+    return values.reshape(*stack, m)
+
+
 def immersion(bundle: IandIBundle, xi: Sequence[float]):
     """x = pi(xi), the least-squares on-manifold control c and the immersion
     residual f(x) + g(x) c - Dpi(xi) alpha(xi), at a point xi (p,) or per
@@ -199,7 +257,8 @@ def immersion(bundle: IandIBundle, xi: Sequence[float]):
     the mismatch annihilated by g. The boundary-condition residual is
     v(x, 0) - c and the manifold residual phi(x). Raises FieldEvaluationError
     when some pi(xi) is not admissible, and ValueError when g is column-rank
-    deficient at some pi(xi).
+    deficient at some pi(xi); a g with a NaN or infinite entry at some
+    pi(xi) gives NaN c and residual there.
     """
     xi = np.asarray(xi, dtype=float)
     x = evaluate(bundle.pi, xi)
@@ -211,7 +270,7 @@ def immersion(bundle: IandIBundle, xi: Sequence[float]):
 def _control_and_residual(bundle: IandIBundle, xi: np.ndarray, x: np.ndarray):
     """immersion's c and residual at xi, given its admissible x = pi(xi)."""
     G = evaluate(bundle.g, x)
-    s = np.linalg.svd(G, compute_uv=False)
+    s = _singular_values(G)
     if np.any(s[..., -1] <= 1e-12 * np.maximum(1.0, s[..., 0])):
         raise ValueError(
             f"g is rank deficient at pi(xi) for {bundle.name} "
@@ -382,7 +441,7 @@ def validate_bundle(bundle: IandIBundle, grid_size: int = 1000, seed: int = 42) 
     z0 = np.zeros((len(xi), bundle.z_dim))
 
     x = x_grid[admissible_mask(bundle, x_grid)]
-    g_margins = np.linalg.svd(evaluate(bundle.g, x), compute_uv=False)[..., -1]
+    g_margins = _singular_values(evaluate(bundle.g, x))[..., -1]
     z = evaluate(bundle.phi, x)
     xdot = evaluate(_plant_rate(bundle), x, z)
     zdot = derivative(bundle.phi, x, xdot)

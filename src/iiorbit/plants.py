@@ -10,8 +10,11 @@ control. Every closed form is a kernel in the sense of iiorbit.core:
 components in by index, a tuple out, so one definition serves single points
 and whole stacks. Sines and cosines go through _sin and _cos,
 which keep one Python float a Python float (through math) and pass anything
-else to numpy with the same bits; np.log, np.tan and np.power stay numpy on
-every path, because math's versions differ from them in the last bit.
+else to numpy with the same bits. Logarithm, tangent and power stay numpy's
+on every path, because math's versions differ from them in the last bit;
+_log, _tan and _power return numpy's result as a Python float for a Python
+float argument, so every kernel evaluated at a tuple of floats returns
+floats.
 Every kernel also carries a complex input through, for core.derivative;
 a test that a cone or domain boundary holds reads the real part, so a
 complex step is judged where its real part lies.
@@ -78,6 +81,23 @@ def _point_aware(math_fun, numpy_fun):
 
 _sin = _point_aware(math.sin, np.sin)
 _cos = _point_aware(math.cos, np.cos)
+
+
+def _float_aware(numpy_fun):
+    """numpy_fun with numpy's bits on every path, its result a Python float
+    when the first argument is one."""
+
+    def fun(s, *args):
+        if type(s) is float:
+            return float(numpy_fun(s, *args))
+        return numpy_fun(s, *args)
+
+    return fun
+
+
+_log = _float_aware(np.log)
+_tan = _float_aware(np.tan)
+_power = _float_aware(np.power)
 
 
 def _require(ok, message: str) -> None:
@@ -344,7 +364,7 @@ def make_cartpend_linear(params: CartPendLinearParams) -> IandIBundle:
 
     def potential(s):
         """-integral of alpha2 from 0 to s, in closed form."""
-        return (a1 / ka2) * np.log(np.abs(denom(s) / (1.0 + ka2)))
+        return (a1 / ka2) * _log(abs(denom(s) / (1.0 + ka2)))
 
     # the sample boxes keep clear of the cone edge by 0.05, or by half of
     # beta_star when that is below 0.1, so a narrow cone keeps a box
@@ -386,7 +406,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
         divisor vanishes on the float path."""
         _require(abs(s.real) < half_pi, "link angle outside (-pi/2, pi/2)")
         sin, cos = _sin(s), _cos(s)
-        return -c1 * np.log((1.0 + sin) / cos) + a0, -c1 / cos, -c1 * sin / (cos * cos)
+        return -c1 * _log((1.0 + sin) / cos) + a0, -c1 / cos, -c1 * sin / (cos * cos)
 
     def pi_map(xi):
         k, kp, _ = slaving(xi[0])
@@ -402,7 +422,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
 
     def alpha(xi):
         rho = -(a1 / a) * _sin(xi[0])
-        beta = -((1.0 + a) / a) * np.tan(xi[0])
+        beta = -((1.0 + a) / a) * _tan(xi[0])
         return (xi[1], rho + beta * (xi[1] * xi[1]))
 
     exp_m = -2.0 * (1.0 + 1.0 / a)
@@ -411,7 +431,7 @@ def make_cartpend_nonlinear(params: CartPendNonlinearParams) -> IandIBundle:
 
     def first_integral(xi):
         c = _cos(xi[0])
-        return 0.5 * np.power(np.abs(c), exp_m) * (xi[1] * xi[1]) + u_scale * np.power(c, exp_u)
+        return 0.5 * _power(abs(c), exp_m) * (xi[1] * xi[1]) + u_scale * _power(c, exp_u)
 
     s_lim = half_pi - 0.05
     return IandIBundle(

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,111 @@ class TestValidateBundle:
         assert [msg for msg in report.failures() if msg.startswith(named)], report.failures()
         assert "status: FAIL" in report.to_text()
 
+    def test_nan_in_g_gives_a_failing_report(self, bundles):
+        # a g that is NaN at part of both grids is a failed rank check, not
+        # an exception out of the singular-value computation
+        good = bundles["cartpend-lin-default"]
+        bad = dataclasses.replace(good, g=_nan_where_x2_above(good.g, 2.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_bundle(bad)
+        assert math.isnan(report.min_g_margin)
+        assert [msg for msg in report.failures() if msg.startswith("input-matrix rank margin nan")]
+        assert "status: FAIL" in report.to_text()
+
+    def test_nan_in_g_reaches_immersion_as_nan(self, bundles):
+        good = bundles["cartpend-lin-default"]
+        bad = dataclasses.replace(good, g=_nan_where_x2_above(good.g, 2.9))
+        xi = np.array([[0.1, 0.3], [-1.0, 0.2]])  # x2 = -4 xi1: 0.4 and 4.0
+        x, c, residual = immersion(bad, xi)
+        assert x[:, 1].tolist() == [-0.4, 4.0]
+        assert np.isfinite(c[0]).all() and np.isnan(c[1]).all()
+        assert np.isfinite(residual[0]).all() and np.isnan(residual[1]).all()
+
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_reports_match_the_lapack_reference(self, bundles, name, monkeypatch):
+        # the Jacobi kernel prints the same report as LAPACK's svd
+        ours = [validate_bundle(bundles[name], seed=seed).to_text() for seed in range(1, 6)]
+        monkeypatch.setattr(
+            core, "_singular_values", lambda G: np.linalg.svd(G, compute_uv=False)
+        )
+        assert ours == [validate_bundle(bundles[name], seed=seed).to_text() for seed in range(1, 6)]
+
+
+def _nan_where_x2_above(g, bound):
+    """The kernel g with every entry NaN where x2 exceeds bound."""
+
+    def nan_g(x):
+        return tuple(tuple(np.where(x[1] > bound, np.nan, gij) for gij in row) for row in g(x))
+
+    return nan_g
+
+
+class TestSingularValues:
+    # one-sided Jacobi against LAPACK: within 4 m eps of the largest value
+    @staticmethod
+    def _check(G):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = core._singular_values(G)
+        want = np.linalg.svd(G, compute_uv=False)
+        assert got.shape == want.shape
+        m = G.shape[-1]
+        bound = 4 * m * np.finfo(float).eps * want[..., :1]
+        assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / want[..., :1])
+        return got
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_lapack_on_seeded_stacks(self, m, scale):
+        rng = np.random.default_rng(100 + m)
+        for n in range(m, 7):
+            self._check(scale * rng.normal(size=(200, n, m)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_zero_and_repeated_columns(self, m):
+        rng = np.random.default_rng(7)
+        G = rng.normal(size=(100, 5, m))
+        zero = G.copy()
+        zero[..., 1] = 0.0
+        assert np.all(self._check(zero)[..., -1] == 0.0)
+        repeated = G.copy()
+        repeated[..., -1] = repeated[..., 0]
+        self._check(repeated)
+
+    @pytest.mark.parametrize("gap", 10.0 ** np.arange(-15, -1))
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_near_deficient_columns(self, m, gap):
+        rng = np.random.default_rng(11)
+        G = rng.normal(size=(100, 6, m))
+        G[..., -1] = G[..., 0] * (1.0 + gap * rng.normal(size=(100, 1)))
+        self._check(G)
+
+    def test_single_matrix(self):
+        G = np.array([[3.0, 1.0], [1.0, 3.0], [0.0, 2.0]])
+        got = self._check(G)
+        assert got.shape == (2,)
+        assert core._singular_values(G[:, :1]).tolist() == [math.sqrt(10.0)]
+
+    def test_non_finite_matrix_gives_nan(self):
+        # inf times the zero beside it would be an invalid operation
+        G = np.random.default_rng(5).normal(size=(4, 4, 2))
+        G[1, 0, 1], G[3, 2, 0], G[3, 2, 1] = math.nan, -math.inf, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = core._singular_values(G)
+        assert np.isnan(got[[1, 3]]).all()
+        assert np.array_equal(got[[0, 2]], core._singular_values(G[[0, 2]]))
+
+    def test_value_beyond_the_float_range_is_inf(self):
+        G = np.array([[1.7e308, 0.0], [1.7e308, 0.0], [0.0, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core._singular_values(G).tolist() == [math.inf, 1e300]
+
+    def test_empty_stack(self):
+        assert core._singular_values(np.empty((0, 4, 2))).shape == (0, 2)
+
 
 class TestClosedLoop:
     def test_lti_field_matches_matrix(self, bundles):
@@ -513,6 +619,37 @@ class TestKernels:
                 for i in range(len(args[0]))
             ]
             assert np.array_equal(stack, np.array(rows)), f"{name}: {label}"
+
+    @pytest.mark.parametrize("name", plants.PRESETS)
+    def test_float_point_gives_python_floats(self, bundles, name):
+        # a numpy scalar out of one kernel would carry into every stage sum
+        # of an integrator working on tuples of floats
+        bundle = bundles[name]
+        rng = np.random.default_rng(29)
+
+        def point(box):
+            return tuple(rng.uniform(*(0.5 * box.T)).tolist())
+
+        x, xi = point(bundle.x_sample_box), point(bundle.xi_sample_box)
+        z = tuple(rng.normal(size=bundle.z_dim).tolist())
+        kernels = {
+            "f": (bundle.f, x),
+            "g": (bundle.g, x),
+            "v": (bundle.v, x, z),
+            "phi": (bundle.phi, x),
+            "pi": (bundle.pi, xi),
+            "alpha": (bundle.alpha, xi),
+            "first_integral": (bundle.first_integral, xi),
+            "singularity_margin": (bundle.singularity_margin, x),
+        }
+
+        def leaves(out):
+            return [c for part in out for c in leaves(part)] if isinstance(out, tuple) else [out]
+
+        for label, (kernel, *args) in kernels.items():
+            if kernel is not None:
+                types = {type(c) for c in leaves(kernel(*args))}
+                assert types == {float}, f"{name}: {label} gives {types}"
 
 
 def _link_angles(beta_star: float) -> list:

@@ -105,6 +105,24 @@ class TestPointTrig:
         assert type(helper(1)) is np.float64  # an int is not a float
 
 
+class TestFloatAware:
+    # log, tan and power keep numpy's bits on the float path too; only the
+    # result type changes
+    @pytest.mark.parametrize(
+        "helper,reference,args",
+        [(plants._log, np.log, ()), (plants._tan, np.tan, ()), (plants._power, np.power, (-3.0,))],
+        ids=["log", "tan", "power"],
+    )
+    def test_float_path_is_numpy_as_a_float(self, helper, reference, args):
+        grid = np.abs(_trig_grid())
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = np.array([reference(v, *args) for v in grid.tolist()])
+            got = [helper(v, *args) for v in grid.tolist()]
+            assert type(helper(np.float64(0.7), *args)) is np.float64
+        assert all(type(c) is float for c in got)
+        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
 class TestParameterRecords:
     def test_iwp_restoring_coefficient(self):
         p = IwpParams(m=1.962, b=10.0, k=-1.6, gamma1=2.0, gamma2=1.0)
