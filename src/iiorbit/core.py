@@ -24,19 +24,25 @@ evaluated at an integrator's tuple of floats returns floats. A kernel that
 breaks down raises FieldEvaluationError if any point is outside its region;
 array consumers mask with admissible_mask first. pi and phi also run on
 complex input, which derivative steps them through.
+
+The plant rate f + g v, the off-manifold rate Lambda z and the augmented
+field built from them are straight-line code, generated and compiled once
+per shape (n, m, z_dim) and bound to each bundle's kernels and Lambda (see
+_field_factory). Each component is the left-to-right sum a per-component
+loop would form, so a point, a stack and a complex step all pass through
+them unchanged.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .odesim import Field, FieldEvaluationError
+from .odesim import Field, FieldEvaluationError, _compile_factory, _each
 
 FBI_TOL = 1e-9
 MANIFOLD_TOL = 1e-12
@@ -286,51 +292,80 @@ def _control_and_residual(bundle: IandIBundle, xi: np.ndarray, x: np.ndarray):
     return c, _matvec(G, c) - rhs
 
 
-def _dot(row, u):
-    """row[0] u[0] + row[1] u[1] + ..., summed left to right."""
-    return functools.reduce(operator.add, map(operator.mul, row, u))
+class _Fields(NamedTuple):
+    rate: Callable  # _plant_rate
+    z_rate: Callable  # _z_rate
+    augmented: Callable  # augmented_field
+
+
+@functools.lru_cache(maxsize=None)
+def _field_factory(n: int, m: int, z_dim: int) -> Callable:
+    """make(f, g, v, l0_0, l0_1, ..., l1_0, ...), which returns the plant
+    rate, the off-manifold rate and the augmented field for bundles of
+    n states, m inputs and z_dim off-manifold coordinates, the l the entries
+    of Lambda row by row; compiled on first use under the file name
+    <iiorbit fields n=4 m=1 z=2> (for example).
+
+    The plant rate unpacks v(x, z), f(x) and g(x), in that order, into
+    names, and its component i is f_i + (g_i0 u0 + g_i1 u1 + ...): the row
+    product summed left to right, a single term for one input. The
+    off-manifold rate's row r is l_r0 z0 + l_r1 z1 + ..., left to right
+    with Lambda's zeros included, since dropping them would change the sign
+    of zero results. The augmented field splits y into x = y[:n] and
+    z = y[n:] and returns both rates in one tuple. The source holds only
+    names and integer indices; the kernels and Lambda's entries are the
+    arguments of make."""
+
+    lam = [f"l{r}_{c}" for r in range(z_dim) for c in range(z_dim)]
+    plant = [
+        f"{_each('u{i}', m)} = v(x, z)",
+        f"{_each('f{i}', n)} = f(x)",
+        f"{_each(_each('g{{i}}_{i}', m), n)} = g(x)",
+    ]
+    rates = " + ".join(f"g{{i}}_{j} * u{j}" for j in range(m))
+    plant_rows = "".join(f"f{i} + ({rates.format(i=i)}), " for i in range(n))
+    z_rows = "".join(
+        " + ".join(f"l{r}_{c} * z{c}" for c in range(z_dim)) + ", " for r in range(z_dim)
+    )
+    source = "".join(
+        line + "\n"
+        for line in [
+            f"def make(f, g, v, {', '.join(lam)}):",
+            "    def rate(x, z):",
+            *(f"        {line}" for line in plant),
+            f"        return ({plant_rows})",
+            "    def z_rate(z):",
+            f"        {_each('z{i}', z_dim)} = z",
+            f"        return ({z_rows})",
+            "    def augmented_field(y):",
+            f"        x = y[:{n}]",
+            f"        z = y[{n}:]",
+            *(f"        {line}" for line in plant),
+            f"        {_each('z{i}', z_dim)} = z",
+            f"        return ({plant_rows}{z_rows})",
+            "    return rate, z_rate, augmented_field",
+        ]
+    )
+    return _compile_factory(source, f"<iiorbit fields n={n} m={m} z={z_dim}>")
+
+
+def _fields(bundle: IandIBundle) -> _Fields:
+    """The bundle's plant rate, off-manifold rate and augmented field, from
+    the code compiled once for its shape."""
+    make = _field_factory(bundle.n, bundle.m, bundle.z_dim)
+    lam = itertools.chain.from_iterable(bundle.z_matrix)
+    return _Fields(*make(bundle.f, bundle.g, bundle.v, *lam))
 
 
 def _plant_rate(bundle: IandIBundle):
-    """The plant velocity x' = f(x) + g(x) v(x, z), component by component.
-
-    The row product g_i(x) u is chosen once from the input count: the single
-    term g_i[0] u[0] for one input, g_i[0] u[0] + g_i[1] u[1] written out for
-    two, and the _dot fold for more. All three are the same left-to-right
-    sum, so the result does not depend on which one runs."""
-    f, g, v = bundle.f, bundle.g, bundle.v
-    if bundle.m > 2:
-
-        def rate(x, z) -> tuple:
-            u = v(x, z)
-            return tuple([fi + _dot(gi, u) for fi, gi in zip(f(x), g(x))])
-
-        return rate
-
-    if bundle.m == 2:
-
-        def rate(x, z) -> tuple:
-            u0, u1 = v(x, z)
-            return tuple([fi + (g0 * u0 + g1 * u1) for fi, (g0, g1) in zip(f(x), g(x))])
-
-        return rate
-
-    def rate(x, z) -> tuple:
-        (u,) = v(x, z)
-        return tuple([fi + gi * u for fi, (gi,) in zip(f(x), g(x))])
-
-    return rate
+    """The plant velocity x' = f(x) + g(x) v(x, z), component by component
+    (see _field_factory); it runs alike on a point and on a stack."""
+    return _fields(bundle).rate
 
 
 def _z_rate(bundle: IandIBundle):
-    """The off-manifold rate z' = Lambda z, row by row. Each row is the
-    left-to-right sum over all of its entries, zeros included: written out
-    for z_dim = 2, every design's size, and the _dot fold otherwise."""
-    Lam = bundle.z_matrix
-    if bundle.z_dim == 2:
-        (a, b), (c, d) = Lam
-        return lambda z: (a * z[0] + b * z[1], c * z[0] + d * z[1])
-    return lambda z: tuple([_dot(row, z) for row in Lam])
+    """The off-manifold rate z' = Lambda z, row by row (see _field_factory)."""
+    return _fields(bundle).z_rate
 
 
 def closed_loop_field(bundle: IandIBundle) -> Field:
@@ -341,15 +376,9 @@ def closed_loop_field(bundle: IandIBundle) -> Field:
 
 def augmented_field(bundle: IandIBundle) -> Field:
     """The pair (x, z) with x' = f + g v(x, z) and the bundle's off-manifold
-    dynamics z' = Lambda z, meant to start from z(0) = phi(x(0))."""
-    n = bundle.n
-    rate, z_rate = _plant_rate(bundle), _z_rate(bundle)
-
-    def field(y) -> tuple:
-        x, z = y[:n], y[n:]
-        return rate(x, z) + z_rate(z)
-
-    return field
+    dynamics z' = Lambda z, meant to start from z(0) = phi(x(0)); one
+    straight-line function (see _field_factory)."""
+    return _fields(bundle).augmented
 
 
 # Each residual maximum of a ValidationReport: its field, its to_text key,

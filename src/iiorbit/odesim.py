@@ -9,13 +9,20 @@ the RK4 grid. All advance the state as a tuple of Python floats and hand
 the field that tuple. The Dormand-Prince steps reuse their last stage as
 the next step's first and sum their stage terms in a fixed left-to-right
 order, so their output does not depend on the BLAS build.
+
+A step is straight-line code generated and compiled once per state size
+(see _kernels): the state and each stage are unpacked into names, and each
+component's expression is written out with the operations, and the order,
+of a per-component loop over the tuple, so the results are those of that
+loop bit for bit. Each integrator looks its kernel up once per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -116,14 +123,7 @@ def _initial_state(x0: Sequence[float], field: Field) -> np.ndarray:
 def rk4_step(field: Field, y: tuple, h: float) -> tuple:
     """One classical RK4 step of size h from the state y, a tuple of floats
     (any sequence of floats works); returns the new state as a tuple."""
-    k1 = field(y)
-    k2 = field(tuple([a + (0.5 * h) * b for a, b in zip(y, k1)]))
-    k3 = field(tuple([a + (0.5 * h) * b for a, b in zip(y, k2)]))
-    k4 = field(tuple([a + h * b for a, b in zip(y, k3)]))
-    return tuple([
-        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ])
+    return _kernels(len(y)).rk4(field, y, h)
 
 
 def _require_finite(**values: float) -> None:
@@ -175,9 +175,10 @@ def integrate_fixed(
     out = np.empty((len(times), len(x0)))
     out[0] = x0
     y = tuple(x0.tolist())
+    rk4 = _kernels(len(y)).rk4
     for i in range(1, len(times)):
         try:
-            y = rk4_step(field, y, times[i] - times[i - 1])
+            y = rk4(field, y, times[i] - times[i - 1])
             finite = all(map(math.isfinite, y))
         except OverflowError:
             finite = False
@@ -202,7 +203,8 @@ def integrate_fixed(
 # and k6 (the weights of k2 and k7 are zero); it is also the row of stage 7,
 # so that stage is the field at the new state, which the next step reuses as
 # its first (FSAL). _DP_E = b5 - b4 weights k1, k3, ..., k7 in the error
-# estimate.
+# estimate. _DP_D holds the dense-output weights d1, d3, ..., d7 of Hairer's
+# dopri5 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6; d2 is zero).
 _DP_A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -213,6 +215,14 @@ _DP_A = (
 _DP_B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _DP_E = tuple([b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4)])
+_DP_D = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
 
 # The most steps integrate_fixed takes and the most step attempts
 # integrate_adaptive makes, and the latter's smallest step as a fraction of
@@ -221,33 +231,121 @@ MAX_STEPS = 10_000_000
 ADAPTIVE_MIN_STEP_FACTOR = 1e-12
 
 
+# The step kernels. For states of d components, _kernels generates and
+# compiles, once, straight-line code for the RK4 step and the Dormand-Prince
+# stages: the text unpacks the state and every stage into names (y0, y1,
+# ..., k1_0, k1_1, ...) and writes each stage argument as one tuple display.
+# Every component's expression is that of the per-component loop it
+# replaces, with the same operations in the same order, so the results are
+# the same bit for bit, and the Dormand-Prince sums run left to right over
+# the nonzero weights, independent of the BLAS build and the Python version.
+# The text holds only names and integer indices: every float, and
+# math.sqrt, is an argument of the factory `make` that defines the kernel.
+_STEP_CONSTANTS = {
+    "half": 0.5, "two": 2.0, "six": 6.0, "zero": 0.0, "sqrt": math.sqrt,
+    **{f"a{s}{j}": w for s, row in enumerate(_DP_A, 2) for j, w in enumerate(row, 1)},
+    **{f"b{s}": w for s, w in zip((1, 3, 4, 5, 6), _DP_B5)},
+    **{f"e{s}": w for s, w in zip((1, 3, 4, 5, 6, 7), _DP_E)},
+    **{f"d{s}": w for s, w in zip((1, 3, 4, 5, 6, 7), _DP_D)},
+}
+
+
+class _Kernels(NamedTuple):
+    rk4: Callable  # rk4_step
+    dp_stages: Callable  # _dp_stages
+    dp_step: Callable  # _dp_step
+    dp_dense: Callable  # (field, y, k1, h) -> (y_new, k7, the d-weighted stage sum)
+
+
+def _compile_factory(source: str, filename: str) -> Callable:
+    """The function `make` that source defines, compiled under filename, so
+    that a traceback through the code it makes names it."""
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
+def _each(pattern: str, count: int) -> str:
+    """pattern with {i} set to 0, 1, ..., count - 1, each followed by a
+    comma, in parentheses: a tuple display, or a target list that unpacks
+    count components."""
+    return "(" + "".join(pattern.format(i=i) + ", " for i in range(count)) + ")"
+
+
+def _kernel_sources(d: int) -> dict:
+    """The source of each _Kernels function for states of d components: a
+    factory make(**_STEP_CONSTANTS) that defines the kernel and returns it."""
+
+    def tup(pattern: str) -> str:
+        return _each(pattern, d)
+
+    def weighted(prefix: str, stages) -> str:
+        # the pattern of the stage sum prefix1 * k1_{i} + prefix3 * k3_{i} ...
+        return " + ".join(f"{prefix}{s} * k{s}_{{i}}" for s in stages)
+
+    dp = [f"{tup('y{i}')} = y", f"{tup('k1_{i}')} = k1"]
+    for s in range(2, 7):
+        dp += [
+            f"k{s} = field({tup('y{i} + h * (' + weighted(f'a{s}', range(1, s)) + ')')})",
+            f"{tup(f'k{s}_{{i}}')} = k{s}",
+        ]
+    dp += [
+        f"y_new = {tup('y{i} + h * (' + weighted('b', (1, 3, 4, 5, 6)) + ')')}",
+        "k7 = field(y_new)",
+    ]
+    k1_k3_to_k7 = (1, 3, 4, 5, 6, 7)  # the stages the error and dense sums weight
+    kernels = {
+        "rk4": ("field, y, h", [
+            f"{tup('y{i}')} = y",
+            f"{tup('k1_{i}')} = field(y)",
+            "hh = half * h",
+            f"{tup('k2_{i}')} = field({tup('y{i} + hh * k1_{i}')})",
+            f"{tup('k3_{i}')} = field({tup('y{i} + hh * k2_{i}')})",
+            f"{tup('k4_{i}')} = field({tup('y{i} + h * k3_{i}')})",
+            "h6 = h / six",
+            f"return {tup('y{i} + h6 * (k1_{i} + two * k2_{i} + two * k3_{i} + k4_{i})')}",
+        ]),
+        "dp_stages": ("field, y, k1, h", [*dp, "return y_new, k3, k4, k5, k6, k7"]),
+        "dp_step": ("field, y, k1, h, rtol, atol", [
+            *dp,
+            f"{tup('k7_{i}')} = k7",
+            f"{tup('n{i}')} = y_new",
+            *[
+                f"q{i} = h * ({weighted('e', k1_k3_to_k7)}) / "
+                "(atol + rtol * max(abs(y{i}), abs(n{i})))".format(i=i)
+                for i in range(d)
+            ],
+            "return y_new, k7, sqrt((zero" + "".join(f" + q{i} * q{i}" for i in range(d))
+            + f") / {d})",
+        ]),
+        "dp_dense": ("field, y, k1, h", [
+            *dp, f"{tup('k7_{i}')} = k7", f"return y_new, k7, {tup(weighted('d', k1_k3_to_k7))}",
+        ]),
+    }
+    return {
+        name: f"def make({', '.join(_STEP_CONSTANTS)}):\n    def {name}({args}):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + f"    return {name}\n"
+        for name, (args, body) in kernels.items()
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _kernels(d: int) -> _Kernels:
+    """The step kernels for states of d components, compiled on first use
+    under file names such as <iiorbit rk4 d=6>."""
+    return _Kernels(**{
+        name: _compile_factory(source, f"<iiorbit {name} d={d}>")(**_STEP_CONSTANTS)
+        for name, source in _kernel_sources(d).items()
+    })
+
+
 def _dp_stages(field: Field, y: tuple, k1: Sequence[float], h: float) -> tuple:
     """The stages of one Dormand-Prince step of size h from the state y, a
     tuple of floats whose field value is k1. Returns the new state (a tuple)
     and the stages k3, k4, k5, k6 and k7, the field at the new state; k2
-    has no weight in the new state, the error estimate or the dense output.
-    Every stage sum runs left to right over the nonzero weights, so the
-    result does not depend on the BLAS build or the Python version."""
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _DP_A
-    b1, b3, b4, b5, b6 = _DP_B5
-    k2 = field(tuple([a + h * (a21 * c1) for a, c1 in zip(y, k1)]))
-    k3 = field(tuple([a + h * (a31 * c1 + a32 * c2) for a, c1, c2 in zip(y, k1, k2)]))
-    k4 = field(tuple([
-        a + h * (a41 * c1 + a42 * c2 + a43 * c3) for a, c1, c2, c3 in zip(y, k1, k2, k3)
-    ]))
-    k5 = field(tuple([
-        a + h * (a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
-        for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
-    ]))
-    k6 = field(tuple([
-        a + h * (a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
-        for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)
-    ]))
-    y_new = tuple([
-        a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
-        for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
-    ])
-    return y_new, k3, k4, k5, k6, field(y_new)
+    has no weight in the new state, the error estimate or the dense output."""
+    return _kernels(len(y)).dp_stages(field, y, k1, h)
 
 
 def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float, atol: float):
@@ -255,15 +353,7 @@ def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float,
     floats whose field value is k1. Returns the new state (a tuple), the
     field there (k7) and the RMS of the error estimate scaled by
     atol + rtol * max(|y|, |y_new|) per component, summed left to right."""
-    e1, e3, e4, e5, e6, e7 = _DP_E
-    y_new, k3, k4, k5, k6, k7 = _dp_stages(field, y, k1, h)
-    total = 0.0
-    for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-        q = h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7) / (
-            atol + rtol * max(abs(a), abs(b))
-        )
-        total += q * q
-    return y_new, k7, math.sqrt(total / len(y))
+    return _kernels(len(y)).dp_step(field, y, k1, h, rtol, atol)
 
 
 def integrate_adaptive(
@@ -298,6 +388,7 @@ def integrate_adaptive(
     span = t1 - t0
     h_min = ADAPTIVE_MIN_STEP_FACTOR * span
     y = tuple(x0.tolist())
+    dp_step = _kernels(len(y)).dp_step
     times = [t0]
     states = [y]
     t = t0
@@ -325,7 +416,7 @@ def integrate_adaptive(
             if h < h_min:
                 raise abort(f"step size underflow at t={t!r}", t)
             try:
-                y_new, k7, err = _dp_step(field, y, k1, h, rtol, atol)
+                y_new, k7, err = dp_step(field, y, k1, h, rtol, atol)
                 # k7 has no weight in y_new, so a non-finite k7 shows only in err
                 finite = math.isfinite(err) and all(map(math.isfinite, y_new))
             except FieldEvaluationError as exc:
@@ -355,18 +446,8 @@ def integrate_adaptive(
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
-# Dense output of the Dormand-Prince pair: the weights d1, d3, ..., d7 of
-# Hairer's dopri5 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6; d2
-# is zero). A dense step is DENSE_STEPS grid intervals long, and its
-# interpolant is evaluated _DENSE_CHUNK grid rows at a time.
-_DP_D = (
-    -12715105075 / 11282082432,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
-)
+# A dense step is DENSE_STEPS grid intervals long, and its interpolant is
+# evaluated _DENSE_CHUNK grid rows at a time.
 DENSE_STEPS = 5
 _DENSE_CHUNK = 4096
 
@@ -427,18 +508,14 @@ def integrate_dense(
     # the step that starts there (not set at the last knot)
     data = np.empty((len(knots), 3, len(x0)))
     data[0, 0] = x0
-    d1, d3, d4, d5, d6, d7 = _DP_D
     y = tuple(x0.tolist())
+    dp_dense = _kernels(len(y)).dp_dense
     k1 = None
     for j, (a, b) in enumerate(zip(knots.tolist(), knots[1:].tolist())):
         try:
             if k1 is None:
                 k1 = data[0, 1] = field(y)
-            y_new, k3, k4, k5, k6, k7 = _dp_stages(field, y, k1, times[b] - times[a])
-            dsum = tuple([
-                d1 * c1 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7
-                for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)
-            ])
+            y_new, k7, dsum = dp_dense(field, y, k1, times[b] - times[a])
             # d7 is nonzero, so a non-finite k7 shows in dsum
             finite = all(map(math.isfinite, y_new)) and all(map(math.isfinite, dsum))
         except OverflowError:

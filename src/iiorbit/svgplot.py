@@ -146,7 +146,9 @@ def line_plot(
     for i, (label, x, y) in enumerate(series):
         x, y = _decimate(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
+        # px and py on the whole arrays: the same operations in the same
+        # order, so the same bits as one point at a time
+        pts = " ".join(map("{:.2f},{:.2f}".format, px(x).tolist(), py(y).tolist()))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.3" points="{pts}"/>'
         )

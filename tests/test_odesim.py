@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,13 +233,18 @@ class TestAdaptive:
     def counted(monkeypatch):
         """Count field evaluations and Dormand-Prince step attempts."""
         counts = {"evals": 0, "attempts": 0}
-        step = odesim._dp_step
+        kernels = odesim._kernels
 
-        def attempt(*args):
-            counts["attempts"] += 1
-            return step(*args)
+        def counting(d):
+            compiled = kernels(d)
 
-        monkeypatch.setattr(odesim, "_dp_step", attempt)
+            def attempt(*args):
+                counts["attempts"] += 1
+                return compiled.dp_step(*args)
+
+            return compiled._replace(dp_step=attempt)
+
+        monkeypatch.setattr(odesim, "_kernels", counting)
         return counts
 
     def test_six_new_evaluations_per_step(self, monkeypatch):
@@ -420,6 +429,226 @@ class TestDense:
             integrate_dense(broken, [0.5], 1.0, 2.0, 0.1)
         assert info.value.abort_time == 1.0
         assert info.value.trajectory.states.tolist() == [[0.5]]
+
+
+# The per-component step bodies that the generated kernels replaced, kept as
+# references: every kernel must reproduce them bit for bit.
+def reference_rk4_step(field, y, h):
+    k1 = field(y)
+    k2 = field(tuple([a + (0.5 * h) * b for a, b in zip(y, k1)]))
+    k3 = field(tuple([a + (0.5 * h) * b for a, b in zip(y, k2)]))
+    k4 = field(tuple([a + h * b for a, b in zip(y, k3)]))
+    return tuple([
+        a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ])
+
+
+def reference_dp_stages(field, y, k1, h):
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = (
+        odesim._DP_A
+    )
+    b1, b3, b4, b5, b6 = odesim._DP_B5
+    k2 = field(tuple([a + h * (a21 * c1) for a, c1 in zip(y, k1)]))
+    k3 = field(tuple([a + h * (a31 * c1 + a32 * c2) for a, c1, c2 in zip(y, k1, k2)]))
+    k4 = field(tuple([
+        a + h * (a41 * c1 + a42 * c2 + a43 * c3) for a, c1, c2, c3 in zip(y, k1, k2, k3)
+    ]))
+    k5 = field(tuple([
+        a + h * (a51 * c1 + a52 * c2 + a53 * c3 + a54 * c4)
+        for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)
+    ]))
+    k6 = field(tuple([
+        a + h * (a61 * c1 + a62 * c2 + a63 * c3 + a64 * c4 + a65 * c5)
+        for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)
+    ]))
+    y_new = tuple([
+        a + h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6)
+        for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)
+    ])
+    return y_new, k3, k4, k5, k6, field(y_new)
+
+
+def reference_dp_step(field, y, k1, h, rtol, atol):
+    e1, e3, e4, e5, e6, e7 = odesim._DP_E
+    y_new, k3, k4, k5, k6, k7 = reference_dp_stages(field, y, k1, h)
+    total = 0.0
+    for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        q = h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7) / (
+            atol + rtol * max(abs(a), abs(b))
+        )
+        total += q * q
+    return y_new, k7, math.sqrt(total / len(y))
+
+
+def reference_dp_dense(field, y, k1, h):
+    d1, d3, d4, d5, d6, d7 = odesim._DP_D
+    y_new, k3, k4, k5, k6, k7 = reference_dp_stages(field, y, k1, h)
+    dsum = tuple([
+        d1 * c1 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7
+        for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)
+    ])
+    return y_new, k7, dsum
+
+
+REFERENCE = odesim._Kernels(
+    reference_rk4_step, reference_dp_stages, reference_dp_step, reference_dp_dense
+)
+
+
+def mixing(y):
+    """A field on any number of components that mixes them, so that every
+    stage term reaches every component; it runs on complex input, keeps the
+    signs of zeros apart and carries NaN and infinity through."""
+    d = len(y)
+    return tuple([
+        -y[i] + 0.5 * y[(i + 1) % d] * y[i - 1] - 0.25 * y[(i + 2) % d] for i in range(d)
+    ])
+
+
+def flat_bits(out):
+    """Every number of a (nested) kernel result as one array's bytes, so
+    that equal bytes mean equal bits, the signs of zeros included. Every
+    NaN is written as numpy's: the sign and payload of a NaN that CPython's
+    float arithmetic makes depend on which of its add paths ran (the
+    specialised one of a warm loop or the generic one), not on the code."""
+
+    def flat(v):
+        return [w for part in v for w in flat(part)] if isinstance(v, (tuple, list)) else [v]
+
+    values = np.array(flat(out))
+    parts = values.view(float) if values.dtype == complex else values
+    parts[np.isnan(parts)] = np.nan
+    return values.tobytes()
+
+
+def outcome(kernel, *args):
+    """A kernel's result as bits, or the exception it raised."""
+    try:
+        return flat_bits(kernel(*args))
+    except Exception as exc:  # the reference's exception is the expectation
+        return type(exc), str(exc)
+
+
+def state(kind, d, rng):
+    if kind == "float":
+        return tuple(rng.normal(size=d).tolist())
+    if kind == "array":
+        return rng.normal(size=d)
+    if kind == "complex":
+        return tuple((rng.normal(size=d) + 1j * rng.normal(size=d)).tolist())
+    if kind == "signed-zero":
+        return tuple(rng.choice([0.0, -0.0], size=d).tolist())
+    return tuple(rng.choice([math.nan, math.inf, -math.inf, 1.5, -0.0], size=d).tolist())
+
+
+class TestGeneratedKernels:
+    @pytest.mark.parametrize("kind", ["float", "array", "complex", "signed-zero", "non-finite"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_kernels_match_the_reference_bodies(self, d, kind):
+        # the same operations in the same order: bit for bit, signs of zeros,
+        # NaNs and exceptions alike
+        kernels = odesim._kernels(d)
+        rng = np.random.default_rng(100 * d + len(kind))
+        for h in (0.1, 1e-3, -0.37):
+            y = state(kind, d, rng)
+            k1 = mixing(y)
+            cases = [
+                (kernels.rk4, REFERENCE.rk4, (mixing, y, h)),
+                (kernels.dp_stages, REFERENCE.dp_stages, (mixing, y, k1, h)),
+                (kernels.dp_step, REFERENCE.dp_step, (mixing, y, k1, h, 1e-8, 1e-10)),
+                (kernels.dp_dense, REFERENCE.dp_dense, (mixing, y, k1, h)),
+            ]
+            for got, want, args in cases:
+                assert outcome(got, *args) == outcome(want, *args), (got.__name__, y, h)
+            if kind != "complex":
+                got, want = (np.array(k.rk4(mixing, y, h)) for k in (kernels, REFERENCE))
+                numbers = ~np.isnan(want)
+                assert np.array_equal(np.isnan(got), ~numbers)
+                assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+    def test_public_names_run_the_kernels(self):
+        y, h = (0.3, -1.2, 2.5), 0.01
+        k1 = mixing(y)
+        assert flat_bits(odesim.rk4_step(mixing, y, h)) == flat_bits(REFERENCE.rk4(mixing, y, h))
+        assert flat_bits(odesim._dp_stages(mixing, y, k1, h)) == flat_bits(
+            REFERENCE.dp_stages(mixing, y, k1, h)
+        )
+        assert flat_bits(odesim._dp_step(mixing, y, k1, h, 1e-6, 1e-9)) == flat_bits(
+            REFERENCE.dp_step(mixing, y, k1, h, 1e-6, 1e-9)
+        )
+
+    def test_kernels_name_their_shape_in_a_traceback(self):
+        def broken(y):
+            raise FieldEvaluationError("nowhere admissible")
+
+        with pytest.raises(FieldEvaluationError) as info:
+            odesim._kernels(3).dp_dense(broken, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.1)
+        assert info.traceback[-2].path == "<iiorbit dp_dense d=3>"
+
+    INTEGRATORS = {
+        "fixed": lambda field: integrate_fixed(field, [1.5, -0.25], 0.0, 2.0, 0.01),
+        "dense": lambda field: integrate_dense(field, [1.5, -0.25], 0.0, 2.0, 0.01),
+        "adaptive": lambda field: integrate_adaptive(field, [1.5, -0.25], 0.0, 2.0),
+    }
+
+    @pytest.mark.parametrize("method", INTEGRATORS)
+    def test_runs_match_the_reference(self, monkeypatch, method):
+        got = self.INTEGRATORS[method](vdp)
+        monkeypatch.setattr(odesim, "_kernels", lambda d: REFERENCE)
+        want = self.INTEGRATORS[method](vdp)
+        assert np.array_equal(got.times, want.times)
+        assert got.states.tobytes() == want.states.tobytes()
+
+    @pytest.mark.parametrize("kind", ["field", "overflow"])
+    @pytest.mark.parametrize("stage", range(1, 7))
+    @pytest.mark.parametrize("method", INTEGRATORS)
+    def test_aborts_match_the_reference(self, monkeypatch, method, stage, kind):
+        # the field fails from its call 20 + stage on: after the shape check,
+        # the first stage and three Dormand-Prince steps of six, that is
+        # stage `stage` of the fourth step (a fixed-step run fails in its
+        # sixth step); the adaptive integrator retries shorter steps until
+        # its step underflows
+        def broken():
+            calls = []
+
+            def field(y):
+                calls.append(y)
+                if len(calls) >= 20 + stage:
+                    if kind == "field":
+                        raise FieldEvaluationError(f"call {len(calls)}")
+                    math.exp(1e4)
+                return vdp(y)
+
+            return field
+
+        def aborted():
+            with pytest.raises(IntegrationAbort) as info:
+                self.INTEGRATORS[method](broken())
+            exc, traj = info.value, info.value.trajectory
+            return str(exc), exc.abort_time, traj.times.tobytes(), traj.states.tobytes()
+
+        got = aborted()
+        monkeypatch.setattr(odesim, "_kernels", lambda d: REFERENCE)
+        assert got == aborted()
+
+    def test_import_and_set_up_compile_no_kernel(self):
+        # importing the package, loading a scenario and building its bundle
+        # leave both kernel caches empty; a run fills them
+        code = (
+            "from iiorbit import cli, core, odesim; "
+            "scn = cli.load_scenario('lti-circle'); cli.check_scenario(scn); "
+            "sizes = lambda: (odesim._kernels.cache_info().currsize, "
+            "core._field_factory.cache_info().currsize); "
+            "print(sizes()); core.augmented_field(cli.build_bundle(scn.bundle)); print(sizes())"
+        )
+        src = Path(odesim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["(0, 0)", "(0, 1)"]
 
 
 class TestSections:
