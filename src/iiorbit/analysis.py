@@ -19,6 +19,8 @@ from .core import IandIBundle, ParameterError, evaluate
 from .odesim import (
     IntegrationAbort,
     Trajectory,
+    _grid,
+    _rk4_rows,
     detect_crossings,
     integrate_adaptive,
     integrate_fixed,
@@ -461,6 +463,11 @@ def lemma2_l2min(setup: Lemma2Setup, r0: Optional[float] = None) -> float:
     return setup.k0 * setup.l1 * math.exp(setup.k0 * level)
 
 
+# lemma2_check integrates LEMMA2_CHUNK grid steps at a time and stops after
+# the first chunk that leaves the cone.
+LEMMA2_CHUNK = 128
+
+
 def lemma2_check(
     setup: Lemma2Setup,
     l2: float,
@@ -470,27 +477,38 @@ def lemma2_check(
     """Simulate the reduced dynamics under eps(t) = l1 exp(-l2 t) and report
     whether w1 stayed strictly inside the cone.
 
-    An integrator abort (blow-up at the cone edge) is reported as a cone
-    exit, not raised.
+    The RK4 steps are those of integrate_fixed on the same grid, taken
+    LEMMA2_CHUNK at a time; the integration stops after the first chunk with
+    a sample outside the cone. An integrator abort (blow-up at the cone
+    edge) is reported as a cone exit, not raised.
     """
     if not all(map(math.isfinite, (l2, horizon, dt))):
         raise ValueError("l2, horizon and dt must be finite")
     if l2 <= 0 or horizon <= 0:
         raise ValueError("need l2 > 0 and horizon > 0")
     alpha, sing_margin, l1 = setup.bundle.alpha, setup.bundle.singularity_margin, setup.l1
+    beta_star = setup.design.beta_star
 
     def rhs(y):
         # the singularity margin is minus the control denominator
         rate, accel = alpha(y)
         return (rate, accel - l1 * math.exp(-l2 * y[2]) / sing_margin(y), 1.0)
 
-    aborted = False
+    times = _grid(0.0, horizon, dt)
+    rows = np.empty((len(times), 3))
+    rows[0] = (setup.w0[0], setup.w0[1], 0.0)
+    states, aborted = rows, False
     try:
-        traj = integrate_fixed(rhs, [setup.w0[0], setup.w0[1], 0.0], 0.0, horizon, dt)
+        for start in range(1, len(times), LEMMA2_CHUNK):
+            stop = min(start + LEMMA2_CHUNK, len(times))
+            _rk4_rows(rhs, times, rows, start, stop)
+            if np.any(beta_star - np.abs(rows[start:stop, 0]) <= 0.0):
+                states = rows[:stop]
+                break
     except IntegrationAbort as exc:
-        traj = exc.trajectory
+        states = exc.trajectory.states
         aborted = True
-    margin = setup.design.beta_star - np.abs(traj.states[:, 0])
+    margin = beta_star - np.abs(states[:, 0])
     # past the first sample outside the cone the design is undefined, so the
     # report describes the motion up to that sample only
     outside = np.flatnonzero(margin <= 0.0)
@@ -498,6 +516,6 @@ def lemma2_check(
     min_margin = float(margin[:end].min()) if end else 0.0
     return Lemma2Report(
         stayed_in_cone=(not aborted) and min_margin > 0.0,
-        max_abs_w2=float(np.max(np.abs(traj.states[:end, 1]))),
+        max_abs_w2=float(np.max(np.abs(states[:end, 1]))),
         min_margin=min_margin,
     )

@@ -4,17 +4,18 @@ All fields are autonomous: time-dependent terms are handled upstream by
 augmenting the state with a clock coordinate. Three integrators are
 provided: a classical fixed-step RK4 (the default for reproducible runs),
 an embedded Dormand-Prince 5(4) pair with adaptive step size, and fixed
-Dormand-Prince steps of DENSE_STEPS grid intervals whose dense output fills
-the RK4 grid. All advance the state as a tuple of Python floats and hand
-the field that tuple. The Dormand-Prince steps reuse their last stage as
-the next step's first and sum their stage terms in a fixed left-to-right
-order, so their output does not depend on the BLAS build.
+Dormand-Prince 8(5,3) (DOP853) steps of DENSE_STEPS grid intervals whose
+dense output fills the RK4 grid. All advance the state as a tuple of Python
+floats and hand the field that tuple. The Dormand-Prince steps reuse their
+last stage as the next step's first and sum their stage terms in a fixed
+left-to-right order, so their output does not depend on the BLAS build.
 
-A step is straight-line code generated and compiled once per state size
-(see _kernels): the state and each stage are unpacked into names, and each
-component's expression is written out with the operations, and the order,
-of a per-component loop over the tuple, so the results are those of that
-loop bit for bit. Each integrator looks its kernel up once per call.
+A step is straight-line code generated from its tableau and compiled once
+per state size (see _kernels): the state and each stage are unpacked into
+names, and each component's expression is written out with the operations,
+and the order, of a per-component loop over the tuple, so the results are
+those of that loop bit for bit. Each integrator looks its kernel up once per
+call.
 """
 
 from __future__ import annotations
@@ -174,9 +175,18 @@ def integrate_fixed(
     x0 = _initial_state(x0, field)
     out = np.empty((len(times), len(x0)))
     out[0] = x0
-    y = tuple(x0.tolist())
+    _rk4_rows(field, times, out, 1, len(times))
+    return Trajectory(np.asarray(times), out)
+
+
+def _rk4_rows(field: Field, times: list, out: np.ndarray, start: int, stop: int) -> None:
+    """Fill rows start to stop - 1 of out with RK4 steps along the grid
+    times, from the state in row start - 1; integrate_fixed's loop, which a
+    caller may run in chunks with the same results. Raises IntegrationAbort
+    as integrate_fixed does, with the rows before the failing step."""
+    y = tuple(out[start - 1].tolist())
     rk4 = _kernels(len(y)).rk4
-    for i in range(1, len(times)):
+    for i in range(start, stop):
         try:
             y = rk4(field, y, times[i] - times[i - 1])
             finite = all(map(math.isfinite, y))
@@ -195,7 +205,27 @@ def integrate_fixed(
                 times[i],
             )
         out[i] = y
-    return Trajectory(np.asarray(times), out)
+
+
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta step whose last stage is the field at the new
+    state, which the next step reuses as its first (FSAL).
+
+    Stage 1 is the field at y. With S = len(b), stage s = 2, ..., S is the
+    field at y + h * (A[s - 2] . (k1, ..., k_{s-1})), the new state is
+    y + h * (b . (k1, ..., k_S)), and stage S + 1 the field there. Each row
+    of extra defines one more stage after that, in the same way. e weights
+    the error estimate, and each row of dense one dense-output sum, over the
+    stages. c holds every stage's node; an autonomous field does not read
+    it, and the tests check A's rows against it.
+    """
+
+    c: tuple
+    A: tuple
+    b: tuple
+    e: tuple = ()
+    extra: tuple = ()
+    dense: tuple = ()
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6(1),
@@ -203,8 +233,7 @@ def integrate_fixed(
 # and k6 (the weights of k2 and k7 are zero); it is also the row of stage 7,
 # so that stage is the field at the new state, which the next step reuses as
 # its first (FSAL). _DP_E = b5 - b4 weights k1, k3, ..., k7 in the error
-# estimate. _DP_D holds the dense-output weights d1, d3, ..., d7 of Hairer's
-# dopri5 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6; d2 is zero).
+# estimate.
 _DP_A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -215,13 +244,149 @@ _DP_A = (
 _DP_B5 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _DP_E = tuple([b5 - b4 for b5, b4 in zip(_DP_B5 + (0.0,), _DP_B4)])
-_DP_D = (
-    -12715105075 / 11282082432,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
+_DP5 = _Tableau(
+    c=(0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0),
+    A=_DP_A,
+    b=(_DP_B5[0], 0.0, *_DP_B5[1:]),
+    e=(_DP_E[0], 0.0, *_DP_E[1:]),
+)
+
+# Dormand-Prince 8(5,3) with its seventh-order continuous extension (Prince &
+# Dormand, "High order embedded Runge-Kutta formulae", J. Comput. Appl. Math.
+# 7(1), 1981; Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., sec. II.10,
+# code DOP853 and its contd8). Twelve stages; stage 13 is the field at the new
+# state, and stages 14-16 (extra) serve the dense output only. The dense rows
+# are the last four of contd8's eight coefficient vectors, each h times a
+# stage sum; the first four come from y, y_new and the fields there. The
+# numbers are copied from scipy 1.17.1's
+# scipy/integrate/_ivp/dop853_coefficients.py, which takes them from
+# Hairer's dop853.f; scipy is not a dependency.
+_DOP853 = _Tableau(
+    c=(
+        0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+        0.118350341907227396726757197510, 0.281649658092772603273242802490,
+        0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+        0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1,
+        0.2, 0.777777777777777777777777777778,
+    ),
+    A=(
+        (
+            5.26001519587677318785587544488e-2,
+        ),
+        (
+            1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2,
+        ),
+        (
+            2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2,
+        ),
+        (
+            2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1,
+        ),
+        (
+            3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+            1.25467687566822425016691814123e-1,
+        ),
+        (
+            3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+            6.02165389804559606850219397283e-2, -1.7578125e-2,
+        ),
+        (
+            3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+            1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+            8.27378916381402288758473766002e-3,
+        ),
+        (
+            6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+            -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+            2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+        ),
+        (
+            4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+            -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+            1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+            -2.03312017085086261358222928593e-2,
+        ),
+        (
+            -9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+            1.09143734899672957818500254654, -8.14978701074692612513997267357,
+            -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+            2.49360555267965238987089396762, -3.0467644718982195003823669022,
+        ),
+        (
+            2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+            -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+            2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+            -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+            6.43392746015763530355970484046e-1,
+        ),
+    ),
+    b=(
+        5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+        1.89151789931450038304281599044, -5.8012039600105847814672114227,
+        3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+        2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+    ),
+    extra=(
+        (
+            5.61675022830479523392909219681e-2, 0.0, 0.0, 0.0, 0.0, 0.0,
+            2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+            -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+            8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3,
+        ),
+        (
+            3.18346481635021405060768473261e-2, 0.0, 0.0, 0.0, 0.0,
+            2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+            -5.49237485713909884646569340306e-2, 0.0, 0.0, -1.08347328697249322858509316994e-4,
+            3.82571090835658412954920192323e-4, -3.40465008687404560802977114492e-4,
+            1.41312443674632500278074618366e-1,
+        ),
+        (
+            -4.28896301583791923408573538692e-1, 0.0, 0.0, 0.0, 0.0,
+            -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+            4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0.0, 0.0, 0.0,
+            -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+            -9.15095847217987001081870187138,
+        ),
+    ),
+    dense=(
+        (
+            -0.84289382761090128651353491142e+1, 0.0, 0.0, 0.0, 0.0,
+            0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+            0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+            -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+            0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+            0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+            -0.44360363875948939664310572000e+1,
+        ),
+        (
+            0.10427508642579134603413151009e+2, 0.0, 0.0, 0.0, 0.0,
+            0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+            -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+            0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+            -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+            -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+            0.35816841486394083752465898540e+2,
+        ),
+        (
+            0.19985053242002433820987653617e+2, 0.0, 0.0, 0.0, 0.0,
+            -0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+            0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+            0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+            0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+            -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+            0.11992291136182789328035130030e+2,
+        ),
+        (
+            -0.25693933462703749003312586129e+2, 0.0, 0.0, 0.0, 0.0,
+            -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+            0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+            -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+            0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+            0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+            -0.14972683625798562581422125276e+3,
+        ),
+    ),
 )
 
 # The most steps integrate_fixed takes and the most step attempts
@@ -232,29 +397,42 @@ ADAPTIVE_MIN_STEP_FACTOR = 1e-12
 
 
 # The step kernels. For states of d components, _kernels generates and
-# compiles, once, straight-line code for the RK4 step and the Dormand-Prince
-# stages: the text unpacks the state and every stage into names (y0, y1,
-# ..., k1_0, k1_1, ...) and writes each stage argument as one tuple display.
-# Every component's expression is that of the per-component loop it
-# replaces, with the same operations in the same order, so the results are
-# the same bit for bit, and the Dormand-Prince sums run left to right over
-# the nonzero weights, independent of the BLAS build and the Python version.
-# The text holds only names and integer indices: every float, and
-# math.sqrt, is an argument of the factory `make` that defines the kernel.
-_STEP_CONSTANTS = {
-    "half": 0.5, "two": 2.0, "six": 6.0, "zero": 0.0, "sqrt": math.sqrt,
-    **{f"a{s}{j}": w for s, row in enumerate(_DP_A, 2) for j, w in enumerate(row, 1)},
-    **{f"b{s}": w for s, w in zip((1, 3, 4, 5, 6), _DP_B5)},
-    **{f"e{s}": w for s, w in zip((1, 3, 4, 5, 6, 7), _DP_E)},
-    **{f"d{s}": w for s, w in zip((1, 3, 4, 5, 6, 7), _DP_D)},
-}
+# compiles, once, straight-line code for each kernel: the text unpacks the
+# state and every stage into names (y0, y1, ..., k1_0, k1_1, ...) and writes
+# each stage argument as one tuple display. The Runge-Kutta stages come from
+# a tableau: stage s's argument is y_i + h * (a_s1 * k1_i + ...), summed left
+# to right over the nonzero weights, independent of the BLAS build and the
+# Python version. RK4 keeps its own text, whose stages scale by 0.5 * h and
+# whose last line is y + h / 6 * (k1 + 2 k2 + 2 k3 + k4); each operation of
+# every kernel is that of the per-component loop the tests keep as its
+# reference, in the same order, so the results are that loop's bit for bit.
+# The text holds only names and integer indices: every float, and math.sqrt,
+# is an argument of the factory `make` that defines the kernel.
+_RK4_CONSTANTS = {"half": 0.5, "two": 2.0, "six": 6.0}
+
+
+def _tableau_constants(tab: _Tableau) -> dict:
+    """The nonzero weights of a tableau under the names its kernel text uses:
+    a{s}{j} (stage s, weight of k_j; j < s keeps the name unambiguous below
+    100 stages), b{j}, e{j} and d{r}_{j} (dense row r)."""
+    last = len(tab.b) + 1  # the field at the new state; the extra stages follow it
+    stages = [*range(2, last), *range(last + 1, last + 1 + len(tab.extra))]
+    rows = zip(stages, (*tab.A, *tab.extra))
+    names = {f"a{s}{j}": w for s, row in rows for j, w in enumerate(row, 1)}
+    names.update({f"b{j}": w for j, w in enumerate(tab.b, 1)})
+    names.update({f"e{j}": w for j, w in enumerate(tab.e, 1)})
+    names.update({
+        f"d{r}_{j}": w for r, row in enumerate(tab.dense, 1) for j, w in enumerate(row, 1)
+    })
+    return {"zero": 0.0, "sqrt": math.sqrt, **{k: w for k, w in names.items() if w}}
 
 
 class _Kernels(NamedTuple):
     rk4: Callable  # rk4_step
+    rk4_kahan: Callable  # (field, y, e, h) -> (y_new, e_new), the compensated RK4 step
     dp_stages: Callable  # _dp_stages
     dp_step: Callable  # _dp_step
-    dp_dense: Callable  # (field, y, k1, h) -> (y_new, k7, the d-weighted stage sum)
+    dop853_dense: Callable  # (field, y, k1, h) -> (y_new, k13, the four dense-row stage sums)
 
 
 def _compile_factory(source: str, filename: str) -> Callable:
@@ -273,60 +451,97 @@ def _each(pattern: str, count: int) -> str:
 
 
 def _kernel_sources(d: int) -> dict:
-    """The source of each _Kernels function for states of d components: a
-    factory make(**_STEP_CONSTANTS) that defines the kernel and returns it."""
+    """The source and constants of each _Kernels function for states of d
+    components: (text of a factory make(**constants) that defines the
+    kernel and returns it, constants)."""
 
     def tup(pattern: str) -> str:
         return _each(pattern, d)
 
-    def weighted(prefix: str, stages) -> str:
+    def weighted(prefix: str, weights) -> str:
         # the pattern of the stage sum prefix1 * k1_{i} + prefix3 * k3_{i} ...
-        return " + ".join(f"{prefix}{s} * k{s}_{{i}}" for s in stages)
+        # over the nonzero weights
+        return " + ".join(f"{prefix}{s} * k{s}_{{i}}" for s, w in enumerate(weights, 1) if w)
 
-    dp = [f"{tup('y{i}')} = y", f"{tup('k1_{i}')} = k1"]
-    for s in range(2, 7):
-        dp += [
-            f"k{s} = field({tup('y{i} + h * (' + weighted(f'a{s}', range(1, s)) + ')')})",
+    def stage(s: int, row) -> list:
+        return [
+            f"k{s} = field({tup('y{i} + h * (' + weighted(f'a{s}', row) + ')')})",
             f"{tup(f'k{s}_{{i}}')} = k{s}",
         ]
-    dp += [
-        f"y_new = {tup('y{i} + h * (' + weighted('b', (1, 3, 4, 5, 6)) + ')')}",
-        "k7 = field(y_new)",
+
+    def steps(tab: _Tableau) -> list:
+        # from the state y and its field k1 to y_new and the field there
+        lines = [f"{tup('y{i}')} = y", f"{tup('k1_{i}')} = k1"]
+        for s, row in enumerate(tab.A, 2):
+            lines += stage(s, row)
+        return lines + [
+            f"y_new = {tup('y{i} + h * (' + weighted('b', tab.b) + ')')}",
+            f"k{len(tab.b) + 1} = field(y_new)",
+        ]
+
+    rk4_stages = [
+        f"{tup('y{i}')} = y",
+        f"{tup('k1_{i}')} = field(y)",
+        "hh = half * h",
+        f"{tup('k2_{i}')} = field({tup('y{i} + hh * k1_{i}')})",
+        f"{tup('k3_{i}')} = field({tup('y{i} + hh * k2_{i}')})",
+        f"{tup('k4_{i}')} = field({tup('y{i} + h * k3_{i}')})",
+        "h6 = h / six",
     ]
-    k1_k3_to_k7 = (1, 3, 4, 5, 6, 7)  # the stages the error and dense sums weight
+    last = len(_DOP853.b) + 1  # the FSAL stage, the field at y_new
+    extra = [
+        line for s, row in enumerate(_DOP853.extra, last + 1) for line in stage(s, row)
+    ]
     kernels = {
-        "rk4": ("field, y, h", [
-            f"{tup('y{i}')} = y",
-            f"{tup('k1_{i}')} = field(y)",
-            "hh = half * h",
-            f"{tup('k2_{i}')} = field({tup('y{i} + hh * k1_{i}')})",
-            f"{tup('k3_{i}')} = field({tup('y{i} + hh * k2_{i}')})",
-            f"{tup('k4_{i}')} = field({tup('y{i} + h * k3_{i}')})",
-            "h6 = h / six",
+        "rk4": ("field, y, h", _RK4_CONSTANTS, [
+            *rk4_stages,
             f"return {tup('y{i} + h6 * (k1_{i} + two * k2_{i} + two * k3_{i} + k4_{i})')}",
         ]),
-        "dp_stages": ("field, y, k1, h", [*dp, "return y_new, k3, k4, k5, k6, k7"]),
-        "dp_step": ("field, y, k1, h, rtol, atol", [
-            *dp,
+        # the increment goes into the compensation e, and what the rounded
+        # state drops of it stays there (Kahan's sum; Hairer, Lubich & Wanner,
+        # Geometric Numerical Integration, Algorithm VIII.5.1)
+        "rk4_kahan": ("field, y, e, h", _RK4_CONSTANTS, [
+            *rk4_stages,
+            f"{tup('e{i}')} = e",
+            f"{tup('s{i}')} = "
+            f"{tup('e{i} + h6 * (k1_{i} + two * k2_{i} + two * k3_{i} + k4_{i})')}",
+            f"{tup('n{i}')} = {tup('y{i} + s{i}')}",
+            f"return {tup('n{i}')}, {tup('s{i} + (y{i} - n{i})')}",
+        ]),
+        "dp_stages": ("field, y, k1, h", _tableau_constants(_DP5), [
+            *steps(_DP5), "return y_new, k3, k4, k5, k6, k7",
+        ]),
+        "dp_step": ("field, y, k1, h, rtol, atol", _tableau_constants(_DP5), [
+            *steps(_DP5),
             f"{tup('k7_{i}')} = k7",
             f"{tup('n{i}')} = y_new",
             *[
-                f"q{i} = h * ({weighted('e', k1_k3_to_k7)}) / "
+                f"q{i} = h * ({weighted('e', _DP5.e)}) / "
                 "(atol + rtol * max(abs(y{i}), abs(n{i})))".format(i=i)
                 for i in range(d)
             ],
             "return y_new, k7, sqrt((zero" + "".join(f" + q{i} * q{i}" for i in range(d))
             + f") / {d})",
         ]),
-        "dp_dense": ("field, y, k1, h", [
-            *dp, f"{tup('k7_{i}')} = k7", f"return y_new, k7, {tup(weighted('d', k1_k3_to_k7))}",
+        "dop853_dense": ("field, y, k1, h", _tableau_constants(_DOP853), [
+            *steps(_DOP853),
+            f"{tup(f'k{last}_{{i}}')} = k{last}",
+            *extra,
+            f"return y_new, k{last}, ("
+            + "".join(
+                tup(weighted(f"d{r}_", row)) + ", " for r, row in enumerate(_DOP853.dense, 1)
+            )
+            + ")",
         ]),
     }
     return {
-        name: f"def make({', '.join(_STEP_CONSTANTS)}):\n    def {name}({args}):\n"
-        + "".join(f"        {line}\n" for line in body)
-        + f"    return {name}\n"
-        for name, (args, body) in kernels.items()
+        name: (
+            f"def make({', '.join(constants)}):\n    def {name}({args}):\n"
+            + "".join(f"        {line}\n" for line in body)
+            + f"    return {name}\n",
+            constants,
+        )
+        for name, (args, constants, body) in kernels.items()
     }
 
 
@@ -335,8 +550,8 @@ def _kernels(d: int) -> _Kernels:
     """The step kernels for states of d components, compiled on first use
     under file names such as <iiorbit rk4 d=6>."""
     return _Kernels(**{
-        name: _compile_factory(source, f"<iiorbit {name} d={d}>")(**_STEP_CONSTANTS)
-        for name, source in _kernel_sources(d).items()
+        name: _compile_factory(source, f"<iiorbit {name} d={d}>")(**constants)
+        for name, (source, constants) in _kernel_sources(d).items()
     })
 
 
@@ -447,16 +662,34 @@ def integrate_adaptive(
 
 
 # A dense step is DENSE_STEPS grid intervals long, and its interpolant is
-# evaluated _DENSE_CHUNK grid rows at a time.
-DENSE_STEPS = 5
+# evaluated _DENSE_CHUNK grid rows at a time. 20 is the longest step with
+# which every shipped dense scenario meets the switch rule of
+# tests/switch_rule.py (README, "Numerical notes").
+DENSE_STEPS = 20
 _DENSE_CHUNK = 4096
+
+
+def _contd8(theta, h, start: np.ndarray, end: np.ndarray):
+    """Hairer's contd8: the seventh-degree continuous extension of a DOP853
+    step of size h, at the fractions theta of the step, with elementwise
+    operations in a fixed order. start holds the knot data where the step
+    begins (the state, the field there and the four dense-row stage sums)
+    and end the state and field where it ends, indexed [..., row, component]."""
+    y0, k1, d1, d2, d3, d4 = (start[..., r, :] for r in range(6))
+    y1, k13 = end[..., 0, :], end[..., 1, :]
+    ydiff = y1 - y0
+    bspl = h * k1 - ydiff
+    theta1 = 1.0 - theta
+    tail = h * d1 + theta * (h * d2 + theta1 * (h * d3 + theta * (h * d4)))
+    return y0 + theta * (
+        ydiff + theta1 * (bspl + theta * ((ydiff - h * k13 - bspl) + theta1 * tail))
+    )
 
 
 def _dense_rows(times: np.ndarray, knots: np.ndarray, data: np.ndarray, q: int) -> np.ndarray:
     """Grid rows 0 to knots[q] from integrate_dense's knot data. A knot row
     is its stored state; a row between knots is the continuous extension
-    (Hairer's contd5) of the step it falls in, evaluated with elementwise
-    operations in a fixed order, _DENSE_CHUNK rows at a time."""
+    (_contd8) of the step it falls in, _DENSE_CHUNK rows at a time."""
     out = np.empty((knots[q] + 1, data.shape[2]))
     for start in range(0, len(out) if q else 0, _DENSE_CHUNK):
         rows = np.arange(start, min(start + _DENSE_CHUNK, len(out)))
@@ -464,15 +697,7 @@ def _dense_rows(times: np.ndarray, knots: np.ndarray, data: np.ndarray, q: int) 
         ta = times[knots[j]]
         h = times[knots[j + 1]] - ta
         theta = ((times[rows] - ta) / h)[:, None]
-        h = h[:, None]
-        y0, k1, dsum = data[j, 0], data[j, 1], data[j, 2]
-        y1, k7 = data[j + 1, 0], data[j + 1, 1]
-        ydiff = y1 - y0
-        bspl = h * k1 - ydiff
-        theta1 = 1.0 - theta
-        out[rows] = y0 + theta * (
-            ydiff + theta1 * (bspl + theta * ((ydiff - h * k7 - bspl) + theta1 * (h * dsum)))
-        )
+        out[rows] = _contd8(theta, h[:, None], data[j], data[j + 1])
     out[knots[: q + 1]] = data[: q + 1, 0]
     return out
 
@@ -484,15 +709,16 @@ def integrate_dense(
     t1: float,
     dt: float,
 ) -> Trajectory:
-    """Fixed Dormand-Prince steps of H = DENSE_STEPS * dt, with every row of
+    """Fixed DOP853 steps of H = DENSE_STEPS * dt, with every row of
     integrate_fixed's grid (the same times, bit for bit) filled from the
     steps' dense output.
 
     Knots fall every DENSE_STEPS grid rows and on the last row, so the last
-    step may be shorter. A step evaluates the field six times: its first
-    stage is the last stage of the step before. A knot row is the step's
-    state, and the rows between knots come from the fourth-order continuous
-    extension of their step.
+    step may be shorter. A step evaluates the field 15 times: eleven more
+    stages, the field at the new state, which is the next step's first
+    stage, and three stages for the dense output. A knot row is the step's
+    state, and the rows between knots come from the seventh-order
+    continuous extension of their step.
 
     Raises IntegrationAbort with the rows up to the start knot of the
     failing step: its abort_time is that knot when the field raises
@@ -504,20 +730,22 @@ def integrate_dense(
     times = _grid(t0, t1, dt)
     x0 = _initial_state(x0, field)
     knots = np.array([*range(0, len(times) - 1, DENSE_STEPS), len(times) - 1])
-    # per knot: the state, the field there, and the d-weighted stage sum of
-    # the step that starts there (not set at the last knot)
-    data = np.empty((len(knots), 3, len(x0)))
+    # per knot: the state, the field there, and the four dense-row stage
+    # sums of the step that starts there (not set at the last knot)
+    data = np.empty((len(knots), 6, len(x0)))
     data[0, 0] = x0
     y = tuple(x0.tolist())
-    dp_dense = _kernels(len(y)).dp_dense
+    dense_step = _kernels(len(y)).dop853_dense
     k1 = None
     for j, (a, b) in enumerate(zip(knots.tolist(), knots[1:].tolist())):
         try:
             if k1 is None:
                 k1 = data[0, 1] = field(y)
-            y_new, k7, dsum = dp_dense(field, y, k1, times[b] - times[a])
-            # d7 is nonzero, so a non-finite k7 shows in dsum
-            finite = all(map(math.isfinite, y_new)) and all(map(math.isfinite, dsum))
+            y_new, k13, sums = dense_step(field, y, k1, times[b] - times[a])
+            data[j, 2:] = sums
+            # every dense row weights k13 and the extra stages, so a
+            # non-finite value there shows in the sums
+            finite = all(map(math.isfinite, y_new)) and bool(np.isfinite(data[j, 2:]).all())
         except OverflowError:
             finite = False
         except FieldEvaluationError as exc:
@@ -532,10 +760,9 @@ def integrate_dense(
                 Trajectory(times[: a + 1], _dense_rows(np.asarray(times), knots, data, j)),
                 times[b],
             )
-        data[j, 2] = dsum
         data[j + 1, 0] = y_new
-        data[j + 1, 1] = k7
-        y, k1 = y_new, k7
+        data[j + 1, 1] = k13
+        y, k1 = y_new, k13
     times = np.asarray(times)
     return Trajectory(times, _dense_rows(times, knots, data, len(knots) - 1))
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from iiorbit import cli
 from iiorbit.core import augmented_field
-from iiorbit.odesim import _grid, integrate_dense, integrate_fixed
+from iiorbit.odesim import _grid, _kernels, integrate_dense, integrate_fixed
 
 SUBSTEPS = 8
 
@@ -43,26 +43,17 @@ SUBSTEPS = 8
 def compensated_reference(field, x0, times, substeps: int) -> np.ndarray:
     """RK4 with `substeps` equal sub-steps per interval of `times`, the
     state kept as a rounded sum plus its compensation e (Hairer, Lubich &
-    Wanner, GNI, Algorithm VIII.5.1); returns the rows at `times`."""
+    Wanner, GNI, Algorithm VIII.5.1); returns the rows at `times`. Each
+    sub-step is odesim's generated straight-line rk4_kahan kernel."""
     rows = np.empty((len(times), len(x0)))
     rows[0] = x0
     y = tuple(map(float, x0))
-    e = [0.0] * len(y)
+    e = (0.0,) * len(y)
+    step = _kernels(len(y)).rk4_kahan
     for i in range(1, len(times)):
         h = (times[i] - times[i - 1]) / substeps
-        half, sixth = 0.5 * h, h / 6.0
         for _ in range(substeps):
-            k1 = field(y)
-            k2 = field(tuple([a + half * b for a, b in zip(y, k1)]))
-            k3 = field(tuple([a + half * b for a, b in zip(y, k2)]))
-            k4 = field(tuple([a + h * b for a, b in zip(y, k3)]))
-            e = [
-                c + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for c, b1, b2, b3, b4 in zip(e, k1, k2, k3, k4)
-            ]
-            new = tuple([a + c for a, c in zip(y, e)])
-            e = [c + (a - b) for c, a, b in zip(e, y, new)]
-            y = new
+            y, e = step(field, y, e, h)
         rows[i] = y
     return rows
 

@@ -224,8 +224,8 @@ def test_criterion_11_integrator_oracles():
 
 
 def test_criterion_12_rerun_is_byte_identical(lift_artifact, tmp_path):
-    # iwp-lift takes the dense path; a 10 s copy of cartpend-lin-swing keeps
-    # a fixed-step RK4 rerun under the same check
+    # iwp-lift takes the dense path; a 10 s RK4 copy of cartpend-lin-swing
+    # (shipped dense) keeps a fixed-step rerun under the same check
     scn = cli.load_scenario("iwp-lift")
     rerun = cli.run_scenario(scn, tmp_path)
     first = lift_artifact.trajectory_csv.read_bytes()
@@ -233,8 +233,10 @@ def test_criterion_12_rerun_is_byte_identical(lift_artifact, tmp_path):
     assert first == second, "identical scenario produced different trajectory bytes"
 
     swing = cli.load_scenario("cartpend-lin-swing")
-    assert swing.integrator["method"] == "fixed"
-    swing = replace(swing, t_span=(0.0, 10.0), outputs=["trajectory_csv"], checks=[])
+    swing = replace(
+        swing, t_span=(0.0, 10.0), integrator={"method": "fixed", "dt": 0.001},
+        outputs=["trajectory_csv"], checks=[],
+    )
     first, second = (
         cli.run_scenario(swing, tmp_path / f"swing-{i}").trajectory_csv.read_bytes() for i in (1, 2)
     )

@@ -559,6 +559,26 @@ class TestLemma2:
         assert rep.min_margin == margin[:end].min()
         assert rep.max_abs_w2 == np.abs(traj.states[:end, 1]).max()
 
+    def test_escaping_run_stops_after_the_chunk_that_leaves(self, monkeypatch):
+        # l1 = 400, l2 = 0.01 leaves the cone at sample 149 of 20,001: the
+        # integration ends with the chunk that holds it, and an in-cone run
+        # integrates every sample
+        stops = []
+        rows = analysis._rk4_rows
+
+        def recorded(field, times, out, start, stop):
+            stops.append(stop)
+            return rows(field, times, out, start, stop)
+
+        monkeypatch.setattr(analysis, "_rk4_rows", recorded)
+        escaping = Lemma2Setup(CARTPEND_LIN, l1=400.0, w0=(0.3, 0.0))
+        assert not lemma2_check(escaping, l2=0.01, horizon=20.0).stayed_in_cone
+        assert stops[-1] == 1 + 2 * analysis.LEMMA2_CHUNK > 149 > stops[-2]
+        stops.clear()
+        staying = Lemma2Setup(CARTPEND_LIN, l1=0.1, w0=(0.3, 0.0))
+        assert lemma2_check(staying, l2=1.0, horizon=20.0).stayed_in_cone
+        assert stops[-1] == 20_001
+
     def test_check_rejects_bad_arguments(self, lemma2_setup):
         with pytest.raises(ValueError):
             lemma2_check(lemma2_setup, l2=0.0, horizon=10.0)

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from iiorbit import analysis, cli, plants
+from iiorbit import analysis, cli, odesim, plants
 from iiorbit.cli import METRIC_KEYS, ScenarioError, _eval_check, load_scenario
 from iiorbit.core import validate_bundle
 from iiorbit.odesim import Trajectory
@@ -359,6 +359,35 @@ def test_sing_margin_min_reads_negative_after_a_cone_exit(tmp_path, capsys):
     assert "fail" in capsys.readouterr().out
     rows = (tmp_path / "tree" / "report.csv").read_text().splitlines()
     assert any(row.startswith(f"{artifact},sing_margin_min,fail,") for row in rows), rows
+
+
+def test_dense_cone_exit_stops_at_a_step_knot(tmp_path):
+    # a dense run stores no row of its failing DOP853 step: its rows end at
+    # that step's start knot, a multiple of DENSE_STEPS dt, which is also
+    # its abort time. This start crosses the cone edge, so that is at most
+    # DENSE_STEPS dt before the RK4 run's abort (0.5 s against 0.516 s)
+    runs = {}
+    for method in ("fixed", "dense"):
+        doc = {
+            "name": f"cone-exit-{method}",
+            "bundle": {"preset": "cartpend-lin-default"},
+            "x0": [0.0, 0.0, 10.0, 0.0],
+            "t_span": [0.0, 2.0],
+            "integrator": {"method": method, "dt": 0.001},
+            "outputs": ["trajectory_csv", "metrics_csv"],
+        }
+        assert cli.main(["run", str(write_scenario(tmp_path, doc)), "--out", str(tmp_path)]) == 1
+        artifact = tmp_path / doc["name"]
+        assert "aborted,true\n" in (artifact / "metrics.csv").read_text()
+        metrics = cli.read_metrics_csv(artifact / "metrics.csv")
+        times = np.loadtxt(artifact / "trajectory.csv", delimiter=",", skiprows=1)[:, 0]
+        runs[method] = metrics["abort_time"], times
+    abort, times = runs["dense"]
+    steps = odesim.DENSE_STEPS
+    assert (len(times) - 1) % steps == 0 and len(times) > steps
+    assert times[-1] == abort == (len(times) - 1) * 0.001
+    assert 0.0 <= runs["fixed"][0] - abort <= steps * 0.001
+    assert np.array_equal(times, runs["fixed"][1][: len(times)])
 
 
 def test_orbit_distance_metric_matches_library_path(tmp_path):

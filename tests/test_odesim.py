@@ -338,14 +338,15 @@ def vdp(y, mu=2.0):
 class TestDense:
     def test_knots_are_a_chain_of_dp_steps(self):
         # every DENSE_STEPS-th row, and the last, is the state of a chain of
-        # Dormand-Prince steps between the knot times, bit for bit
+        # Dormand-Prince 8(5,3) steps between the knot times, bit for bit
         traj = integrate_dense(vdp, [1.5, -0.25], 0.0, 1.037, 0.01)
         knots = [*range(0, len(traj) - 1, odesim.DENSE_STEPS), len(traj) - 1]
         assert knots[-1] - knots[-2] == 4
         y = (1.5, -0.25)
         k1 = vdp(y)
+        step = odesim._kernels(2).dop853_dense
         for a, b in zip(knots, knots[1:]):
-            y, *_, k1 = odesim._dp_stages(vdp, y, k1, float(traj.times[b] - traj.times[a]))
+            y, k1, _ = step(vdp, y, k1, float(traj.times[b] - traj.times[a]))
             assert tuple(traj.states[b].tolist()) == y
 
     @pytest.mark.parametrize(
@@ -356,16 +357,19 @@ class TestDense:
         dense = integrate_dense(DECAY, [1.0], t0, t1, dt)
         assert np.array_equal(dense.times, fixed.times)
 
-    def test_fifth_order_on_rotation(self):
-        # knot states and dense rows alike: halving dt divides the grid
-        # error by about 2^5
+    def test_eighth_order_on_rotation(self):
+        # knot states and dense rows alike: halving dt, and with it the step
+        # H = DENSE_STEPS dt, divides the grid error by about 2^8; the
+        # observed order log2(ratio) is within 0.3 of 8 (measured 7.99, 7.97).
+        # The finest error, about 1e-12, is far above rounding
         errs = []
         for dt in (4e-2, 2e-2, 1e-2):
             traj = integrate_dense(ROTATION, [1.0, 0.0], 0.0, 2 * math.pi, dt)
             exact = np.column_stack((np.cos(traj.times), -np.sin(traj.times)))
             errs.append(np.max(np.abs(traj.states - exact)))
+        assert errs[-1] > 1e-13, errs
         for coarse, fine in zip(errs, errs[1:]):
-            assert 26.0 < coarse / fine < 38.0
+            assert abs(math.log2(coarse / fine) - 8.0) < 0.3, errs
 
     def test_field_gets_a_tuple_of_floats(self):
         seen = set()
@@ -377,12 +381,15 @@ class TestDense:
         assert len(integrate_dense(field, [1.0, 0.0], 0.0, 3.0, 0.01)) == 301
         assert seen == {(tuple, float, float)}
 
-    def test_six_evaluations_per_step(self):
-        # two at x0 (the shape check and the first stage), then six per step
+    def test_fifteen_evaluations_per_step(self):
+        # two at x0 (the shape check and the first stage), then 15 per step
+        # of DENSE_STEPS rows: eleven stages, the field at the new state (the
+        # next step's first stage) and three dense-output stages
         calls = []
         traj = integrate_dense(lambda y: calls.append(y) or DECAY(y), [1.0], 0.0, 1.0, 0.01)
         assert len(traj) == 101
-        assert len(calls) == 2 + 6 * 20
+        assert odesim.DENSE_STEPS == 20
+        assert len(calls) == 2 + 15 * 5
 
     def test_grid_over_the_step_limit_rejected_before_any_step(self, monkeypatch):
         monkeypatch.setattr(odesim, "MAX_STEPS", 4)
@@ -395,7 +402,7 @@ class TestDense:
     @staticmethod
     def guarded(kind):
         """y' = 1 from 0, failing once a stage passes 0.52: the step from
-        the knot t = 0.5 to t = 0.55 (dt = 0.01) is the first to fail."""
+        the knot t = 0.4 to t = 0.6 (dt = 0.01) is the first to fail."""
 
         def field(y):
             if y[0] > 0.52:
@@ -408,7 +415,7 @@ class TestDense:
 
         return field
 
-    @pytest.mark.parametrize("kind,end", [("field", 50), ("overflow", 55), ("nan", 55)])
+    @pytest.mark.parametrize("kind,end", [("field", 40), ("overflow", 60), ("nan", 60)])
     def test_abort_stores_no_row_past_the_last_step(self, kind, end):
         # the rows up to the failing step's start knot, as a run that does
         # not fail stores them; the abort time is that knot for a field
@@ -417,8 +424,8 @@ class TestDense:
         with pytest.raises(IntegrationAbort) as info:
             integrate_dense(self.guarded(kind), [0.0], 0.0, 1.0, 0.01)
         traj = info.value.trajectory
-        assert np.array_equal(traj.times, full.times[:51])
-        assert np.array_equal(traj.states, full.states[:51])
+        assert np.array_equal(traj.times, full.times[:41])
+        assert np.array_equal(traj.states, full.states[:41])
         assert info.value.abort_time == full.times[end]
 
     def test_field_error_at_x0_keeps_x0(self):
@@ -429,6 +436,47 @@ class TestDense:
             integrate_dense(broken, [0.5], 1.0, 2.0, 0.1)
         assert info.value.abort_time == 1.0
         assert info.value.trajectory.states.tolist() == [[0.5]]
+
+
+class TestTableaus:
+    TABLEAUS = {"dp5": (odesim._DP5, 5), "dop853": (odesim._DOP853, 8)}
+
+    @pytest.mark.parametrize("name", TABLEAUS)
+    def test_quadrature_conditions(self, name):
+        # b . c^(q-1) = 1/q for every q up to the order
+        tab, order = self.TABLEAUS[name]
+        for q in range(1, order + 1):
+            total = math.fsum(w * c ** (q - 1) for w, c in zip(tab.b, tab.c))
+            assert abs(total - 1.0 / q) <= 1e-15, (q, total)
+
+    @pytest.mark.parametrize("name", TABLEAUS)
+    def test_rows_sum_to_the_nodes(self, name):
+        # A . 1 = c for every stage, the extra ones included; the stage after
+        # the last row of A is the field at the new state, at node 1
+        tab, _ = self.TABLEAUS[name]
+        last = len(tab.b) + 1
+        stages = [*range(2, last), *range(last + 1, last + 1 + len(tab.extra))]
+        assert len(tab.c) == (stages[-1] if tab.extra else last)
+        for s, row in zip(stages, (*tab.A, *tab.extra)):
+            assert len(row) == s - 1
+            assert abs(math.fsum(row) - tab.c[s - 1]) <= 2e-15, s
+        assert tab.c[last - 1] == 1.0
+
+    def test_error_row_sums_to_zero(self):
+        # an embedded pair's two weight rows both sum to 1
+        assert abs(math.fsum(odesim._DP5.e)) <= 1e-16
+        assert len(odesim._DP5.e) == len(odesim._DP5.b) + 1
+
+    def test_continuous_extension_meets_the_step_at_both_ends(self):
+        # contd8 at theta = 0 is the step's start state, bit for bit, and at
+        # theta = 1 its end state up to the rounding of y + (y_new - y)
+        y = (1.5, -0.25)
+        k1 = vdp(y)
+        y_new, k13, sums = odesim._kernels(2).dop853_dense(vdp, y, k1, 0.3)
+        start, end = np.array([y, k1, *sums]), np.array([y_new, k13])
+        assert odesim._contd8(0.0, 0.3, start, end).tolist() == list(y)
+        at_one = odesim._contd8(1.0, 0.3, start, end)
+        assert np.allclose(at_one, y_new, rtol=0.0, atol=4e-16), at_one - y_new
 
 
 # The per-component step bodies that the generated kernels replaced, kept as
@@ -481,18 +529,50 @@ def reference_dp_step(field, y, k1, h, rtol, atol):
     return y_new, k7, math.sqrt(total / len(y))
 
 
-def reference_dp_dense(field, y, k1, h):
-    d1, d3, d4, d5, d6, d7 = odesim._DP_D
-    y_new, k3, k4, k5, k6, k7 = reference_dp_stages(field, y, k1, h)
-    dsum = tuple([
-        d1 * c1 + d3 * c3 + d4 * c4 + d5 * c5 + d6 * c6 + d7 * c7
-        for c1, c3, c4, c5, c6, c7 in zip(k1, k3, k4, k5, k6, k7)
-    ])
-    return y_new, k7, dsum
+def reference_rk4_kahan(field, y, e, h):
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = field(y)
+    k2 = field(tuple([a + half * b for a, b in zip(y, k1)]))
+    k3 = field(tuple([a + half * b for a, b in zip(y, k2)]))
+    k4 = field(tuple([a + h * b for a, b in zip(y, k3)]))
+    e = [
+        c + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for c, b1, b2, b3, b4 in zip(e, k1, k2, k3, k4)
+    ]
+    new = tuple([a + c for a, c in zip(y, e)])
+    return new, tuple([c + (a - b) for c, a, b in zip(e, y, new)])
+
+
+def reference_stage_sum(weights, stages, i):
+    """Component i of the stage sum over the nonzero weights, left to right."""
+    terms = [w * k[i] for w, k in zip(weights, stages) if w]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def reference_dop853_dense(field, y, k1, h):
+    tab = odesim._DOP853
+    stages = [k1]
+
+    def argument(row):
+        return tuple([a + h * reference_stage_sum(row, stages, i) for i, a in enumerate(y)])
+
+    for row in tab.A:
+        stages.append(field(argument(row)))
+    y_new = argument(tab.b)
+    stages.append(field(y_new))
+    for row in tab.extra:
+        stages.append(field(argument(row)))
+    sums = tuple(
+        tuple([reference_stage_sum(row, stages, i) for i in range(len(y))]) for row in tab.dense
+    )
+    return y_new, stages[len(tab.b)], sums
 
 
 REFERENCE = odesim._Kernels(
-    reference_rk4_step, reference_dp_stages, reference_dp_step, reference_dp_dense
+    reference_rk4_step, reference_rk4_kahan, reference_dp_stages, reference_dp_step,
+    reference_dop853_dense,
 )
 
 
@@ -555,9 +635,10 @@ class TestGeneratedKernels:
             k1 = mixing(y)
             cases = [
                 (kernels.rk4, REFERENCE.rk4, (mixing, y, h)),
+                (kernels.rk4_kahan, REFERENCE.rk4_kahan, (mixing, y, k1, h)),
                 (kernels.dp_stages, REFERENCE.dp_stages, (mixing, y, k1, h)),
                 (kernels.dp_step, REFERENCE.dp_step, (mixing, y, k1, h, 1e-8, 1e-10)),
-                (kernels.dp_dense, REFERENCE.dp_dense, (mixing, y, k1, h)),
+                (kernels.dop853_dense, REFERENCE.dop853_dense, (mixing, y, k1, h)),
             ]
             for got, want, args in cases:
                 assert outcome(got, *args) == outcome(want, *args), (got.__name__, y, h)
@@ -583,8 +664,8 @@ class TestGeneratedKernels:
             raise FieldEvaluationError("nowhere admissible")
 
         with pytest.raises(FieldEvaluationError) as info:
-            odesim._kernels(3).dp_dense(broken, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.1)
-        assert info.traceback[-2].path == "<iiorbit dp_dense d=3>"
+            odesim._kernels(3).dop853_dense(broken, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.1)
+        assert info.traceback[-2].path == "<iiorbit dop853_dense d=3>"
 
     INTEGRATORS = {
         "fixed": lambda field: integrate_fixed(field, [1.5, -0.25], 0.0, 2.0, 0.01),
@@ -605,10 +686,11 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize("method", INTEGRATORS)
     def test_aborts_match_the_reference(self, monkeypatch, method, stage, kind):
         # the field fails from its call 20 + stage on: after the shape check,
-        # the first stage and three Dormand-Prince steps of six, that is
-        # stage `stage` of the fourth step (a fixed-step run fails in its
-        # sixth step); the adaptive integrator retries shorter steps until
-        # its step underflows
+        # the first stage and three adaptive attempts of six, that is stage
+        # `stage` of the fourth attempt (a fixed-step run fails in its sixth
+        # step, a dense run at its fourth to ninth call of the second step of
+        # 15); the adaptive integrator retries shorter steps until its step
+        # underflows
         def broken():
             calls = []
 
