@@ -324,13 +324,16 @@ def _write_trajectory_csv(path: Path, traj: Trajectory, n: int, z_dim: int, m: i
         + [f"z{i + 1}" for i in range(z_dim)]
         + [f"u{i + 1}" for i in range(m)]
     )
+    # %r is repr, so one % over a slice's floats writes the lines that
+    # ",".join(map(repr, row)) would, without a Python step per row
+    line = ",".join(["%r"] * len(cols)) + "\n"
     try:
         with path.open("w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
             for lo in range(0, len(traj), 4096):  # a slice at a time bounds the memory
                 hi = lo + 4096
-                rows = np.column_stack((traj.times[lo:hi], traj.states[lo:hi], u[lo:hi])).tolist()
-                fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+                block = np.column_stack((traj.times[lo:hi], traj.states[lo:hi], u[lo:hi]))
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
     except BaseException:
         with contextlib.suppress(OSError):  # a directory stays, and the write's error is raised
             path.unlink(missing_ok=True)

@@ -397,15 +397,16 @@ ADAPTIVE_MIN_STEP_FACTOR = 1e-12
 
 
 # The step kernels. For states of d components, _kernels generates and
-# compiles, once, straight-line code for each kernel: the text unpacks the
-# state and every stage into names (y0, y1, ..., k1_0, k1_1, ...) and writes
-# each stage argument as one tuple display. The Runge-Kutta stages come from
-# a tableau: stage s's argument is y_i + h * (a_s1 * k1_i + ...), summed left
-# to right over the nonzero weights, independent of the BLAS build and the
-# Python version. RK4 keeps its own text, whose stages scale by 0.5 * h and
-# whose last line is y + h / 6 * (k1 + 2 k2 + 2 k3 + k4); each operation of
-# every kernel is that of the per-component loop the tests keep as its
-# reference, in the same order, so the results are that loop's bit for bit.
+# compiles, once and on first use, straight-line code for each kernel: the
+# text unpacks the state and every stage into names (y0, y1, ..., k1_0,
+# k1_1, ...) and writes each stage argument as one tuple display. The
+# Runge-Kutta stages come from a tableau: stage s's argument is
+# y_i + h * (a_s1 * k1_i + ...), summed left to right over the nonzero
+# weights, independent of the BLAS build and the Python version. RK4 keeps
+# its own text, whose stages scale by 0.5 * h and whose last line is
+# y + h / 6 * (k1 + 2 k2 + 2 k3 + k4); each operation of every kernel is
+# that of the per-component loop the tests keep as its reference, in the
+# same order, so the results are that loop's bit for bit.
 # The text holds only names and integer indices: every float, and math.sqrt,
 # is an argument of the factory `make` that defines the kernel.
 _RK4_CONSTANTS = {"half": 0.5, "two": 2.0, "six": 6.0}
@@ -427,14 +428,6 @@ def _tableau_constants(tab: _Tableau) -> dict:
     return {"zero": 0.0, "sqrt": math.sqrt, **{k: w for k, w in names.items() if w}}
 
 
-class _Kernels(NamedTuple):
-    rk4: Callable  # rk4_step
-    rk4_kahan: Callable  # (field, y, e, h) -> (y_new, e_new), the compensated RK4 step
-    dp_stages: Callable  # _dp_stages
-    dp_step: Callable  # _dp_step
-    dop853_dense: Callable  # (field, y, k1, h) -> (y_new, k13, the four dense-row stage sums)
-
-
 def _compile_factory(source: str, filename: str) -> Callable:
     """The function `make` that source defines, compiled under filename, so
     that a traceback through the code it makes names it."""
@@ -450,8 +443,8 @@ def _each(pattern: str, count: int) -> str:
     return "(" + "".join(pattern.format(i=i) + ", " for i in range(count)) + ")"
 
 
-def _kernel_sources(d: int) -> dict:
-    """The source and constants of each _Kernels function for states of d
+def _kernel_source(name: str, d: int) -> tuple:
+    """The source and constants of the kernel name for states of d
     components: (text of a factory make(**constants) that defines the
     kernel and returns it, constants)."""
 
@@ -489,18 +482,16 @@ def _kernel_sources(d: int) -> dict:
         "h6 = h / six",
     ]
     last = len(_DOP853.b) + 1  # the FSAL stage, the field at y_new
-    extra = [
-        line for s, row in enumerate(_DOP853.extra, last + 1) for line in stage(s, row)
-    ]
+    # each body is built only for the kernel asked for
     kernels = {
-        "rk4": ("field, y, h", _RK4_CONSTANTS, [
+        "rk4": lambda: ("field, y, h", _RK4_CONSTANTS, [
             *rk4_stages,
             f"return {tup('y{i} + h6 * (k1_{i} + two * k2_{i} + two * k3_{i} + k4_{i})')}",
         ]),
         # the increment goes into the compensation e, and what the rounded
         # state drops of it stays there (Kahan's sum; Hairer, Lubich & Wanner,
         # Geometric Numerical Integration, Algorithm VIII.5.1)
-        "rk4_kahan": ("field, y, e, h", _RK4_CONSTANTS, [
+        "rk4_kahan": lambda: ("field, y, e, h", _RK4_CONSTANTS, [
             *rk4_stages,
             f"{tup('e{i}')} = e",
             f"{tup('s{i}')} = "
@@ -508,10 +499,7 @@ def _kernel_sources(d: int) -> dict:
             f"{tup('n{i}')} = {tup('y{i} + s{i}')}",
             f"return {tup('n{i}')}, {tup('s{i} + (y{i} - n{i})')}",
         ]),
-        "dp_stages": ("field, y, k1, h", _tableau_constants(_DP5), [
-            *steps(_DP5), "return y_new, k3, k4, k5, k6, k7",
-        ]),
-        "dp_step": ("field, y, k1, h, rtol, atol", _tableau_constants(_DP5), [
+        "dp_step": lambda: ("field, y, k1, h, rtol, atol", _tableau_constants(_DP5), [
             *steps(_DP5),
             f"{tup('k7_{i}')} = k7",
             f"{tup('n{i}')} = y_new",
@@ -523,10 +511,10 @@ def _kernel_sources(d: int) -> dict:
             "return y_new, k7, sqrt((zero" + "".join(f" + q{i} * q{i}" for i in range(d))
             + f") / {d})",
         ]),
-        "dop853_dense": ("field, y, k1, h", _tableau_constants(_DOP853), [
+        "dop853_dense": lambda: ("field, y, k1, h", _tableau_constants(_DOP853), [
             *steps(_DOP853),
             f"{tup(f'k{last}_{{i}}')} = k{last}",
-            *extra,
+            *[line for s, row in enumerate(_DOP853.extra, last + 1) for line in stage(s, row)],
             f"return y_new, k{last}, ("
             + "".join(
                 tup(weighted(f"d{r}_", row)) + ", " for r, row in enumerate(_DOP853.dense, 1)
@@ -534,33 +522,50 @@ def _kernel_sources(d: int) -> dict:
             + ")",
         ]),
     }
-    return {
-        name: (
-            f"def make({', '.join(constants)}):\n    def {name}({args}):\n"
-            + "".join(f"        {line}\n" for line in body)
-            + f"    return {name}\n",
-            constants,
-        )
-        for name, (args, constants, body) in kernels.items()
-    }
+    args, constants, body = kernels[name]()
+    source = (
+        f"def make({', '.join(constants)}):\n    def {name}({args}):\n"
+        + "".join(f"        {line}\n" for line in body)
+        + f"    return {name}\n"
+    )
+    return source, constants
+
+
+class _Compiled:
+    """A _Kernels attribute whose kernel is compiled from _kernel_source on
+    first access and stored in the instance's __dict__, where every later
+    lookup finds it first (the descriptor defines no __set__)."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, kernels: "_Kernels", owner=None) -> Callable:
+        if kernels is None:
+            return self
+        source, constants = _kernel_source(self.name, kernels.d)
+        kernel = _compile_factory(source, f"<iiorbit {self.name} d={kernels.d}>")(**constants)
+        kernels.__dict__[self.name] = kernel
+        return kernel
+
+
+class _Kernels:
+    """The step kernels for states of d components, each compiled on first
+    use under a file name such as <iiorbit rk4 d=6>, so that a run compiles
+    only the kernels it calls."""
+
+    rk4 = _Compiled()  # rk4_step
+    rk4_kahan = _Compiled()  # (field, y, e, h) -> (y_new, e_new), the compensated RK4 step
+    dp_step = _Compiled()  # _dp_step
+    dop853_dense = _Compiled()  # (field, y, k1, h) -> (y_new, k13, the four dense-row stage sums)
+
+    def __init__(self, d: int):
+        self.d = d
 
 
 @functools.lru_cache(maxsize=None)
 def _kernels(d: int) -> _Kernels:
-    """The step kernels for states of d components, compiled on first use
-    under file names such as <iiorbit rk4 d=6>."""
-    return _Kernels(**{
-        name: _compile_factory(source, f"<iiorbit {name} d={d}>")(**constants)
-        for name, (source, constants) in _kernel_sources(d).items()
-    })
-
-
-def _dp_stages(field: Field, y: tuple, k1: Sequence[float], h: float) -> tuple:
-    """The stages of one Dormand-Prince step of size h from the state y, a
-    tuple of floats whose field value is k1. Returns the new state (a tuple)
-    and the stages k3, k4, k5, k6 and k7, the field at the new state; k2
-    has no weight in the new state, the error estimate or the dense output."""
-    return _kernels(len(y)).dp_stages(field, y, k1, h)
+    """The step kernels for states of d components (see _Kernels)."""
+    return _Kernels(d)
 
 
 def _dp_step(field: Field, y: tuple, k1: Sequence[float], h: float, rtol: float, atol: float):
@@ -578,6 +583,7 @@ def integrate_adaptive(
     t1: float,
     rtol: float = 1e-8,
     atol: float = 1e-10,
+    max_attempts: int = MAX_STEPS,
 ) -> Trajectory:
     """Dormand-Prince 5(4) with standard error-per-step control.
 
@@ -586,8 +592,9 @@ def integrate_adaptive(
     of the previous accepted step, or of the same state after a rejection.
     Accepted states are stored; step size underflow (below
     ADAPTIVE_MIN_STEP_FACTOR*(t1-t0)) raises IntegrationAbort, which usually
-    signals stiffness or an approach to a singularity. A span t1 - t0 that
-    overflows a float raises ValueError before the field is called.
+    signals stiffness or an approach to a singularity, and so does a run
+    that has made max_attempts step attempts short of t1. A span t1 - t0
+    that overflows a float raises ValueError before the field is called.
     """
     _require_finite(t0=t0, t1=t1, rtol=rtol, atol=atol)
     if t1 < t0:
@@ -624,7 +631,7 @@ def integrate_adaptive(
         f_scale = max(float(np.max(np.abs(np.asarray(k1, dtype=float)))), 1e-9)
         h = max(min(span / 10.0, 0.01 * y_scale / f_scale), h_min)
 
-        for _ in range(MAX_STEPS):
+        for _ in range(max_attempts):
             if t >= t1:
                 break
             h = min(h, t1 - t)
@@ -657,47 +664,57 @@ def integrate_adaptive(
             factor = 0.9 * (err**-0.2) if err > 0 else 5.0
             h = h * min(5.0, max(0.2, factor))
         else:
-            raise abort(f"{MAX_STEPS} step attempts exhausted at t={t!r}", t)
+            raise abort(f"{max_attempts} step attempts exhausted at t={t!r}", t)
     return Trajectory(np.asarray(times), np.asarray(states))
 
 
 # A dense step is DENSE_STEPS grid intervals long, and its interpolant is
-# evaluated _DENSE_CHUNK grid rows at a time. 20 is the longest step with
-# which every shipped dense scenario meets the switch rule of
+# evaluated on at most _DENSE_CHUNK grid rows at a time. 20 is the longest
+# step with which every shipped dense scenario meets the switch rule of
 # tests/switch_rule.py (README, "Numerical notes").
 DENSE_STEPS = 20
 _DENSE_CHUNK = 4096
 
 
-def _contd8(theta, h, start: np.ndarray, end: np.ndarray):
-    """Hairer's contd8: the seventh-degree continuous extension of a DOP853
-    step of size h, at the fractions theta of the step, with elementwise
-    operations in a fixed order. start holds the knot data where the step
-    begins (the state, the field there and the four dense-row stage sums)
-    and end the state and field where it ends, indexed [..., row, component]."""
+def _contd8_terms(h, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The per-step terms of Hairer's contd8 for DOP853 steps of sizes h:
+    start holds the knot data where each step begins (the state, the field
+    there and the four dense-row stage sums) and end the state and field
+    where it ends, indexed [..., row, component]. Returns the terms that
+    _contd8 weights, stacked on a new first axis."""
     y0, k1, d1, d2, d3, d4 = (start[..., r, :] for r in range(6))
     y1, k13 = end[..., 0, :], end[..., 1, :]
     ydiff = y1 - y0
     bspl = h * k1 - ydiff
+    return np.stack((y0, ydiff, bspl, ydiff - h * k13 - bspl, h * d1, h * d2, h * d3, h * d4))
+
+
+def _contd8(theta, terms: np.ndarray):
+    """Hairer's contd8: the seventh-degree continuous extension of a DOP853
+    step, at the fractions theta of the step whose _contd8_terms are terms,
+    with elementwise operations in a fixed order."""
+    y0, ydiff, bspl, c, hd1, hd2, hd3, hd4 = terms
     theta1 = 1.0 - theta
-    tail = h * d1 + theta * (h * d2 + theta1 * (h * d3 + theta * (h * d4)))
-    return y0 + theta * (
-        ydiff + theta1 * (bspl + theta * ((ydiff - h * k13 - bspl) + theta1 * tail))
-    )
+    tail = hd1 + theta * (hd2 + theta1 * (hd3 + theta * hd4))
+    return y0 + theta * (ydiff + theta1 * (bspl + theta * (c + theta1 * tail)))
 
 
 def _dense_rows(times: np.ndarray, knots: np.ndarray, data: np.ndarray, q: int) -> np.ndarray:
     """Grid rows 0 to knots[q] from integrate_dense's knot data. A knot row
     is its stored state; a row between knots is the continuous extension
-    (_contd8) of the step it falls in, _DENSE_CHUNK rows at a time."""
+    (_contd8) of the step it falls in. The terms of each step are computed
+    once and broadcast over its rows, in blocks of steps that hold at most
+    _DENSE_CHUNK rows and have one row count: every step has DENSE_STEPS
+    rows but the last, which may be shorter and is a block of its own."""
     out = np.empty((knots[q] + 1, data.shape[2]))
-    for start in range(0, len(out) if q else 0, _DENSE_CHUNK):
-        rows = np.arange(start, min(start + _DENSE_CHUNK, len(out)))
-        j = np.minimum(rows // DENSE_STEPS, q - 1)
-        ta = times[knots[j]]
-        h = times[knots[j + 1]] - ta
-        theta = ((times[rows] - ta) / h)[:, None]
-        out[rows] = _contd8(theta, h[:, None], data[j], data[j + 1])
+    ta = times[knots[:q]]
+    h = times[knots[1 : q + 1]] - ta
+    terms = _contd8_terms(h[:, None], data[:q], data[1 : q + 1])
+    edges = [*range(0, q - 1, max(1, _DENSE_CHUNK // DENSE_STEPS)), q - 1, q] if q else []
+    for s0, s1 in zip(edges, edges[1:]):
+        a, b = knots[s0], knots[s1]
+        theta = (times[a:b].reshape(s1 - s0, -1) - ta[s0:s1, None]) / h[s0:s1, None]
+        out[a:b] = _contd8(theta[..., None], terms[:, s0:s1, None]).reshape(b - a, -1)
     out[knots[: q + 1]] = data[: q + 1, 0]
     return out
 

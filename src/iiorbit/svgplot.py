@@ -67,6 +67,15 @@ def _decimate(x: np.ndarray, y: np.ndarray):
     return x[idx], y[idx]
 
 
+def _points(X: np.ndarray, Y: np.ndarray) -> str:
+    """A polyline's points "X,Y X,Y ..." with two decimals, as _fmt writes
+    each: "%.2f" is the same conversion as "{:.2f}".format, and one % over
+    the whole series takes no Python step per point. X and Y come from px
+    and py on whole arrays, which do the same operations in the same order
+    as on one point at a time, so they are the same bits."""
+    return ("%.2f,%.2f " * len(X) % tuple(np.column_stack((X, Y)).ravel().tolist()))[:-1]
+
+
 def line_plot(
     path: str,
     series: Sequence[tuple[str, np.ndarray, np.ndarray]],
@@ -146,9 +155,7 @@ def line_plot(
     for i, (label, x, y) in enumerate(series):
         x, y = _decimate(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         color = PALETTE[i % len(PALETTE)]
-        # px and py on the whole arrays: the same operations in the same
-        # order, so the same bits as one point at a time
-        pts = " ".join(map("{:.2f},{:.2f}".format, px(x).tolist(), py(y).tolist()))
+        pts = _points(px(x), py(y))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.3" points="{pts}"/>'
         )

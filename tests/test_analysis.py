@@ -208,6 +208,32 @@ def _brute_min_distance(points, samples, angle_indices):
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).min(axis=1))
 
 
+def _reference_sq_distances(points, samples, angle_indices):
+    """_sq_distances with the remainder taken on every angle column."""
+    diff = points[:, None, :] - samples
+    for ai in angle_indices:
+        diff[:, :, ai] = (diff[:, :, ai] + np.pi) % TWO_PI - np.pi
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _edge_differences():
+    """Angle differences where the shifted difference d + pi meets the ends
+    of [0, 2 pi) or leaves it: signed zeros, +-pi and +-2 pi with their
+    neighbours a few ulps away, 2 pi minus one ulp, NaN, the infinities,
+    and magnitudes up to 1e6."""
+    near = []
+    for centre in (math.pi, -math.pi, TWO_PI, -TWO_PI):
+        v = w = centre
+        for _ in range(3):
+            v, w = np.nextafter(v, math.inf), np.nextafter(w, -math.inf)
+            near += [float(v), float(w)]
+    below = float(np.nextafter(TWO_PI, 0.0))
+    return [
+        0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, below, -below, below - math.pi,
+        *near, math.nan, math.inf, -math.inf, 1e6, -1e6, 1e6 + 0.5, -123456.789, 0.25, -3.0,
+    ]
+
+
 def _resting_at(state):
     """A two-knot trajectory that stays at one state."""
     return Trajectory(np.array([0.0, 1.0]), np.array([state, state], dtype=float))
@@ -275,6 +301,31 @@ class TestOrbitalDistance:
         points[::97] *= 30.0
         got = analysis._min_distance(points, samples, (3,))
         assert np.array_equal(got, _brute_min_distance(points, samples, (3,)))
+
+    @pytest.mark.parametrize("preset", plants.PRESETS)
+    def test_sq_distances_match_the_remainder_everywhere(self, bundles, preset):
+        # the remainder is skipped only where it is the identity: each edge
+        # difference alone (a column of one pair decides by that value), all
+        # of them in one set, small differences only (every angle column
+        # skips), and a set of samples per point
+        angles = bundles[preset].angle_indices
+        n = bundles[preset].n
+        edges = np.array(_edge_differences())
+        rng = np.random.default_rng(len(angles))
+        cases = [
+            (np.full((1, n), d), np.full((1, n), z))
+            for d in edges for z in (0.0, -0.0)
+        ]
+        cases.append((rng.choice(edges, (len(edges), n)), rng.choice(edges, (5, n))))
+        cases.append((rng.uniform(-1.0, 1.0, (40, n)), rng.uniform(-1.0, 1.0, (64, n))))
+        cases.append((rng.choice(edges, (6, n)), rng.choice(edges, (6, 9, n))))
+        for points, samples in cases:
+            with np.errstate(invalid="ignore"):  # inf - inf, inf % 2 pi
+                got = analysis._sq_distances(points, samples, angles)
+                want = _reference_sq_distances(points, samples, angles)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (points, samples)
 
     def test_tail_maximum(self):
         orbit = self._unit_circle_orbit()

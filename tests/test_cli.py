@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -390,6 +391,40 @@ def test_dense_cone_exit_stops_at_a_step_knot(tmp_path):
     assert np.array_equal(times, runs["fixed"][1][: len(times)])
 
 
+def test_scouting_near_a_cone_edge_stops_at_its_budget(tmp_path, monkeypatch):
+    # this run aborts at 0.911 s with its projected final state near the
+    # cone's edge, where the target's orbit scouting needed 5.5M steps over
+    # horizons 1 to 4096 s (half a minute or more) and found no period. Its
+    # budget of step attempts stops it within a second; the orbit distance
+    # stays empty, and every other metric is what it is without the scouting
+    doc = {
+        "name": "scout-budget",
+        "bundle": {"preset": "cartpend-lin-default"},
+        "x0": [0.0, 0.0, 6.0, 0.0],
+        "t_span": [0.0, 2.0],
+        "integrator": {"method": "fixed", "dt": 0.001},
+        "outputs": ["metrics_csv"],
+    }
+    scn = load_scenario(str(write_scenario(tmp_path, doc)))
+    start = time.perf_counter()
+    artifact = cli.run_scenario(scn, tmp_path)
+    assert time.perf_counter() - start < 5.0
+    metrics, traj = artifact.metrics, artifact.trajectory
+    assert metrics["aborted"] and metrics["abort_time"] == 0.911
+    assert metrics["orbital_dist_tail_max"] is None
+    bundle = artifact.bundle
+    seed = bundle.project_xi(traj.final_state[: bundle.n])
+    with pytest.raises(ValueError, match="step attempts exhausted"):
+        analysis.orbit_samples(bundle, seed, metrics["period_est"])
+
+    def no_orbit(*args):
+        raise ValueError("no orbit")
+
+    monkeypatch.setattr(analysis, "orbit_samples", no_orbit)
+    u = cli._control_history(bundle, traj)
+    assert cli.compute_metrics(bundle, traj, u, True, metrics["abort_time"]) == metrics
+
+
 def test_orbit_distance_metric_matches_library_path(tmp_path):
     # the CLI metric is the library call on the run's final projected state
     # and its own period estimate, bit for bit: the seed's angle wrap belongs
@@ -666,6 +701,28 @@ class TestTrajectoryCsvWriter:
         assert sorted(p.name for p in artifact.directory.iterdir()) == [
             "scenario.yaml", "trajectory.csv"
         ]
+
+    # the floats where repr switches notation or spells a special value:
+    # signed zeros, a subnormal, the infinities and NaN, 1e16 and 1e-5 (the
+    # exponent thresholds) with their neighbours, and integral floats above
+    # 2**53
+    EDGE_FLOATS = [
+        0.0, -0.0, 5e-324, -2.225073858507201e-308, math.inf, -math.inf, math.nan,
+        1e16, 9999999999999998.0, -1e16, 1e-5, 1e-4, 9.999999999999999e-05, 0.0001000001,
+        2.0**53, 2.0**53 + 2.0, -(2.0**60), 1e22, 123456789012345680.0, 1.0, -3.0, 0.1,
+    ]
+
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097])
+    def test_edge_floats_equal_the_reference(self, tmp_path, rows):
+        # one % over each 4096-row slice writes what the per-row join of
+        # repr writes, in every column and across the slice boundaries
+        rng = np.random.default_rng(rows)
+        states = rng.choice(self.EDGE_FLOATS, size=(rows, 6))
+        u = rng.choice(self.EDGE_FLOATS, size=(rows, 2))
+        traj = Trajectory(np.arange(rows) * 1e16 - 1e-5, states)
+        path = tmp_path / "trajectory.csv"
+        cli._write_trajectory_csv(path, traj, 4, 2, 2, u)
+        assert path.read_bytes() == _csv_reference(traj, u, 4)
 
     def test_aborted_run_matches_the_reference(self, tmp_path):
         # the cone-exit run: its last stored state is outside the cone, so u

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ class TestAdaptive:
                 counts["attempts"] += 1
                 return compiled.dp_step(*args)
 
-            return compiled._replace(dp_step=attempt)
+            return SimpleNamespace(dp_step=attempt)
 
         monkeypatch.setattr(odesim, "_kernels", counting)
         return counts
@@ -335,7 +336,61 @@ def vdp(y, mu=2.0):
     return (y[1], mu * (1.0 - y[0] * y[0]) * y[1] - y[0])
 
 
+def reference_dense_rows(times, knots, data, q):
+    """_dense_rows as it evaluated contd8 row by row, on the two knot blocks
+    gathered for each row's step, 4096 rows at a time: the per-step terms
+    must give these rows bit for bit."""
+    out = np.empty((knots[q] + 1, data.shape[2]))
+    for start in range(0, len(out) if q else 0, 4096):
+        rows = np.arange(start, min(start + 4096, len(out)))
+        j = np.minimum(rows // odesim.DENSE_STEPS, q - 1)
+        ta = times[knots[j]]
+        h = times[knots[j + 1]] - ta
+        theta = ((times[rows] - ta) / h)[:, None]
+        h = h[:, None]
+        y0, k1, d1, d2, d3, d4 = (data[j][:, r, :] for r in range(6))
+        y1, k13 = data[j + 1][:, 0, :], data[j + 1][:, 1, :]
+        ydiff = y1 - y0
+        bspl = h * k1 - ydiff
+        theta1 = 1.0 - theta
+        tail = h * d1 + theta * (h * d2 + theta1 * (h * d3 + theta * (h * d4)))
+        out[rows] = y0 + theta * (
+            ydiff + theta1 * (bspl + theta * ((ydiff - h * k13 - bspl) + theta1 * tail))
+        )
+    out[knots[: q + 1]] = data[: q + 1, 0]
+    return out
+
+
+def nan_bits(a: np.ndarray) -> bytes:
+    """a's bytes with every NaN written as numpy's, so that equal bytes mean
+    equal numbers, the signs of zeros included (see flat_bits)."""
+    a = a.copy()
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
 class TestDense:
+    @pytest.mark.parametrize("t1", [10.0, 10.013])
+    def test_rows_match_the_per_row_reference(self, t1):
+        # knot data with signed zeros, non-finite values and magnitudes from
+        # 1e-5 to 1e4, on 10,001 rows whose steps all have DENSE_STEPS rows
+        # and on 10,014 whose last step has 13; q runs over the prefixes an
+        # abort leaves (q below the last knot), across the blocks of steps
+        times = np.asarray(odesim._grid(0.0, t1, 1e-3))
+        knots = np.array([*range(0, len(times) - 1, odesim.DENSE_STEPS), len(times) - 1])
+        rng = np.random.default_rng(len(times))
+        shape = (len(knots), 6, 3)
+        data = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5, shape)
+        data[3, 2, 1], data[7, 1, 0], data[11, 0, 2], data[12, 5, 0] = (
+            math.nan, math.inf, -0.0, -math.inf
+        )
+        last = len(knots) - 1
+        for q in sorted({0, 1, 2, 3, 203, 204, 205, 409, last - 1, last}):
+            with np.errstate(invalid="ignore"):  # theta = 0 at a knot times an infinity
+                got = odesim._dense_rows(times, knots, data, q)
+                want = reference_dense_rows(times, knots, data, q)
+            assert nan_bits(got) == nan_bits(want), q
+
     def test_knots_are_a_chain_of_dp_steps(self):
         # every DENSE_STEPS-th row, and the last, is the state of a chain of
         # Dormand-Prince 8(5,3) steps between the knot times, bit for bit
@@ -473,9 +528,9 @@ class TestTableaus:
         y = (1.5, -0.25)
         k1 = vdp(y)
         y_new, k13, sums = odesim._kernels(2).dop853_dense(vdp, y, k1, 0.3)
-        start, end = np.array([y, k1, *sums]), np.array([y_new, k13])
-        assert odesim._contd8(0.0, 0.3, start, end).tolist() == list(y)
-        at_one = odesim._contd8(1.0, 0.3, start, end)
+        terms = odesim._contd8_terms(0.3, np.array([y, k1, *sums]), np.array([y_new, k13]))
+        assert odesim._contd8(0.0, terms).tolist() == list(y)
+        at_one = odesim._contd8(1.0, terms)
         assert np.allclose(at_one, y_new, rtol=0.0, atol=4e-16), at_one - y_new
 
 
@@ -570,9 +625,9 @@ def reference_dop853_dense(field, y, k1, h):
     return y_new, stages[len(tab.b)], sums
 
 
-REFERENCE = odesim._Kernels(
-    reference_rk4_step, reference_rk4_kahan, reference_dp_stages, reference_dp_step,
-    reference_dop853_dense,
+REFERENCE = SimpleNamespace(
+    rk4=reference_rk4_step, rk4_kahan=reference_rk4_kahan, dp_step=reference_dp_step,
+    dop853_dense=reference_dop853_dense,
 )
 
 
@@ -636,7 +691,6 @@ class TestGeneratedKernels:
             cases = [
                 (kernels.rk4, REFERENCE.rk4, (mixing, y, h)),
                 (kernels.rk4_kahan, REFERENCE.rk4_kahan, (mixing, y, k1, h)),
-                (kernels.dp_stages, REFERENCE.dp_stages, (mixing, y, k1, h)),
                 (kernels.dp_step, REFERENCE.dp_step, (mixing, y, k1, h, 1e-8, 1e-10)),
                 (kernels.dop853_dense, REFERENCE.dop853_dense, (mixing, y, k1, h)),
             ]
@@ -652,9 +706,6 @@ class TestGeneratedKernels:
         y, h = (0.3, -1.2, 2.5), 0.01
         k1 = mixing(y)
         assert flat_bits(odesim.rk4_step(mixing, y, h)) == flat_bits(REFERENCE.rk4(mixing, y, h))
-        assert flat_bits(odesim._dp_stages(mixing, y, k1, h)) == flat_bits(
-            REFERENCE.dp_stages(mixing, y, k1, h)
-        )
         assert flat_bits(odesim._dp_step(mixing, y, k1, h, 1e-6, 1e-9)) == flat_bits(
             REFERENCE.dp_step(mixing, y, k1, h, 1e-6, 1e-9)
         )
@@ -731,6 +782,38 @@ class TestGeneratedKernels:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["(0, 0)", "(0, 1)"]
+
+    def test_a_dense_run_compiles_only_the_kernels_it_calls(self, tmp_path):
+        # a fresh process runs a short dense scenario: the augmented state
+        # (d = 6) takes dop853_dense steps, and the orbit scouting on the
+        # target (d = 2) takes dp_step and rk4; each kernel compiled is
+        # called, under its traceback name, and no other is compiled
+        code = (
+            "import dataclasses, pathlib, sys; from iiorbit import cli, odesim\n"
+            "compiled, called = [], set(); make = odesim._compile_factory\n"
+            "def compile_factory(source, filename):\n"
+            "    factory = make(source, filename); compiled.append(filename)\n"
+            "    def traced(**constants):\n"
+            "        kernel = factory(**constants)\n"
+            "        def call(*args):\n"
+            "            called.add(filename); return kernel(*args)\n"
+            "        return call\n"
+            "    return traced\n"
+            "odesim._compile_factory = compile_factory\n"
+            "scn = dataclasses.replace(cli.load_scenario('lti-circle'), t_span=(0.0, 2.0))\n"
+            "cli.run_scenario(scn, pathlib.Path(sys.argv[1]))\n"
+            "print('|'.join(compiled)); print('|'.join(sorted(called)))"
+        )
+        src = Path(odesim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        compiled, called = (line.split("|") for line in proc.stdout.splitlines())
+        assert sorted(compiled) == called == [
+            "<iiorbit dop853_dense d=6>", "<iiorbit dp_step d=2>", "<iiorbit rk4 d=2>",
+        ]
 
 
 class TestSections:

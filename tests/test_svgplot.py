@@ -45,3 +45,23 @@ def test_polyline_points_match_the_per_point_reference(tmp_path, count):
         reference_points(*svgplot._decimate(t, s), xlo, xhi, ylo, yhi) for s in (y, -0.5 * y)
     ]
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [float("nan")],
+        [1.0, float("nan"), -2.5, float("inf"), -float("inf")],
+        # values that round to -0.00, and their neighbours
+        [-0.0, -0.004, -0.0049999, -0.005, -0.00500001, 0.004, 0.005, 0.0, -1e-300],
+        [1e300, -1e17, 123.455, 123.465, 62.0, 702.0000000001],
+    ],
+)
+def test_points_match_the_per_point_format(values):
+    # one "%.2f,%.2f " % over the whole series writes what the per-point
+    # "{:.2f},{:.2f}".format wrote, and an empty series has no points
+    x = np.array(values, dtype=float)
+    y = -x[::-1]
+    want = " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+    assert svgplot._points(x, y) == want
