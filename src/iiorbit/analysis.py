@@ -280,10 +280,19 @@ def fit_decay(traj_z: Trajectory) -> DecayFit:
     """Least-squares line through log|z(t)| over the window
     1e-10 <= |z| <= 0.5 |z(0)|.
 
-    Raises ValueError when z starts at zero or fewer than 10 samples fall in
-    the window.
+    The line is the centred closed form, slope = sum (t - tm)(y - ym) /
+    sum (t - tm)^2, built from elementwise products and numpy's pairwise
+    sums only: a LAPACK or BLAS call on a window this long starts
+    OpenBLAS's thread pool, which a forked sweep worker pays for with a
+    busy-waiting thread.
+
+    Raises ValueError when |z| overflows, when z starts at zero, or when
+    fewer than 10 samples fall in the window.
     """
-    norms = np.linalg.norm(traj_z.states, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(traj_z.states, axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("|z| overflows to a non-finite value; nothing to fit")
     z0 = norms[0]
     if z0 <= 0.0:
         raise ValueError("off-manifold coordinate starts at zero; nothing to fit")
@@ -294,7 +303,10 @@ def fit_decay(traj_z: Trajectory) -> DecayFit:
         )
     t = traj_z.times[mask]
     y = np.log(norms[mask])
-    slope, intercept = np.polyfit(t, y, 1)
+    t_mean, y_mean = t.mean(), y.mean()
+    tc = t - t_mean
+    slope = (tc * (y - y_mean)).sum() / (tc * tc).sum()
+    intercept = y_mean - slope * t_mean
     resid = y - (slope * t + intercept)
     return DecayFit(
         rate=float(slope),
@@ -314,8 +326,12 @@ def energy_drift(bundle: IandIBundle, traj: Trajectory) -> float:
     if H is None:
         raise ValueError(f"bundle {bundle.name} has no first integral")
     tail = traj.tail(TAIL_FRACTION)
-    vals = evaluate(H, bundle.project_xi(tail.states))
-    return float((vals.max() - vals.min()) / max(abs(float(vals.mean())), 1e-9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = evaluate(H, bundle.project_xi(tail.states))
+        drift = float((vals.max() - vals.min()) / max(abs(float(vals.mean())), 1e-9))
+    if not math.isfinite(drift):
+        raise ValueError(f"the first integral of {bundle.name} is not finite along the tail")
+    return drift
 
 
 def tail_amplitude(bundle: IandIBundle, traj: Trajectory) -> float:

@@ -1,6 +1,8 @@
 """Orbit sampling, distance/decay metrics, and the two energy-bound checks."""
 
+import functools
 import math
+import os
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -337,12 +339,37 @@ class TestOrbitalDistance:
         assert abs(d - math.exp(-9.0)) < 1e-4
 
 
+def pure_exponential(lam: float) -> Trajectory:
+    times = np.linspace(0.0, 12.0 / lam, 3001)
+    return Trajectory(times, np.outer(np.exp(-lam * times), np.array([2.0, -1.0])))
+
+
+def two_pole_block() -> Trajectory:
+    """z' = (z1, -z0 - 2 z1) from (1, 0): a repeated pole at -1, so
+    |z| ~ t e^-t, integrated with RK4 over 30 s."""
+    field = lambda z: np.array([z[1], -z[0] - 2.0 * z[1]])
+    return integrate_fixed(field, [1.0, 0.0], 0.0, 30.0, 1e-3)
+
+
+def polyfit_reference(traj: Trajectory) -> analysis.DecayFit:
+    """fit_decay's window and outputs, with the line from LAPACK least
+    squares (np.polyfit), as fit_decay computed it before its closed form."""
+    norms = np.linalg.norm(traj.states, axis=1)
+    mask = (norms >= 1e-10) & (norms <= 0.5 * norms[0])
+    t, y = traj.times[mask], np.log(norms[mask])
+    slope, intercept = np.polyfit(t, y, 1)
+    resid = y - (slope * t + intercept)
+    return analysis.DecayFit(
+        rate=float(slope),
+        amplitude=float(np.exp(intercept)),
+        residual=float(np.sqrt(np.mean(resid**2))),
+    )
+
+
 class TestFitDecay:
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0])
     def test_pure_exponential(self, lam):
-        times = np.linspace(0.0, 12.0 / lam, 3001)
-        states = np.outer(np.exp(-lam * times), np.array([2.0, -1.0]))
-        fit = fit_decay(Trajectory(times, states))
+        fit = fit_decay(pure_exponential(lam))
         assert abs(fit.rate + lam) < 1e-3 * lam
         assert fit.residual < 1e-10
         assert fit.amplitude > 0.0
@@ -350,10 +377,61 @@ class TestFitDecay:
     def test_two_pole_block_bias_is_bounded(self):
         # repeated pole at -1: |z| ~ t e^-t, so the log-linear fit reads a
         # slightly slow rate; it must still land within 10% of the pole
-        field = lambda z: np.array([z[1], -z[0] - 2.0 * z[1]])
-        traj = integrate_fixed(field, [1.0, 0.0], 0.0, 30.0, 1e-3)
-        fit = fit_decay(traj)
+        fit = fit_decay(two_pole_block())
         assert abs(fit.rate + 1.0) < 0.1
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(functools.partial(pure_exponential, lam) for lam in (0.5, 1.0, 2.0, 5.0)), two_pole_block],
+        ids=["exp-0.5", "exp-1.0", "exp-2.0", "exp-5.0", "two-pole"],
+    )
+    def test_closed_form_matches_polyfit(self, make):
+        # the two solve the same least-squares problem in a different order
+        # of operations; 1e-12 relative on rate and amplitude, and 1e-12 on
+        # the residual (log units, so absolute), is about 4,500 ulps, where
+        # the shipped runs' rates moved by at most 5 ulps
+        traj = make()
+        fit, ref = fit_decay(traj), polyfit_reference(traj)
+        assert fit.rate == pytest.approx(ref.rate, rel=1e-12, abs=0.0)
+        assert fit.amplitude == pytest.approx(ref.amplitude, rel=1e-12, abs=0.0)
+        assert fit.residual == pytest.approx(ref.residual, rel=0.0, abs=1e-12)
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "fork") and os.path.isdir("/proc/self/task")),
+        reason="needs os.fork and /proc/self/task",
+    )
+    def test_forked_child_fits_on_one_thread(self):
+        # OpenBLAS shuts its thread pool down at fork, and a threaded BLAS or
+        # LAPACK call in the child starts a new pool thread that busy-waits;
+        # a sweep worker is such a child, and its window is this long
+        times = np.linspace(0.0, 20.0, 30001)
+        traj = Trajectory(times, np.outer(np.exp(-times), np.array([2.0, -1.0])))
+        # the window, |z| <= 0.5 |z(0)|, holds every sample from t = ln 2 on
+        assert np.count_nonzero(times >= math.log(2.0)) >= 20_000
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child reports its thread count, 0 on any error
+            count = 0
+            try:
+                fit_decay(traj)
+                count = len(os.listdir("/proc/self/task"))
+            finally:
+                os.write(write, bytes([min(count, 255)]))
+                os._exit(0)
+        os.close(write)
+        try:
+            reply = os.read(read, 1)
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert reply == bytes([1])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_norm_rejected(self):
+        times = np.linspace(0.0, 1.0, 50)
+        states = np.column_stack([np.full(50, 1e308), np.exp(-times)])
+        with pytest.raises(ValueError, match="overflows"):
+            fit_decay(Trajectory(times, states))
 
     def test_zero_start_rejected(self):
         times = np.linspace(0.0, 1.0, 50)
@@ -382,6 +460,13 @@ class TestEnergyDrift:
         traj = Trajectory(times, np.ones((20, 4)))
         with pytest.raises(ValueError, match="no first integral"):
             energy_drift(bundles["dcac-default"], traj)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_integral_raises(self, bundles):
+        times = np.linspace(0.0, 1.0, 20)
+        states = np.column_stack([np.full(20, 1e308), np.zeros((20, 3))])
+        with pytest.raises(ValueError, match="not finite"):
+            energy_drift(bundles["lti-identity"], Trajectory(times, states))
 
 
 def closed_loop_link_motion(name: str, count: int = 2000, seed: int = 2026):

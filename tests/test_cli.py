@@ -362,6 +362,28 @@ def test_sing_margin_min_reads_negative_after_a_cone_exit(tmp_path, capsys):
     assert any(row.startswith(f"{artifact},sing_margin_min,fail,") for row in rows), rows
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_state_leaves_metrics_empty(tmp_path, capsys):
+    # |x0| of 1e308 is finite, but its square, and with it |z| and the
+    # target's energy, overflows; the run aborts at its first step and the
+    # two metrics are empty, with no numpy warning and no traceback
+    doc = {
+        "name": "huge",
+        "bundle": {"preset": "lti-identity"},
+        "x0": [1.0e308, 0.0, 1.0, 0.0],
+        "t_span": [0.0, 1.0],
+        "integrator": {"method": "fixed", "dt": 0.01},
+        "outputs": ["metrics_csv"],
+    }
+    path = write_scenario(tmp_path, doc)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "tree")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    metrics = cli.read_metrics_csv(tmp_path / "tree" / "huge" / "metrics.csv")
+    assert metrics["aborted"] is True
+    assert metrics["decay_rate"] is None
+    assert metrics["energy_drift_tail"] is None
+
+
 def test_dense_cone_exit_stops_at_a_step_knot(tmp_path):
     # a dense run stores no row of its failing DOP853 step: its rows end at
     # that step's start knot, a multiple of DENSE_STEPS dt, which is also
